@@ -5,7 +5,10 @@ advanced by Strang splitting.  Both substeps are exact flows: the
 nonlinear part only rotates the phase pointwise (|u| is invariant under
 it), and the linear part diagonalizes in Fourier space.  The composition
 is second-order accurate, conserves mass to rounding, and keeps the
-energy bounded within O(dt^2) of its initial value.
+energy bounded within O(dt^2) of its initial value.  Over a run of
+steps the closing half rotation of one step and the opening half
+rotation of the next are applied as one full rotation; this is exact
+because the rotation leaves |u|, and hence its own rate, unchanged.
 
 A standing wave evolves as a pure phase rotation e^{i omega t} phi, so
 stability is measured against the orbit {e^{i theta} phi}: the discrete
@@ -99,15 +102,30 @@ def energy(state: FieldState) -> float:
 
 
 def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    # Strang composition: exact phase rotation, exact Fourier propagation,
-    # exact phase rotation; |u| is untouched by the nonlinear halves
-    for _ in range(steps):
-        a2 = u.real**2 + u.imag**2
-        u = u * np.exp((0.5j * dt) * (a2 + a2 * a2))
+    # `steps` Strang steps (half rotation, Fourier propagation, half rotation)
+    # with adjacent half rotations fused: the rotation leaves |u| unchanged,
+    # so the half closing one step and the half opening the next are exactly
+    # one full rotation by the same |u|^2 + |u|^4
+    if steps <= 0:
+        return u
+    a2 = u.real**2 + u.imag**2
+    u = u * np.exp((0.5j * dt) * (a2 + a2 * a2))
+    for step in range(steps):
         u = np.fft.ifft(np.fft.fft(u) * kernel)
         a2 = u.real**2 + u.imag**2
-        u = u * np.exp((0.5j * dt) * (a2 + a2 * a2))
+        h = dt if step < steps - 1 else 0.5 * dt
+        u = u * np.exp((1j * h) * (a2 + a2 * a2))
     return u
+
+
+def _record_steps(t_end: float, dt: float, records: int) -> list[int]:
+    # cumulative step counts at the record instants: round(t_end / dt) steps
+    # (at least one) over at most `records` intervals of near-equal length;
+    # when t_end is a multiple of records * dt every interval has the same
+    # round(t_end / (records * dt)) steps
+    n = max(1, int(round(t_end / dt)))
+    count = min(records, n)
+    return [(rec * n) // count for rec in range(1, count + 1)]
 
 
 def step_strang(state: FieldState, dt: float) -> FieldState:
@@ -136,11 +154,18 @@ def h1_norm(L: float, f) -> float:
     return math.sqrt(max(float(sq), 0.0))
 
 
-def orbital_phase(state: FieldState, prof: Profile) -> float:
-    """Rotation angle minimizing the H^1 distance to e^{i theta} phi."""
+def _h1_pairing(state: FieldState, prof: Profile) -> tuple[complex, np.ndarray]:
+    # <u, phi> in H^1 and u_x from one FFT pair: prof.dphi is the same
+    # spectral derivative of phi that h1_inner would recompute
     if state.N != prof.N or abs(state.L - prof.L) > 1e-12 * max(1.0, prof.L):
         raise ContractError("field and profile live on different grids")
-    return float(np.angle(h1_inner(state.L, state.u, prof.phi)))
+    du = spectral_derivative(state.u, state.L)
+    return trapezoid(state.u * prof.phi + du * prof.dphi, state.L), du
+
+
+def orbital_phase(state: FieldState, prof: Profile) -> float:
+    """Rotation angle minimizing the H^1 distance to e^{i theta} phi."""
+    return float(np.angle(_h1_pairing(state, prof)[0]))
 
 
 def orbital_distance(state: FieldState, prof: Profile) -> float:
@@ -149,10 +174,7 @@ def orbital_distance(state: FieldState, prof: Profile) -> float:
     The minimizing angle is the argument of the H^1 pairing <u, phi>, so
     the squared distance is ||u||^2 + ||phi||^2 - 2 |<u, phi>|.
     """
-    if state.N != prof.N or abs(state.L - prof.L) > 1e-12 * max(1.0, prof.L):
-        raise ContractError("field and profile live on different grids")
-    pair = h1_inner(state.L, state.u, prof.phi)
-    du = spectral_derivative(state.u, state.L)
+    pair, du = _h1_pairing(state, prof)
     nu = trapezoid(state.u.real**2 + state.u.imag**2 + du.real**2 + du.imag**2, state.L)
     nphi = trapezoid(prof.phi**2 + prof.dphi**2, prof.L)
     return math.sqrt(max(float(nu + nphi - 2.0 * abs(pair)), 0.0))
@@ -202,6 +224,10 @@ def run_fidelity(
     The splitting is second order, so the sup error scales like
     t_end dt^2 (dominated by a coherent phase-rate shift); the drifts of
     the conserved quantities stay at rounding level regardless.
+
+    The run takes n = max(1, round(t_end / dt)) steps and records the
+    error after each of min(records, n) intervals whose step counts
+    differ by at most one and sum to n, so the last record is at n dt.
     """
     if t_end <= 0.0 or dt <= 0.0:
         raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
@@ -213,13 +239,14 @@ def run_fidelity(
     mass0 = mass(state)
     energy0 = energy(state)
 
-    chunk = max(1, int(round(t_end / (records * dt))))
     kernel = np.exp(-1j * dt * wavenumbers(L, N) ** 2)
     times = [0.0]
     sup = [0.0]
-    for rec in range(1, records + 1):
-        u = _advance(u, kernel, dt, chunk)
-        t = rec * chunk * dt
+    done = 0
+    for total in _record_steps(t_end, dt, records):
+        u = _advance(u, kernel, dt, total - done)
+        done = total
+        t = total * dt
         if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
             raise BlowupError(f"nonfinite field at t={t:.6g}")
         times.append(t)
@@ -252,11 +279,13 @@ def run_stability(
 ) -> StabilityReport:
     """Evolve phi + delta * (unit even perturbation) and track the orbit.
 
-    Records the orbital distance at `records` evenly spaced instants,
-    asserts that evenness survives the whole run, and aborts with a
-    blow-up error once the amplitude exceeds blowup_factor times the
-    wave's (the quintic focusing term admits finite-time blow-up for
-    large data, so overflow must fail loudly).
+    Takes n = max(1, round(t_end / dt)) steps and records the orbital
+    distance at the end of each of min(records, n) intervals whose step
+    counts differ by at most one and sum to n (evenly spaced when n is a
+    multiple of the interval count).  Asserts that evenness survives the
+    whole run, and aborts with a blow-up error once the amplitude exceeds
+    blowup_factor times the wave's (the quintic focusing term admits
+    finite-time blow-up for large data, so overflow must fail loudly).
     """
     if delta < 0.0:
         raise ConfigError(f"perturbation size must be nonnegative, got {delta}")
@@ -271,7 +300,6 @@ def run_stability(
     state = FieldState(L=L, N=N, u=u, t=0.0)
     validate_state(state)
 
-    chunk = max(1, int(round(t_end / (records * dt))))
     kernel = np.exp(-1j * dt * wavenumbers(L, N) ** 2)
     amp_cap = blowup_factor * float(np.max(prof.phi))
 
@@ -280,9 +308,11 @@ def run_stability(
     times = [0.0]
     dists = [orbital_distance(state, prof)]
     parity = _parity_defect(u)
-    for rec in range(1, records + 1):
-        u = _advance(u, kernel, dt, chunk)
-        t = rec * chunk * dt
+    done = 0
+    for total in _record_steps(t_end, dt, records):
+        u = _advance(u, kernel, dt, total - done)
+        done = total
+        t = total * dt
         if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
             raise BlowupError(f"nonfinite field at t={t:.6g}")
         amp = float(np.max(np.abs(u)))

@@ -70,6 +70,36 @@ def test_plane_wave_phase_is_exact():
     assert np.max(np.abs(state.u - exact)) <= 1e-10
 
 
+def _unfused_strang(u, kernel, dt, steps):
+    # reference: each step applies both nonlinear half rotations in full
+    for _ in range(steps):
+        a2 = np.abs(u) ** 2
+        u = u * np.exp(0.5j * dt * (a2 + a2 * a2))
+        u = np.fft.ifft(np.fft.fft(u) * kernel)
+        a2 = np.abs(u) ** 2
+        u = u * np.exp(0.5j * dt * (a2 + a2 * a2))
+    return u
+
+
+def test_fused_advance_matches_unfused_steps(ref_wave):
+    _, prof = ref_wave
+    rng = np.random.default_rng(17)
+    fields = {
+        "even": prof.phi.astype(complex)
+        + 1e-2 * evolve.perturbation_shape("bump", TWO_PI, prof.N),
+        "random": 0.5 * (rng.standard_normal(prof.N)
+                         + 1j * rng.standard_normal(prof.N)),
+    }
+    dt = 2e-4
+    kernel = np.exp(-1j * dt * np.fft.fftfreq(prof.N, d=1.0 / prof.N) ** 2)
+    for name, u in fields.items():
+        for steps in (1, 2, 7):
+            fused = evolve._advance(u, kernel, dt, steps)
+            ref = _unfused_strang(u, kernel, dt, steps)
+            assert np.max(np.abs(fused - ref)) <= 1e-12, (name, steps)
+        assert np.array_equal(evolve._advance(u, kernel, dt, 0), u)
+
+
 def test_step_rejects_bad_dt():
     state = _state(TWO_PI, np.ones(64))
     with pytest.raises(ConfigError):
@@ -95,6 +125,21 @@ def test_orbital_distance_lower_bound(ref_wave):
         dist = evolve.orbital_distance(state, prof)
         direct = evolve.h1_norm(TWO_PI, u - prof.phi)
         assert dist <= direct + 1e-12
+
+
+def test_orbital_distance_matches_h1_pairing(ref_wave):
+    _, prof = ref_wave
+    rng = np.random.default_rng(23)
+    for scale in (0.1, 1.0):
+        u = (prof.phi + scale * rng.standard_normal(prof.N)
+             + 1j * scale * rng.standard_normal(prof.N))
+        state = _state(TWO_PI, u)
+        pair = evolve.h1_inner(TWO_PI, u, prof.phi)
+        sq = (evolve.h1_norm(TWO_PI, u) ** 2 + evolve.h1_norm(TWO_PI, prof.phi) ** 2
+              - 2.0 * abs(pair))
+        assert evolve.orbital_distance(state, prof) == pytest.approx(
+            math.sqrt(max(sq, 0.0)), rel=1e-14)
+        assert evolve.orbital_phase(state, prof) == float(np.angle(pair))
 
 
 def test_orbital_distance_grid_mismatch(ref_wave):
@@ -135,6 +180,23 @@ def test_fidelity_run_structure():
     assert rep.mass_drift <= 1e-11
     assert rep.energy_drift <= 1e-9
     assert rep.rotation_rate_error <= 1e-5
+
+
+def test_runs_stop_at_requested_horizon():
+    # 10 steps in all, recorded after each one
+    rep = evolve.run_fidelity(TWO_PI, 2.0, t_end=0.01, dt=1e-3, N=64)
+    assert rep.times.shape == (11,)
+    assert rep.times[-1] == pytest.approx(0.01, rel=1e-12)
+    # 3333 steps over 200 intervals of 16 or 17 steps
+    rep = evolve.run_fidelity(TWO_PI, 2.0, t_end=1.0, dt=3e-4, N=64)
+    steps = np.round(rep.times / 3e-4).astype(int)
+    assert rep.times.shape == (201,)
+    assert steps[-1] == 3333
+    assert set(np.diff(steps)) == {16, 17}
+    # a multiple of records * dt keeps equal intervals, t = rec * chunk * dt
+    rep = evolve.run_stability(TWO_PI, 2.0, delta=1e-3, perturbation="bump",
+                               t_end=0.06, dt=1e-3, N=64, records=20)
+    assert rep.times.tolist() == [rec * 3 * 1e-3 for rec in range(21)]
 
 
 def test_fidelity_second_order_in_dt():
