@@ -9,13 +9,14 @@ self-adjoint Hill operators on L-periodic functions,
 
 Differentiating the profile equation once shows L1 phi' = 0, and the
 profile equation itself says L2 phi = 0, so each operator carries an
-explicit kernel element.  Both potentials are even, so eigenvectors split
-into even and odd parity classes under the grid reflection
-j -> (N - j) mod N, and oscillation theory pins the structure the
-stability argument needs: L1 has exactly one negative eigenvalue (even,
-nodeless ground state) with zero next, spanned by the odd function phi';
-L2 is nonnegative with zero at the bottom, spanned by the positive
-function phi.
+explicit kernel element.  Both potentials are even, so the operators
+commute with the grid reflection j -> (N - j) mod N and the eigenproblem
+is solved on its even and odd blocks separately: every eigenvector is
+reflection-symmetric or antisymmetric by construction.  Oscillation
+theory pins the structure the stability argument needs: L1 has exactly
+one negative eigenvalue (even, nodeless ground state) with zero next,
+spanned by the odd function phi'; L2 is nonnegative with zero at the
+bottom, spanned by the positive function phi.
 
 Discretization is Fourier collocation (exact for trigonometric
 polynomials below the Nyquist degree), which makes "zero is an
@@ -40,8 +41,6 @@ from .waves import Profile, WaveParams, profile_derivative, profile_value
 _KINDS = ("L1", "L2")
 _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
-_CLUSTER_GAP = 1e-8  # eigenvalue gap below which a parity rotation is applied
-_PARITY_DEFECT = 1e-6  # max reflection defect for an even/odd label
 
 
 @dataclass(frozen=True)
@@ -61,11 +60,14 @@ class HillOperatorSpec:
 class SpectrumReport:
     """Full eigendecomposition of one operator with parity bookkeeping.
 
-    eigenvalues are ascending; eigenvector columns are orthonormal in the
-    discrete inner product sum_j f_j g_j (L/N).  zero_match_error compares
-    the unit-normalized zero eigenvector against the analytic kernel
-    element (phi' for L1, phi for L2), ignoring overall sign; it is NaN
-    when no eigenvalue falls inside the zero tolerance.
+    The spectrum is solved on the even and odd blocks of the operator and
+    merged, so parity[i] ("even" or "odd") is the block eigenpair i came
+    from and holds by construction.  eigenvalues are ascending;
+    eigenvector columns are orthonormal in the discrete inner product
+    sum_j f_j g_j (L/N).  zero_match_error compares the unit-normalized
+    zero eigenvector against the analytic kernel element (phi' for L1,
+    phi for L2), ignoring overall sign; it is NaN when no eigenvalue
+    falls inside the zero tolerance.
     """
 
     kind: str
@@ -135,42 +137,21 @@ def sym_eig(matrix):
     return evals, evecs
 
 
-def _purify_parity(evals, evecs):
-    """Rotate near-degenerate eigenpairs into parity eigenvectors, label all.
+def _parity_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd blocks P^T M P of a reflection-commuting grid matrix M.
 
-    The operators commute with the grid reflection, so every eigenspace
-    has a parity-pure basis; dense solvers return an arbitrary basis
-    inside near-degenerate clusters, repaired here by diagonalizing the
-    reflection restricted to each cluster.
+    The even basis is e_0, e_{N/2}, (e_j + e_{N-j})/sqrt(2) and the odd one
+    (e_j - e_{N-j})/sqrt(2), 0 < j < N/2.  M commutes with the reflection
+    only up to rounding, so rows and columns are folded together; both
+    sums are exactly symmetric since M[tail, head] is M[head, tail].T.
     """
-    n = evecs.shape[0]
-    ref = (-np.arange(n)) % n
-    out = evecs.copy()
-    labels = []
-    i = 0
-    count = len(evals)
-    while i < count:
-        j = i + 1
-        while j < count and evals[j] - evals[j - 1] < _CLUSTER_GAP * max(
-            1.0, abs(evals[j])
-        ):
-            j += 1
-        if j - i > 1:
-            block = out[:, i:j]
-            refl = block.T @ block[ref, :]
-            _, rot = np.linalg.eigh(0.5 * (refl + refl.T))
-            out[:, i:j] = block @ rot
-        for c in range(i, j):
-            vec = out[:, c]
-            rvec = vec[ref]
-            if np.linalg.norm(rvec - vec) <= _PARITY_DEFECT:
-                labels.append("even")
-            elif np.linalg.norm(rvec + vec) <= _PARITY_DEFECT:
-                labels.append("odd")
-            else:
-                labels.append("mixed")
-        i = j
-    return out, tuple(labels)
+    head = np.arange(mat.shape[0] // 2 + 1)
+    tail = (-head) % mat.shape[0]
+    same = mat[np.ix_(head, head)] + mat[np.ix_(tail, tail)]
+    cross = mat[np.ix_(head, tail)] + mat[np.ix_(tail, head)]
+    fold = np.full(head.size, math.sqrt(0.5))
+    fold[[0, -1]] = 0.5  # e_0 and e_{N/2} are their own mirror, summed twice
+    return (same + cross) * np.outer(fold, fold), 0.5 * (same - cross)[1:-1, 1:-1]
 
 
 def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> SpectrumReport:
@@ -183,10 +164,25 @@ def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> Sp
     wp, prof = spec.wp, spec.prof
     if tol_zero is None:
         tol_zero = 1e-6 * max(1.0, wp.omega)
-    evals, evecs = sym_eig(collocation_matrix(spec))
-    evecs, parity = _purify_parity(evals, evecs)
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(
+        sym_eig, _parity_blocks(collocation_matrix(spec)))
+    evals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    # coef holds rows 0 .. N/2 of P times the block eigenvectors; row j > N/2
+    # repeats row N - j, negated in the odd columns
+    half = prof.N // 2
+    coef = np.zeros((half + 1, prof.N))
+    coef[:, :half + 1] = math.sqrt(0.5) * even_vecs
+    coef[[0, half], :half + 1] = even_vecs[[0, half]]
+    coef[1:half, half + 1:] = math.sqrt(0.5) * odd_vecs
+    j = np.arange(prof.N)
+    evecs = coef[:, order][np.minimum(j, prof.N - j)]
+    evecs[half + 1:] *= np.where(order <= half, 1.0, -1.0)
+    parity = tuple("even" if i <= half else "odd" for i in order)
     gram = evecs.T @ evecs
-    ortho = float(np.max(np.abs(gram - np.eye(prof.N))))
+    gram[np.diag_indices_from(gram)] -= 1.0
+    ortho = float(np.max(np.abs(gram)))
     if ortho > 1e-10:
         raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
 

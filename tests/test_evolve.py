@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cqnls import curve, evolve, waves
+from cqnls import curve, evolve, fourier, waves
 from cqnls.errors import BlowupError, ConfigError, ContractError, NumericError
 from cqnls.evolve import FieldState
 
@@ -197,6 +197,21 @@ def test_runs_stop_at_requested_horizon():
     rep = evolve.run_stability(TWO_PI, 2.0, delta=1e-3, perturbation="bump",
                                t_end=0.06, dt=1e-3, N=64, records=20)
     assert rep.times.tolist() == [rec * 3 * 1e-3 for rec in range(21)]
+
+
+def test_fidelity_drifts_measured_at_horizon():
+    # the rate step past the horizon must not leak into the drifts
+    L, omega, t_end, dt, N = TWO_PI, 2.0, 0.01, 1e-3, 64
+    rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N, records=1)
+    _, prof = waves.build_wave(L, omega, N)
+    u0 = prof.phi.astype(complex)
+    kernel = np.exp(-1j * dt * fourier.wavenumbers(L, N) ** 2)
+    u = evolve._advance(u0, kernel, dt, 10)
+    start = _state(L, u0)
+    end = _state(L, u, t=t_end)
+    assert rep.times[-1] == pytest.approx(t_end, rel=1e-12)
+    assert rep.mass_drift == abs(evolve.mass(end) - evolve.mass(start))
+    assert rep.energy_drift == abs(evolve.energy(end) - evolve.energy(start))
 
 
 def test_fidelity_second_order_in_dt():

@@ -1,7 +1,9 @@
 """Spectra of the linearized operators and the companion-solution constant."""
 
 import math
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,55 @@ def test_spectra_parity_is_pure(ref_spectra):
         N = rep.eigenvectors.shape[0]
         assert rep.parity.count("even") == N // 2 + 1
         assert rep.parity.count("odd") == N // 2 - 1
+
+
+def _reflection_signs(rep):
+    # +1 for columns that are exactly reflection-symmetric, -1 for exactly
+    # antisymmetric ones, 0 for anything else
+    vecs = rep.eigenvectors
+    mirror = (-np.arange(vecs.shape[0])) % vecs.shape[0]
+    signs = []
+    for col in range(vecs.shape[1]):
+        v = vecs[:, col]
+        signs.append(1 if np.array_equal(v[mirror], v)
+                     else -1 if np.array_equal(v[mirror], -v) else 0)
+    return signs
+
+
+@pytest.mark.parametrize("omega, N", [(2.0, 256), (8.0, 512)])
+@pytest.mark.parametrize("kind", ["L1", "L2"])
+def test_parity_blocks_match_full_solve(kind, omega, N):
+    spec = HillOperatorSpec(kind, *waves.build_wave(TWO_PI, omega, N))
+    rep = hill.spectrum_report(spec)
+    full = np.linalg.eigh(hill.collocation_matrix(spec))[0]
+    scale = np.max(np.abs(full))
+    assert np.max(np.abs(rep.eigenvalues - full)) <= 1e-12 * scale
+    expected = [1 if label == "even" else -1 for label in rep.parity]
+    assert _reflection_signs(rep) == expected
+
+
+def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
+    # a zero profile leaves the constant potential omega, so every cosine
+    # mode is exactly degenerate with its sine partner
+    wp, prof = ref_wave
+    N, L = prof.N, prof.L
+    flat = waves.Profile(L=L, N=N, x=prof.x, phi=np.zeros(N),
+                         dphi=np.zeros(N))
+    for kind in ("L1", "L2"):
+        rep = hill.spectrum_report(HillOperatorSpec(kind, wp, flat))
+        assert rep.parity.count("even") == N // 2 + 1
+        assert rep.parity.count("odd") == N // 2 - 1
+        expected = [1 if label == "even" else -1 for label in rep.parity]
+        assert _reflection_signs(rep) == expected
+        modes = np.concatenate([np.arange(N // 2 + 1), np.arange(1, N // 2)])
+        exact = np.sort(wp.omega + (2.0 * math.pi * modes / L) ** 2)
+        assert np.max(np.abs(rep.eigenvalues - exact)) <= 1e-12 * exact[-1]
+
+
+def test_spectra_demo_reports_even_counts(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "03_linearized_spectra.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert "even functions:  1 negative, kernel multiplicity 1" in capsys.readouterr().out
 
 
 def test_oscillation_counts_phase_channel(ref_spectra):
