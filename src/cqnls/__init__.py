@@ -9,183 +9,29 @@ Library layout:
 - ``hill``: linearization spectra, parity counts, the theta constant.
 - ``evolve``: split-step time integration and orbital-stability experiments.
 - ``cli``: command-line front end (``cqnls`` entry point).
+
+The package re-exports the public names (``__all__``) of every module
+except ``cli``.
 """
 
-from .curve import (
-    CurveError,
-    CurveSample,
-    DerivativeAudit,
-    IdentityAudit,
-    curve_sample,
-    d2d_direct,
-    d2d_identity,
-    derivative_audit,
-    identity_audit,
-    inv2_closed_form,
-    sample_curve,
-)
-from .elliptic import complete_E, complete_K, dK_dk, jacobi_sn_cn_dn
-from .hill import (
-    CombinedCounts,
-    HillOperatorSpec,
-    SpectrumReport,
-    collocation_matrix,
-    combined_counts,
-    potential_values,
-    sign_changes,
-    spectrum_report,
-    sym_eig,
-    theta_constant,
-)
-from .errors import (
-    BlowupError,
-    ConfigError,
-    ContractError,
-    CqnlsError,
-    DegenerateError,
-    DomainError,
-    NoSolutionError,
-    NumericError,
-)
-from .evolve import (
-    FidelityReport,
-    FieldState,
-    StabilityReport,
-    energy,
-    h1_inner,
-    h1_norm,
-    mass,
-    orbital_distance,
-    orbital_phase,
-    perturbation_shape,
-    run_fidelity,
-    run_stability,
-    step_strang,
-    validate_state,
-)
-from .fourier import (
-    grid,
-    second_derivative_matrix,
-    spectral_derivative,
-    trapezoid,
-    wavenumbers,
-)
-from .waves import (
-    Profile,
-    WaveParams,
-    alpha_bounds,
-    b_from_alpha,
-    b_threshold,
-    build_wave,
-    dk_dalpha,
-    dk_domega,
-    min_period,
-    modulus_from,
-    omega_threshold,
-    params_from_alpha3,
-    period_map,
-    period_map_dalpha,
-    period_of_B,
-    profile_derivative,
-    profile_value,
-    q_poly,
-    quadrature_residual,
-    r_poly,
-    roots_from_alpha3,
-    sample_profile,
-    solitary_profile,
-    solve_alpha3,
-    validate_profile,
-    validate_wave_params,
-)
+from . import curve, elliptic, errors, evolve, fourier, hill, waves
+from .curve import *
+from .elliptic import *
+from .errors import *
+from .evolve import *
+from .fourier import *
+from .hill import *
+from .waves import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # elliptic
-    "complete_K",
-    "complete_E",
-    "dK_dk",
-    "jacobi_sn_cn_dn",
-    # errors
-    "CqnlsError",
-    "DomainError",
-    "NoSolutionError",
-    "DegenerateError",
-    "ConfigError",
-    "ContractError",
-    "NumericError",
-    "BlowupError",
-    # fourier
-    "grid",
-    "wavenumbers",
-    "spectral_derivative",
-    "second_derivative_matrix",
-    "trapezoid",
-    # waves
-    "WaveParams",
-    "Profile",
-    "omega_threshold",
-    "min_period",
-    "alpha_bounds",
-    "q_poly",
-    "r_poly",
-    "b_threshold",
-    "b_from_alpha",
-    "roots_from_alpha3",
-    "modulus_from",
-    "period_map",
-    "period_map_dalpha",
-    "dk_dalpha",
-    "dk_domega",
-    "solve_alpha3",
-    "params_from_alpha3",
-    "sample_profile",
-    "build_wave",
-    "profile_value",
-    "profile_derivative",
-    "quadrature_residual",
-    "solitary_profile",
-    "period_of_B",
-    "validate_wave_params",
-    "validate_profile",
-    # curve
-    "CurveSample",
-    "CurveError",
-    "DerivativeAudit",
-    "IdentityAudit",
-    "curve_sample",
-    "sample_curve",
-    "derivative_audit",
-    "d2d_direct",
-    "d2d_identity",
-    "identity_audit",
-    "inv2_closed_form",
-    # hill
-    "HillOperatorSpec",
-    "SpectrumReport",
-    "CombinedCounts",
-    "potential_values",
-    "collocation_matrix",
-    "sym_eig",
-    "spectrum_report",
-    "combined_counts",
-    "sign_changes",
-    "theta_constant",
-    # evolve
-    "FieldState",
-    "FidelityReport",
-    "StabilityReport",
-    "energy",
-    "mass",
-    "step_strang",
-    "h1_inner",
-    "h1_norm",
-    "orbital_phase",
-    "orbital_distance",
-    "perturbation_shape",
-    "run_fidelity",
-    "run_stability",
-    "validate_state",
+    *elliptic.__all__,
+    *errors.__all__,
+    *fourier.__all__,
+    *waves.__all__,
+    *curve.__all__,
+    *hill.__all__,
+    *evolve.__all__,
 ]

@@ -10,10 +10,11 @@ Subcommands map onto the library one-to-one:
 - stability: perturbed evolution, orbital distance time series
 - audit:     sweep-wide derivative and integral-identity checks
 
-Reports embed the resolved configuration and library version.  All
-numeric fields are printed with 17 significant digits so doubles
-round-trip exactly; identical configurations produce byte-identical
-output regardless of --jobs.
+Reports embed the resolved configuration and library version.  JSON
+reports are written by json.dumps (NaN and Infinity as bare words) and
+CSV cells with the same float rule, Python's repr: the shortest decimal
+that reads back as the same double, so an integral float prints as 2.0.
+Identical configurations produce byte-identical output.
 
 Exit codes: 0 success; 1 domain or configuration error; 2 a numeric
 assertion failed (an audit threshold or an internal consistency check);
@@ -23,10 +24,10 @@ assertion failed (an audit threshold or an internal consistency check);
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .evolve import run_fidelity, run_stability
 from .hill import HillOperatorSpec, combined_counts, spectrum_report, theta_constant
-from .waves import b_threshold, build_wave, period_of_B, quadrature_residual
+from .waves import build_wave, period_map_dalpha, quadrature_residual
 
 _USAGE_EXIT = 64
 _IO_EXIT = 74
@@ -92,50 +93,16 @@ class RunConfig:
     delta: float
     perturbation: str
     seed: int
-    jobs: int
     output_path: str
     format: str
     max_identity_residual: float
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def _to_json(obj, indent=0) -> str:
-    # local serializer so floats carry 17 significant digits
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}"{key}": {_to_json(val, indent + 1)}' for key, val in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        if all(isinstance(v, (int, float, str, bool, type(None))) for v in seq):
-            return "[" + ", ".join(_to_json(v) for v in seq) + "]"
-        items = ",\n".join(f"{inner}{_to_json(v, indent + 1)}" for v in seq)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, float):
-        if math.isnan(obj):
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return f"{obj:.17g}"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _cell(value) -> str:
+    # repr is the shortest string that reads back as the same double
+    if isinstance(value, list):
+        return "[" + " ".join(map(_cell, value)) + "]"
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _parse_omega(text: str):
@@ -168,42 +135,23 @@ def _scalar_omega(config: RunConfig) -> float:
 
 
 def _config_echo(config: RunConfig) -> dict:
-    # output_path and jobs do not influence any computed value, and leaving
-    # them out keeps reports from identical numeric configs byte-identical
+    # the output path does not influence any computed value, and leaving it
+    # out keeps reports from identical numeric configs byte-identical
     doc = asdict(config)
     del doc["output_path"]
-    del doc["jobs"]
     doc["version"] = __version__
     if isinstance(config.omega, tuple):
         doc["omega"] = list(config.omega)
     return doc
 
 
-def _csv_lines(config: RunConfig, columns, rows) -> list[str]:
-    lines = [f"# cqnls {config.subcommand} report, version {__version__}"]
-    for key, value in sorted(_config_echo(config).items()):
-        if key == "version":
-            continue
-        if isinstance(value, list):
-            value = "[" + " ".join(_fmt(float(v)) for v in value) + "]"
-        lines.append(f"# {key} = {_fmt(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    return lines
-
-
 def _emit(config: RunConfig, text: str) -> None:
     if config.output_path in ("-", ""):
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
         return
     try:
         with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+            fh.write(text + "\n")
     except OSError as exc:
         raise _OutputError(f"cannot write {config.output_path!r}: {exc}") from exc
 
@@ -212,41 +160,54 @@ class _OutputError(Exception):
     pass
 
 
-def _report(config: RunConfig, columns, rows, json_rows=None) -> None:
-    if config.format == "csv":
-        _emit(config, "\n".join(_csv_lines(config, columns, rows)))
-    else:
-        doc = {
-            "config": _config_echo(config),
-            "rows": json_rows
-            if json_rows is not None
-            else [dict(zip(columns, row)) for row in rows],
-        }
-        _emit(config, _to_json(doc))
+@dataclass(frozen=True)
+class _Report:
+    """What one subcommand computed, before it is formatted.
+
+    columns and rows are the CSV table.  The JSON body is `fields` when
+    given, else the summary and the rows keyed by column.  summary scalars
+    also head a CSV report as `# name = value` lines.  A set failure makes
+    the run exit 2 after the report is written.
+    """
+
+    columns: tuple
+    rows: list
+    fields: dict | None = None
+    summary: dict = field(default_factory=dict)
+    failure: str | None = None
 
 
-def _run_construct(config: RunConfig) -> int:
-    omega = _scalar_omega(config)
-    wp, prof = build_wave(config.L, omega, config.N)
+def _report(config: RunConfig, report: _Report) -> None:
+    """Format and write one report; the only code that knows csv from json."""
+    echo = _config_echo(config)
+    if config.format == "json":
+        body = report.fields
+        if body is None:
+            body = {"summary": report.summary} if report.summary else {}
+            body["rows"] = [dict(zip(report.columns, row)) for row in report.rows]
+        _emit(config, json.dumps({"config": echo, **body}, indent=2))
+        return
+    del echo["version"]
+    head = [*report.summary.items(), *sorted(echo.items())]
+    lines = [f"# cqnls {config.subcommand} report, version {__version__}"]
+    lines += [f"# {key} = {_cell(value)}" for key, value in head]
+    lines.append(",".join(report.columns))
+    lines += [",".join(map(_cell, row)) for row in report.rows]
+    _emit(config, "\n".join(lines))
+
+
+def _run_construct(config: RunConfig) -> _Report:
+    wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
     r_quad, r_ode = quadrature_residual(prof, wp)
-    doc = {
-        "config": _config_echo(config),
-        "wave": {
-            "L": wp.L, "omega": wp.omega,
-            "alpha1": wp.alpha1, "alpha2": wp.alpha2, "alpha3": wp.alpha3,
-            "m": wp.m, "g": wp.g, "beta_sq": wp.beta_sq, "B": wp.B,
-        },
-        "residuals": {"r_quad": r_quad, "r_ode": r_ode},
+    wave = {
+        "L": wp.L, "omega": wp.omega,
+        "alpha1": wp.alpha1, "alpha2": wp.alpha2, "alpha3": wp.alpha3,
+        "m": wp.m, "g": wp.g, "beta_sq": wp.beta_sq, "B": wp.B,
     }
-    if config.format == "csv":
-        columns = ("L", "omega", "alpha1", "alpha2", "alpha3", "m", "g",
-                   "beta_sq", "B", "r_quad", "r_ode")
-        row = [wp.L, wp.omega, wp.alpha1, wp.alpha2, wp.alpha3, wp.m, wp.g,
-               wp.beta_sq, wp.B, r_quad, r_ode]
-        _report(config, columns, [row])
-    else:
-        _emit(config, _to_json(doc))
-    return 0
+    residuals = {"r_quad": r_quad, "r_ode": r_ode}
+    row = {**wave, **residuals}
+    return _Report(tuple(row), [list(row.values())],
+                   fields={"wave": wave, "residuals": residuals})
 
 
 def _omega_list(config: RunConfig) -> list[float]:
@@ -255,7 +216,7 @@ def _omega_list(config: RunConfig) -> list[float]:
     return [config.omega]
 
 
-def _run_curve(config: RunConfig) -> int:
+def _run_curve(config: RunConfig) -> _Report:
     omegas = _omega_list(config)
     samples = sample_curve(config.L, omegas, config.N)
     rows = []
@@ -268,100 +229,67 @@ def _run_curve(config: RunConfig) -> int:
                 entry.p4, entry.p6, entry.inv2, entry.dphi2, entry.ratio2,
                 entry.dmass_domega, entry.d2_dd, "ok", "",
             ])
-    _report(config, _CURVE_COLUMNS, rows)
-    return 0
+    return _Report(_CURVE_COLUMNS, rows)
 
 
-def _run_spectrum(config: RunConfig) -> int:
-    omega = _scalar_omega(config)
-    wp, prof = build_wave(config.L, omega, config.N)
-    reports = {}
-    for kind in ("L1", "L2"):
-        rep = spectrum_report(HillOperatorSpec(kind, wp, prof))
-        reports[kind] = rep
-    counts = combined_counts(reports["L1"], reports["L2"])
-    doc = {"config": _config_echo(config)}
-    for kind, rep in reports.items():
-        doc[kind] = {
-            "eigenvalues_low": [float(v) for v in rep.eigenvalues[:10]],
+def _run_spectrum(config: RunConfig) -> _Report:
+    wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
+    reports = {kind: spectrum_report(HillOperatorSpec(kind, wp, prof))
+               for kind in ("L1", "L2")}
+    fields = {
+        kind: {
+            "eigenvalues_low": rep.eigenvalues[:10].tolist(),
             "parity_low": list(rep.parity[:10]),
             "n_negative": rep.n_negative,
             "zero_index": rep.zero_index,
             "zero_match_error": rep.zero_match_error,
             "tol_zero": rep.tol_zero,
         }
-    doc["combined"] = {
-        "n_negative": counts.n_negative,
-        "zero_multiplicity": counts.zero_multiplicity,
-        "n_negative_even": counts.n_negative_even,
-        "zero_multiplicity_even": counts.zero_multiplicity_even,
+        for kind, rep in reports.items()
     }
-    if config.format == "csv":
-        columns = ("operator", "index", "eigenvalue", "parity")
-        rows = []
-        for kind, rep in reports.items():
-            for idx in range(10):
-                rows.append([kind, idx, float(rep.eigenvalues[idx]), rep.parity[idx]])
-        _report(config, columns, rows)
-    else:
-        _emit(config, _to_json(doc))
-    return 0
+    fields["combined"] = asdict(combined_counts(reports["L1"], reports["L2"]))
+    rows = [[kind, idx, float(rep.eigenvalues[idx]), rep.parity[idx]]
+            for kind, rep in reports.items() for idx in range(10)]
+    return _Report(("operator", "index", "eigenvalue", "parity"), rows,
+                   fields=fields)
 
 
-def _run_theta(config: RunConfig) -> int:
+def _run_theta(config: RunConfig) -> _Report:
     omega = _scalar_omega(config)
     wp, prof = build_wave(config.L, omega, config.N)
     theta = theta_constant(wp, prof, config.dt)
-    # centered difference of the period in B, Richardson extrapolated
-    hB = min(1e-6, 0.1 * abs(wp.B), 0.1 * abs(wp.B - b_threshold(omega)))
-    coarse = (period_of_B(wp.B + hB, omega) - period_of_B(wp.B - hB, omega)) / (2 * hB)
-    fine = (period_of_B(wp.B + hB / 2, omega) - period_of_B(wp.B - hB / 2, omega)) / hB
-    dT_dB = (4.0 * fine - coarse) / 3.0
+    # dT/dB = (dT/dalpha3) / (dB/dalpha3), with B = b_from_alpha(alpha3)
+    dT_dB = period_map_dalpha(wp.alpha3, omega) / (wp.alpha3**2 + wp.alpha3 - omega)
     mismatch = abs(dT_dB + theta / 2.0) / abs(theta)
-    doc = {
-        "config": _config_echo(config),
+    fields = {
         "theta": theta,
         "dT_dB": dT_dB,
         "relative_mismatch": mismatch,
         "sign_link_holds": (theta < 0.0) == (dT_dB > 0.0),
     }
-    if config.format == "csv":
-        columns = ("omega", "theta", "dT_dB", "relative_mismatch", "sign_link_holds")
-        _report(config, columns, [[omega, theta, dT_dB, mismatch,
-                                   (theta < 0.0) == (dT_dB > 0.0)]])
-    else:
-        _emit(config, _to_json(doc))
+    failure = None
     if mismatch > 1e-4:
-        raise NumericError(
-            f"theta/period cross-check mismatch {mismatch:.3e} exceeds 1e-4"
-        )
-    return 0
+        failure = f"theta/period cross-check mismatch {mismatch:.3e} exceeds 1e-4"
+    return _Report(("omega", *fields), [[omega, *fields.values()]],
+                   fields=fields, failure=failure)
 
 
-def _run_evolve(config: RunConfig) -> int:
+def _run_evolve(config: RunConfig) -> _Report:
     omega = _scalar_omega(config)
     dt = config.dt if config.dt is not None else 1e-4
     t_end = config.t_end if config.t_end is not None else 10.0
     rep = run_fidelity(config.L, omega, t_end, dt, config.N)
-    rows = [[t, s] for t, s in zip(rep.times, rep.sup_error)]
     summary = {
         "mass_drift": rep.mass_drift,
         "energy_drift": rep.energy_drift,
         "rotation_rate_error": rep.rotation_rate_error,
         "max_sup_error": float(np.max(rep.sup_error)),
     }
-    if config.format == "csv":
-        lines = _csv_lines(config, ("t", "sup_error"), rows)
-        head = [lines[0]] + [f"# {k} = {_fmt(v)}" for k, v in summary.items()]
-        _emit(config, "\n".join(head + lines[1:]))
-    else:
-        doc = {"config": _config_echo(config), "summary": summary,
-               "rows": [dict(zip(("t", "sup_error"), row)) for row in rows]}
-        _emit(config, _to_json(doc))
-    return 0
+    return _Report(("t", "sup_error"), list(zip(rep.times, rep.sup_error)),
+                   summary=summary)
 
 
-def _run_stability(config: RunConfig) -> int:
+def _run_stability(config: RunConfig) -> _Report:
     omega = _scalar_omega(config)
     dt = config.dt if config.dt is not None else 1e-4
     t_end = config.t_end if config.t_end is not None else 50.0
@@ -369,25 +297,17 @@ def _run_stability(config: RunConfig) -> int:
         config.L, omega, config.delta, config.perturbation, t_end, dt,
         config.N, seed=config.seed,
     )
-    rows = [[t, d] for t, d in zip(rep.times, rep.orbital_dist)]
     summary = {
         "mass_drift": rep.mass_drift,
         "energy_drift": rep.energy_drift,
         "max_dist": rep.max_dist,
         "parity_defect": rep.parity_defect,
     }
-    if config.format == "csv":
-        lines = _csv_lines(config, ("t", "orbital_dist"), rows)
-        head = [lines[0]] + [f"# {k} = {_fmt(v)}" for k, v in summary.items()]
-        _emit(config, "\n".join(head + lines[1:]))
-    else:
-        doc = {"config": _config_echo(config), "summary": summary,
-               "rows": [dict(zip(("t", "orbital_dist"), row)) for row in rows]}
-        _emit(config, _to_json(doc))
-    return 0
+    return _Report(("t", "orbital_dist"), list(zip(rep.times, rep.orbital_dist)),
+                   summary=summary)
 
 
-def _audit_point(config: RunConfig, omegas: list[float], idx: int):
+def _audit_row(config: RunConfig, omegas: list[float], idx: int) -> list:
     omega = omegas[idx]
     h_route = 5e-3 if omega >= 8.0 else 1e-4 * max(1.0, omega)
     audit = derivative_audit(config.L, omega, N=config.N)
@@ -418,15 +338,14 @@ def _audit_point(config: RunConfig, omegas: list[float], idx: int):
             for r in residuals
         )
     )
-    row = [
+    return [
         omega, audit.dalpha3, audit.dB, audit.dalpha1, audit.dalpha2,
         audit.dk_partial, audit.dk_partial_closed, audit.dk_partial_match,
         audit.dT_dB, direct, ident, route_rel,
     ] + residuals + ["ok" if ok else "fail"]
-    return row, ok
 
 
-def _run_audit(config: RunConfig) -> int:
+def _run_audit(config: RunConfig) -> _Report:
     omegas = _omega_list(config)
     if len(omegas) < 3:
         raise ConfigError(
@@ -435,16 +354,11 @@ def _run_audit(config: RunConfig) -> int:
     spacing = np.diff(omegas)
     if np.max(np.abs(spacing - spacing[0])) > 1e-9 * abs(spacing[0]):
         raise ConfigError("audit needs uniformly spaced omega values")
-    with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
-        results = list(
-            pool.map(lambda i: _audit_point(config, omegas, i), range(len(omegas)))
-        )
-    rows = [row for row, _ in results]
-    all_ok = all(ok for _, ok in results)
-    _report(config, _AUDIT_COLUMNS, rows)
-    if not all_ok:
-        raise NumericError("one or more audited quantities violated its threshold")
-    return 0
+    rows = [_audit_row(config, omegas, i) for i in range(len(omegas))]
+    failure = None
+    if any(row[-1] != "ok" for row in rows):
+        failure = "one or more audited quantities violated its threshold"
+    return _Report(_AUDIT_COLUMNS, rows, failure=failure)
 
 
 _DISPATCH = {
@@ -509,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="perturbation shape for stability")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random_even (default 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for sweeps (output order is fixed)")
         p.add_argument("--output", default="-",
                        help="output path, - for stdout (default)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
@@ -531,7 +443,6 @@ def _config_from_args(args) -> RunConfig:
         delta=args.delta,
         perturbation=args.perturbation,
         seed=args.seed,
-        jobs=args.jobs,
         output_path=args.output,
         format=args.format or _DEFAULT_FORMAT[args.subcommand],
         max_identity_residual=args.max_identity_residual,
@@ -541,7 +452,11 @@ def _config_from_args(args) -> RunConfig:
 def run(config: RunConfig) -> int:
     """Dispatch one resolved configuration; returns the exit status."""
     try:
-        return _DISPATCH[config.subcommand](config)
+        report = _DISPATCH[config.subcommand](config)
+        _report(config, report)
+        if report.failure:
+            raise NumericError(report.failure)
+        return 0
     except (ContractError, NumericError) as exc:
         print(f"cqnls {config.subcommand}: numeric assertion failed: {exc}",
               file=sys.stderr)

@@ -23,6 +23,13 @@ import numpy as np
 
 from .errors import DomainError
 
+__all__ = [
+    "complete_K",
+    "complete_E",
+    "dK_dk",
+    "jacobi_sn_cn_dn",
+]
+
 _AGM_TOL = 1e-15
 _TRIG_CUT = 1e-12       # below: series around m = 0
 _HYPERBOLIC_CUT = 1e-10  # 1 - m below: series around m = 1

@@ -1,5 +1,16 @@
 """Exception hierarchy for the cqnls package."""
 
+__all__ = [
+    "CqnlsError",
+    "DomainError",
+    "NoSolutionError",
+    "DegenerateError",
+    "ConfigError",
+    "ContractError",
+    "NumericError",
+    "BlowupError",
+]
+
 
 class CqnlsError(Exception):
     """Base class for all package errors."""

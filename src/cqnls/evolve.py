@@ -29,6 +29,23 @@ from .errors import BlowupError, ConfigError, ContractError, NumericError
 from .fourier import grid, spectral_derivative, trapezoid, wavenumbers
 from .waves import Profile, build_wave
 
+__all__ = [
+    "FieldState",
+    "FidelityReport",
+    "StabilityReport",
+    "energy",
+    "mass",
+    "step_strang",
+    "h1_inner",
+    "h1_norm",
+    "orbital_phase",
+    "orbital_distance",
+    "perturbation_shape",
+    "run_fidelity",
+    "run_stability",
+    "validate_state",
+]
+
 _PERTURBATIONS = ("mode_cos1", "bump", "random_even")
 _PARITY_TOL = 1e-8  # max evenness defect tolerated during a stability run
 

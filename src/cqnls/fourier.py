@@ -62,13 +62,17 @@ def second_derivative_matrix(L: float, N: int) -> np.ndarray:
     if N % 2 != 0 or N <= 0:
         raise ConfigError(f"differentiation matrix needs even positive N, got {N}")
     h = 2.0 * np.pi / N
-    d = np.arange(N)[:, None] - np.arange(N)[None, :]
-    out = np.empty((N, N))
-    off = d != 0
-    # sin is odd and (-1)^d even in d, so (i, j) and (j, i) round identically
-    out[off] = -((-1.0) ** d[off]) / (2.0 * np.sin(0.5 * h * d[off]) ** 2)
-    out[~off] = -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0
-    return (2.0 * np.pi / L) ** 2 * out
+    # entries depend on d = (i - j) mod N alone and are even in d: evaluate
+    # d = 1 .. N/2 once and mirror, col[N - d] = col[d], so the matrix is
+    # exactly symmetric, circulant and reflection invariant
+    d = np.arange(1, N // 2 + 1)
+    col = np.empty(N)
+    col[0] = -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0
+    col[1:N // 2 + 1] = -((-1.0) ** d) / (2.0 * np.sin(0.5 * h * d) ** 2)
+    col[N // 2 + 1:] = col[N // 2 - 1:0:-1]
+    col *= (2.0 * np.pi / L) ** 2
+    i = np.arange(N)
+    return col[(i[:, None] - i[None, :]) % N]
 
 
 def trapezoid(values, L: float) -> float | complex:

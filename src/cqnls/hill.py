@@ -38,6 +38,19 @@ from .errors import ConfigError, ContractError, DegenerateError, NumericError
 from .fourier import second_derivative_matrix
 from .waves import Profile, WaveParams, profile_derivative, profile_value
 
+__all__ = [
+    "HillOperatorSpec",
+    "SpectrumReport",
+    "CombinedCounts",
+    "potential_values",
+    "collocation_matrix",
+    "sym_eig",
+    "spectrum_report",
+    "combined_counts",
+    "sign_changes",
+    "theta_constant",
+]
+
 _KINDS = ("L1", "L2")
 _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius

@@ -33,8 +33,7 @@ def test_construct_json(capsys):
     assert doc["residuals"]["r_ode"] <= 1e-6
     assert doc["config"]["version"] == __version__
     assert doc["config"]["omega"] == 2.0
-    # worker count and output path never enter the report
-    assert "jobs" not in doc["config"]
+    # the output path never enters the report
     assert "output_path" not in doc["config"]
 
 
@@ -47,7 +46,7 @@ def test_construct_csv(capsys):
     assert len(lines) == 2
     row = lines[1].split(",")
     assert float(row[1]) == 2.0
-    # 17 significant digits round-trip doubles exactly
+    # repr round-trips doubles exactly
     assert float(row[4]) == pytest.approx(1.8100552161149976, rel=0)
 
 
@@ -129,6 +128,14 @@ def test_theta_json(capsys):
     assert doc["theta"] == pytest.approx(-271.3542123500556, rel=1e-9)
     assert doc["relative_mismatch"] <= 1e-4
     assert doc["sign_link_holds"] is True
+
+
+def test_theta_closed_form_dT_dB(capsys):
+    # near the solitary end a finite difference of the period in B loses
+    # about 2.5e-6 to its step; the closed-form dT/dB does not
+    code, out, err = _run(capsys, "theta", "--omega", "8")
+    assert code == 0
+    assert json.loads(out)["relative_mismatch"] <= 1e-8
 
 
 def test_evolve_csv(capsys):
@@ -215,11 +222,62 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
-def test_jobs_do_not_change_output(capsys):
-    base = ("audit", "--omega", "1.996:2.004:5", "--format", "csv")
-    _, serial, _ = _run(capsys, *base, "--jobs", "1")
-    _, threaded, _ = _run(capsys, *base, "--jobs", "4")
-    assert serial == threaded
+# small configurations; the curve sweep holds an error row and the coarse
+# audit fails its identity threshold (exit 2)
+_SMALL = {
+    "construct": ("--omega", "2", "--N", "64"),
+    "curve": ("--omega", "0.3:0.5:3", "--N", "64"),
+    "spectrum": ("--omega", "2", "--N", "64"),
+    "theta": ("--omega", "2", "--N", "64"),
+    "evolve": ("--omega", "2", "--N", "64", "--t-end", "0.01", "--dt", "1e-3"),
+    "stability": ("--omega", "2", "--N", "64", "--t-end", "0.01",
+                  "--dt", "1e-3", "--perturbation", "random_even"),
+    "audit": ("--omega", "1.9:2.1:3", "--N", "64"),
+}
+
+
+def _json_table(subcommand, doc):
+    """The CSV table a report must carry, read from its JSON document."""
+    if subcommand == "construct":
+        return [{**doc["wave"], **doc["residuals"]}]
+    if subcommand == "theta":
+        fields = ("theta", "dT_dB", "relative_mismatch", "sign_link_holds")
+        return [{"omega": doc["config"]["omega"], **{k: doc[k] for k in fields}}]
+    if subcommand == "spectrum":
+        return [{"operator": op, "index": i, "eigenvalue": value, "parity": label}
+                for op in ("L1", "L2")
+                for i, (value, label) in enumerate(
+                    zip(doc[op]["eigenvalues_low"], doc[op]["parity_low"]))]
+    return doc["rows"]
+
+
+def _same(cell, value):
+    if isinstance(value, list):
+        return all(map(_same, cell.strip("[]").split(), value))
+    if isinstance(value, float):
+        return float(cell) == value or (math.isnan(value) and math.isnan(float(cell)))
+    return cell == str(value)
+
+
+@pytest.mark.parametrize("subcommand", sorted(_SMALL))
+def test_csv_and_json_carry_equal_numbers(capsys, subcommand):
+    args = (subcommand, *_SMALL[subcommand])
+    json_code, json_out, _ = _run(capsys, *args, "--format", "json")
+    csv_code, csv_out, _ = _run(capsys, *args, "--format", "csv")
+    assert json_code == csv_code == (2 if subcommand == "audit" else 0)
+    doc = json.loads(json_out)
+    echo = dict(ln[2:].split(" = ", 1) for ln in csv_out.splitlines()
+                if ln.startswith("# ") and " = " in ln)
+    expected = {**doc.get("summary", {}), **doc["config"], "format": "csv"}
+    del expected["version"]
+    assert set(echo) == set(expected)
+    assert all(_same(echo[key], value) for key, value in expected.items())
+    header, *lines = _data_lines(csv_out)
+    table = _json_table(subcommand, doc)
+    assert len(lines) == len(table)
+    for line, row in zip(lines, table):
+        assert header.split(",") == list(row)
+        assert all(map(_same, line.split(","), row.values()))
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

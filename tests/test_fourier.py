@@ -75,6 +75,17 @@ def test_matrix_symmetry_and_spectrum():
         assert np.max(np.abs(evals - expected)) <= 1e-9 * expected[-1]
 
 
+def test_matrix_exact_reflection_and_shift_invariance():
+    # entries depend on (i - j) mod N alone, so both symmetries hold bit
+    # for bit; the spectra fold the matrix into parity blocks through them
+    for L, N in ((TWO_PI, 64), (3.7, 256), (2.0 * TWO_PI, 512)):
+        D2 = fourier.second_derivative_matrix(L, N)
+        R = (-np.arange(N)) % N
+        assert np.array_equal(D2[np.ix_(R, R)], D2)
+        assert np.array_equal(np.roll(D2, (1, 1), axis=(0, 1)), D2)
+        assert np.array_equal(np.roll(D2, (N // 2 - 1, N // 2 - 1), axis=(0, 1)), D2)
+
+
 def test_matrix_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         fourier.second_derivative_matrix(1.0, 33)
