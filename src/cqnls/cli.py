@@ -48,7 +48,7 @@ from .errors import (
     DomainError,
     NumericError,
 )
-from .evolve import run_fidelity, run_stability
+from .evolve import _PERTURBATIONS, run_fidelity, run_stability
 from .hill import HillOperatorSpec, combined_counts, spectrum_report, theta_constant
 from .waves import build_wave, period_map_dalpha, quadrature_residual
 
@@ -66,6 +66,9 @@ _AUDIT_COLUMNS = (
     "ident_quartic_rate", "ident_virial", "ident_mass_rate", "ident_log_derivative",
     "status",
 )
+_SPECTRUM_COLUMNS = ("operator", "index", "eigenvalue", "parity")
+_EVOLVE_COLUMNS = ("t", "sup_error")
+_STABILITY_COLUMNS = ("t", "orbital_dist")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -250,8 +253,7 @@ def _run_spectrum(config: RunConfig) -> _Report:
     fields["combined"] = asdict(combined_counts(reports["L1"], reports["L2"]))
     rows = [[kind, idx, float(rep.eigenvalues[idx]), rep.parity[idx]]
             for kind, rep in reports.items() for idx in range(10)]
-    return _Report(("operator", "index", "eigenvalue", "parity"), rows,
-                   fields=fields)
+    return _Report(_SPECTRUM_COLUMNS, rows, fields=fields)
 
 
 def _run_theta(config: RunConfig) -> _Report:
@@ -285,7 +287,7 @@ def _run_evolve(config: RunConfig) -> _Report:
         "rotation_rate_error": rep.rotation_rate_error,
         "max_sup_error": float(np.max(rep.sup_error)),
     }
-    return _Report(("t", "sup_error"), list(zip(rep.times, rep.sup_error)),
+    return _Report(_EVOLVE_COLUMNS, list(zip(rep.times, rep.sup_error)),
                    summary=summary)
 
 
@@ -303,7 +305,7 @@ def _run_stability(config: RunConfig) -> _Report:
         "max_dist": rep.max_dist,
         "parity_defect": rep.parity_defect,
     }
-    return _Report(("t", "orbital_dist"), list(zip(rep.times, rep.orbital_dist)),
+    return _Report(_STABILITY_COLUMNS, list(zip(rep.times, rep.orbital_dist)),
                    summary=summary)
 
 
@@ -395,10 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     docs = {
         "construct": "build one wave; report parameters and residuals (json default)",
         "curve": "sweep omega; CSV columns: " + ",".join(_CURVE_COLUMNS),
-        "spectrum": "linearized-operator spectra; CSV columns: operator,index,eigenvalue,parity",
+        "spectrum": "linearized-operator spectra; CSV columns: "
+        + ",".join(_SPECTRUM_COLUMNS),
         "theta": "Hill growth coefficient and dT/dB cross-check (json default)",
-        "evolve": "standing-wave fidelity run; CSV columns: t,sup_error",
-        "stability": "perturbed run; CSV columns: t,orbital_dist",
+        "evolve": "standing-wave fidelity run; CSV columns: " + ",".join(_EVOLVE_COLUMNS),
+        "stability": "perturbed run; CSV columns: " + ",".join(_STABILITY_COLUMNS),
         "audit": "derivative/identity audit over a uniform sweep (count >= 3); "
         "identity residuals difference the sweep triples, so their "
         "truncation scales with the spacing squared - sweep finely; "
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=1e-3,
                        help="perturbation size for stability (default 1e-3)")
         p.add_argument("--perturbation", default="mode_cos1",
-                       choices=("mode_cos1", "bump", "random_even"),
+                       choices=_PERTURBATIONS,
                        help="perturbation shape for stability")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for random_even (default 0)")

@@ -16,11 +16,23 @@ H^1 distance to the orbit minimizes over the rotation angle in closed
 form.  Translation is frozen out because the experiment lives in the
 even subspace: even initial data stays even under both substeps, and the
 run asserts that parity is preserved.
+
+The fidelity and stability runs share one schedule.  A run takes
+n = max(1, round(t_end / dt)) steps over min(records, n) record
+intervals whose step counts differ by at most one and sum to n (equal
+when n is a multiple of the interval count), so the last record is at
+n dt.  The field is recorded at t = 0 and at the end of every interval,
+where a nonfinite field, or an amplitude above a multiple of the wave's
+(1e3 unless given), aborts the run with a blow-up error: the quintic
+focusing term admits finite-time blow-up for large data, so overflow
+must fail loudly.  The drifts of mass and energy compare the last record
+with the initial field.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +60,7 @@ __all__ = [
 
 _PERTURBATIONS = ("mode_cos1", "bump", "random_even")
 _PARITY_TOL = 1e-8  # max evenness defect tolerated during a stability run
+_BLOWUP_FACTOR = 1e3  # default amplitude cap, in multiples of the wave's
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +79,10 @@ class FidelityReport:
 
     sup_error[i] is max_x |u(x, times[i]) - e^{i omega times[i]} phi(x)|;
     mass_drift and energy_drift are |value at times[-1] - initial value|;
-    rotation_rate_error is the relative deviation of the measured phase
-    rotation rate from omega over one extra step taken after times[-1].
+    rotation_rate_error is the relative deviation of the mean phase
+    rotation rate over the whole run from omega: the phase lag of
+    u(times[-1]) behind e^{i omega times[-1]} phi, divided by
+    |omega| times[-1].
     """
 
     times: np.ndarray
@@ -134,16 +149,6 @@ def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.nda
         h = dt if step < steps - 1 else 0.5 * dt
         u = u * np.exp((1j * h) * (a2 + a2 * a2))
     return u
-
-
-def _record_steps(t_end: float, dt: float, records: int) -> list[int]:
-    # cumulative step counts at the record instants: round(t_end / dt) steps
-    # (at least one) over at most `records` intervals of near-equal length;
-    # when t_end is a multiple of records * dt every interval has the same
-    # round(t_end / (records * dt)) steps
-    n = max(1, int(round(t_end / dt)))
-    count = min(records, n)
-    return [(rec * n) // count for rec in range(1, count + 1)]
 
 
 def step_strang(state: FieldState, dt: float) -> FieldState:
@@ -228,6 +233,44 @@ def _parity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(u - rev)))
 
 
+def _trajectory(
+    prof: Profile, u: np.ndarray, t_end: float, dt: float, records: int,
+    blowup_factor: float,
+) -> Iterator[tuple[float, np.ndarray]]:
+    # (t, u) at t = 0 and at the end of every record interval of the
+    # schedule in the module docstring, with its checks after each interval
+    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
+        raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
+    if records < 1:
+        raise ConfigError(f"need at least one record interval, got {records}")
+    validate_state(FieldState(L=prof.L, N=prof.N, u=u, t=0.0))
+    kernel = np.exp(-1j * dt * wavenumbers(prof.L, prof.N) ** 2)
+    amp_cap = blowup_factor * float(np.max(prof.phi))
+    yield 0.0, u
+    n = max(1, int(round(t_end / dt)))
+    count = min(records, n)
+    done = 0
+    for rec in range(1, count + 1):
+        total = (rec * n) // count
+        u = _advance(u, kernel, dt, total - done)
+        done = total
+        t = total * dt
+        if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
+            raise BlowupError(f"nonfinite field at t={t:.6g}")
+        amp = float(np.max(np.abs(u)))
+        if amp > amp_cap:
+            raise BlowupError(
+                f"amplitude {amp:.3e} exceeds {blowup_factor:g} x wave amplitude at t={t:.6g}"
+            )
+        yield t, u
+
+
+def _drifts(L: float, u0: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    # |change| of mass and energy from the field u0 to the field u
+    start, end = (FieldState(L=L, N=v.shape[0], u=v, t=0.0) for v in (u0, u))
+    return abs(mass(end) - mass(start)), abs(energy(end) - energy(start))
+
+
 def run_fidelity(
     L: float,
     omega: float,
@@ -242,43 +285,23 @@ def run_fidelity(
     The splitting is second order, so the sup error scales like
     t_end dt^2 (dominated by a coherent phase-rate shift); the drifts of
     the conserved quantities stay at rounding level regardless.
-
-    The run takes n = max(1, round(t_end / dt)) steps and records the
-    error after each of min(records, n) intervals whose step counts
-    differ by at most one and sum to n, so the last record is at n dt.
     """
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
-    if records < 1:
-        raise ConfigError(f"need at least one record interval, got {records}")
     wp, prof = build_wave(L, omega, N)
-    u = prof.phi.astype(complex)
-    state = FieldState(L=L, N=N, u=u, t=0.0)
-    mass0 = mass(state)
-    energy0 = energy(state)
-
-    kernel = np.exp(-1j * dt * wavenumbers(L, N) ** 2)
-    times = [0.0]
-    sup = [0.0]
-    done = 0
-    for total in _record_steps(t_end, dt, records):
-        u = _advance(u, kernel, dt, total - done)
-        done = total
-        t = total * dt
-        if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
-            raise BlowupError(f"nonfinite field at t={t:.6g}")
+    u0 = prof.phi.astype(complex)
+    times, sup = [], []
+    for t, u in _trajectory(prof, u0, t_end, dt, records, _BLOWUP_FACTOR):
+        exact = np.exp(1j * omega * t) * prof.phi
         times.append(t)
-        sup.append(float(np.max(np.abs(u - np.exp(1j * omega * t) * prof.phi))))
-    final = FieldState(L=L, N=N, u=u, t=times[-1])
-    # one step past the horizon, for the rotation rate only
-    u_next = _advance(u, kernel, dt, 1)
-    rate = float(np.angle(np.sum(u_next * np.conj(u)))) / dt
+        sup.append(float(np.max(np.abs(u - exact))))
+    # u and exact are now those of the last record
+    lag = float(np.angle(np.sum(u * np.conj(exact))))
+    mass_drift, energy_drift = _drifts(L, u0, u)
     return FidelityReport(
         times=np.asarray(times),
         sup_error=np.asarray(sup),
-        mass_drift=abs(mass(final) - mass0),
-        energy_drift=abs(energy(final) - energy0),
-        rotation_rate_error=abs(rate - omega) / abs(omega),
+        mass_drift=mass_drift,
+        energy_drift=energy_drift,
+        rotation_rate_error=abs(lag) / (abs(omega) * times[-1]),
     )
 
 
@@ -293,64 +316,33 @@ def run_stability(
     *,
     seed: int = 0,
     records: int = 200,
-    blowup_factor: float = 1e3,
+    blowup_factor: float = _BLOWUP_FACTOR,
 ) -> StabilityReport:
     """Evolve phi + delta * (unit even perturbation) and track the orbit.
 
-    Takes n = max(1, round(t_end / dt)) steps and records the orbital
-    distance at the end of each of min(records, n) intervals whose step
-    counts differ by at most one and sum to n (evenly spaced when n is a
-    multiple of the interval count).  Asserts that evenness survives the
-    whole run, and aborts with a blow-up error once the amplitude exceeds
-    blowup_factor times the wave's (the quintic focusing term admits
-    finite-time blow-up for large data, so overflow must fail loudly).
+    Records the orbital distance, asserts that evenness survives the
+    whole run, and aborts once the amplitude exceeds blowup_factor times
+    the wave's.
     """
     if delta < 0.0:
         raise ConfigError(f"perturbation size must be nonnegative, got {delta}")
-    if t_end <= 0.0 or dt <= 0.0:
-        raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
-    if records < 1:
-        raise ConfigError(f"need at least one record interval, got {records}")
     wp, prof = build_wave(L, omega, N)
-    u = prof.phi.astype(complex)
+    u0 = prof.phi.astype(complex)
     if delta > 0.0:
-        u = u + delta * perturbation_shape(perturbation, L, N, seed=seed)
-    state = FieldState(L=L, N=N, u=u, t=0.0)
-    validate_state(state)
-
-    kernel = np.exp(-1j * dt * wavenumbers(L, N) ** 2)
-    amp_cap = blowup_factor * float(np.max(prof.phi))
-
-    mass0 = mass(state)
-    energy0 = energy(state)
-    times = [0.0]
-    dists = [orbital_distance(state, prof)]
-    parity = _parity_defect(u)
-    done = 0
-    for total in _record_steps(t_end, dt, records):
-        u = _advance(u, kernel, dt, total - done)
-        done = total
-        t = total * dt
-        if not np.all(np.isfinite(u.real)) or not np.all(np.isfinite(u.imag)):
-            raise BlowupError(f"nonfinite field at t={t:.6g}")
-        amp = float(np.max(np.abs(u)))
-        if amp > amp_cap:
-            raise BlowupError(
-                f"amplitude {amp:.3e} exceeds {blowup_factor:g} x wave amplitude at t={t:.6g}"
-            )
-        parity = max(parity, _parity_defect(u))
-        state = FieldState(L=L, N=N, u=u, t=t)
+        u0 = u0 + delta * perturbation_shape(perturbation, L, N, seed=seed)
+    times, dists, parity = [], [], 0.0
+    for t, u in _trajectory(prof, u0, t_end, dt, records, blowup_factor):
         times.append(t)
-        dists.append(orbital_distance(state, prof))
+        dists.append(orbital_distance(FieldState(L=L, N=N, u=u, t=t), prof))
+        parity = max(parity, _parity_defect(u))
     if parity > _PARITY_TOL:
         raise NumericError(f"evenness defect {parity:.3e} exceeds {_PARITY_TOL}")
-
-    dists_arr = np.asarray(dists)
+    mass_drift, energy_drift = _drifts(L, u0, u)
     return StabilityReport(
         times=np.asarray(times),
-        orbital_dist=dists_arr,
-        mass_drift=abs(mass(state) - mass0),
-        energy_drift=abs(energy(state) - energy0),
-        max_dist=float(np.max(dists_arr)),
+        orbital_dist=np.asarray(dists),
+        mass_drift=mass_drift,
+        energy_drift=energy_drift,
+        max_dist=float(np.max(dists)),
         parity_defect=parity,
     )

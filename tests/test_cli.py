@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -278,6 +279,18 @@ def test_csv_and_json_carry_equal_numbers(capsys, subcommand):
     for line, row in zip(lines, table):
         assert header.split(",") == list(row)
         assert all(map(_same, line.split(","), row.values()))
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["curve", "spectrum", "evolve", "stability", "audit"])
+def test_help_names_the_csv_columns(capsys, monkeypatch, subcommand):
+    # a wide terminal keeps argparse from wrapping the column list
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit):
+        main([subcommand, "--help"])
+    documented = re.search(r"CSV columns: (\S+)", capsys.readouterr().out)
+    _, out, _ = _run(capsys, subcommand, *_SMALL[subcommand], "--format", "csv")
+    assert _data_lines(out)[0] == documented.group(1)
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

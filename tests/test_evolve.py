@@ -200,7 +200,7 @@ def test_runs_stop_at_requested_horizon():
 
 
 def test_fidelity_drifts_measured_at_horizon():
-    # the rate step past the horizon must not leak into the drifts
+    # the drifts compare the field at the horizon with the initial one
     L, omega, t_end, dt, N = TWO_PI, 2.0, 0.01, 1e-3, 64
     rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N, records=1)
     _, prof = waves.build_wave(L, omega, N)
@@ -212,6 +212,30 @@ def test_fidelity_drifts_measured_at_horizon():
     assert rep.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert rep.mass_drift == abs(evolve.mass(end) - evolve.mass(start))
     assert rep.energy_drift == abs(evolve.energy(end) - evolve.energy(start))
+
+
+def test_fidelity_rotation_rate_over_whole_run():
+    # the mean rate is the phase lag at the horizon over |omega| T, and
+    # that lag accounts for the sup error: sup ~ max(phi) |omega| T error
+    L, omega, t_end, dt, N = TWO_PI, 2.0, 4.0, 1e-3, 64
+    rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N, records=1)
+    _, prof = waves.build_wave(L, omega, N)
+    kernel = np.exp(-1j * dt * fourier.wavenumbers(L, N) ** 2)
+    u = evolve._advance(prof.phi.astype(complex), kernel, dt, 4000)
+    T = rep.times[-1]
+    lag = np.angle(np.sum(u * np.conj(np.exp(1j * omega * T) * prof.phi)))
+    assert rep.rotation_rate_error == abs(float(lag)) / (abs(omega) * T)
+    explained = np.max(prof.phi) * abs(omega) * T * rep.rotation_rate_error
+    assert rep.sup_error[-1] == pytest.approx(explained, rel=0.02)
+
+
+def test_fidelity_and_unperturbed_stability_share_the_run():
+    args = dict(L=TWO_PI, omega=2.0, t_end=0.2, dt=1e-3, N=64, records=7)
+    fid = evolve.run_fidelity(**args)
+    stab = evolve.run_stability(delta=0.0, perturbation="bump", **args)
+    assert np.array_equal(fid.times, stab.times)
+    assert fid.mass_drift == stab.mass_drift
+    assert fid.energy_drift == stab.energy_drift
 
 
 def test_fidelity_second_order_in_dt():
@@ -231,6 +255,15 @@ def test_fidelity_config_errors():
         evolve.run_fidelity(TWO_PI, 2.0, t_end=1.0, dt=-1e-4, N=256)
     with pytest.raises(ConfigError):
         evolve.run_fidelity(TWO_PI, 2.0, t_end=1.0, dt=1e-4, N=256, records=0)
+
+
+@pytest.mark.parametrize("t_end, dt", [(math.inf, 1e-3), (0.01, math.nan)])
+def test_nonfinite_horizon_or_step_is_a_config_error(t_end, dt):
+    with pytest.raises(ConfigError):
+        evolve.run_fidelity(TWO_PI, 2.0, t_end=t_end, dt=dt, N=64)
+    with pytest.raises(ConfigError):
+        evolve.run_stability(TWO_PI, 2.0, delta=1e-3, perturbation="bump",
+                             t_end=t_end, dt=dt, N=64)
 
 
 def test_unperturbed_orbit_stays_put():
