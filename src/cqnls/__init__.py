@@ -5,8 +5,8 @@ Library layout:
 - ``elliptic``: complete elliptic integrals and Jacobi functions (AGM based).
 - ``fourier``: periodic spectral differentiation and quadrature.
 - ``waves``: admissibility bounds, root algebra, period map, wave construction.
-- ``curve``: the fixed-period wave family, integral identities, d''(omega).
-- ``hill``: linearization spectra, parity counts, the theta constant.
+- ``curve``: the fixed-period wave family, exact rates, identities, d''(omega).
+- ``hill``: linearization spectra, parity counts, even solves, theta.
 - ``evolve``: split-step time integration and orbital-stability experiments.
 - ``cli``: command-line front end (``cqnls`` entry point).
 

@@ -1,13 +1,19 @@
-"""The fixed-period wave family and its frequency derivatives.
+"""The fixed-period wave family and its exact frequency derivatives.
 
 For fixed L the admissible frequencies parametrize a smooth curve of waves
 omega -> (alpha3, B, k, phi).  This module samples that curve, evaluates
 the integral quantities mass = int phi^2, p4 = int phi^4, p6 = int phi^6,
 inv2 = int phi^-2, dphi2 = int phi'^2, ratio2 = int (phi'/phi)^2, checks
-the algebraic identities tying them together, estimates derivative signs
-along the curve by centered differences, and computes the stability
-quantity d''(omega) = (1/2) d/domega int phi^2 through two independent
-routes.
+the algebraic identities tying them together, and takes every frequency
+derivative from the tangent of the curve.
+
+Differentiating the profile equation along the curve gives
+L1 dphi/domega = -phi.  L1 is invertible on even functions (its kernel
+phi' is odd), so one solve on the even block of the grid operator gives
+the tangent, and each rate follows by quadrature or by reading the crest
+(x = 0) or trough (x = L/2) value.  The stability quantity
+d''(omega) = (1/2) d/domega int phi^2 = int phi dphi/domega then has a
+direct route and an independent one through B and inv2.
 
 Every frequency derivative here is a total derivative along the fixed-L
 curve unless explicitly named partial.  The documented sign expectations
@@ -20,21 +26,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .elliptic import complete_E, complete_K
-from .errors import ConfigError, ContractError, CqnlsError
+from .errors import ContractError, CqnlsError
 from .fourier import trapezoid
+from .hill import HillOperatorSpec, solve_even
 from .waves import (
     WaveParams,
-    b_threshold,
     build_wave,
+    dk_dalpha,
     dk_domega,
-    modulus_from,
-    params_from_alpha3,
-    period_of_B,
+    period_map_dB,
+    roots_from_alpha3,
 )
 
 __all__ = [
@@ -54,11 +58,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CurveSample:
-    """One point of the fixed-L curve with its integral quantities.
+    """One point of the fixed-L curve with its integrals and their rates.
 
-    The derivative fields dmass_domega and d2_dd (the d''(omega) estimate
-    (1/2) dmass/domega) are NaN until filled by sample_curve from
-    neighbouring samples.
+    The rates d* are exact frequency derivatives along the curve, read
+    off the tangent dphi/domega: dalpha3 and dalpha2 from the crest and
+    trough values, dB from the trough root, dmass_domega, dp4, dp6 and
+    dinv2 by quadrature.  d2_dd is d''(omega) = (1/2) dmass_domega.
     """
 
     L: float
@@ -72,8 +77,14 @@ class CurveSample:
     inv2: float
     dphi2: float
     ratio2: float
-    dmass_domega: float = float("nan")
-    d2_dd: float = float("nan")
+    dalpha3: float
+    dalpha2: float
+    dB: float
+    dmass_domega: float
+    dp4: float
+    dp6: float
+    dinv2: float
+    d2_dd: float
 
 
 @dataclass(frozen=True)
@@ -96,10 +107,6 @@ def inv2_closed_form(wp: WaveParams) -> float:
     ratio = complete_E(wp.m) / K
     trough = wp.alpha3 * (1.0 - wp.m) / (1.0 + wp.beta_sq)
     return wp.L / wp.alpha1 - ratio * wp.L / wp.alpha1 + ratio * wp.L / trough
-
-
-def _default_step(omega: float) -> float:
-    return 1e-4 * max(1.0, omega)
 
 
 @functools.lru_cache(maxsize=2048)
@@ -131,24 +138,34 @@ def _sample(L: float, omega: float, N: int) -> CurveSample:
     if abs(r_a) > 1e-8 * max(1.0, abs(wp.B * L)):
         raise ContractError(f"mass/p4/p6/B identity residual {r_a!r}")
 
+    # the curve's tangent: L1 dphi/domega = -phi on the even block
+    tangent = solve_even(HillOperatorSpec("L1", wp, prof), -phi)
+    d2 = trapezoid(phi * tangent, L)
+    dalpha2 = 2.0 * phi[N // 2] * tangent[N // 2]
+    # B = b_from_alpha(alpha2, omega) differentiated at the trough; the
+    # crest form (alpha3^2 + alpha3 - omega) dalpha3 - alpha3 cancels by
+    # about alpha3 / B' near the solitary limit (5e6 at (2 pi, 10))
+    a2 = wp.alpha2
     return CurveSample(
         L=L, omega=omega, alpha3=wp.alpha3, B=wp.B, m=wp.m, mass=mass,
         p4=p4, p6=p6, inv2=inv2, dphi2=dphi2, ratio2=ratio2,
+        dalpha3=2.0 * phi[0] * tangent[0], dalpha2=dalpha2,
+        dB=(a2 * a2 + a2 - omega) * dalpha2 - a2, dmass_domega=2.0 * d2,
+        dp4=4.0 * trapezoid(phi**3 * tangent, L),
+        dp6=6.0 * trapezoid(phi**5 * tangent, L),
+        dinv2=-2.0 * trapezoid(tangent / phi**3, L), d2_dd=d2,
     )
 
 
 def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
-    """Build one self-checked curve point (derivative fields left NaN)."""
+    """Build one self-checked curve point with its exact rates (cached)."""
     return _sample(float(L), float(omega), int(N))
 
 
 def sample_curve(L: float, omegas, N: int = 256) -> list:
     """Sample the curve at each frequency, tolerating per-point failures.
 
-    Returns one entry per frequency, a CurveSample or a CurveError.  The
-    derivative fields of successful samples are filled by differencing
-    over each contiguous run of successes (centered inside, one-sided at
-    the run ends; runs of length one keep NaN).
+    Returns one entry per frequency, a CurveSample or a CurveError.
     """
     entries: list = []
     for w in omegas:
@@ -156,41 +173,25 @@ def sample_curve(L: float, omegas, N: int = 256) -> list:
             entries.append(curve_sample(L, w, N))
         except CqnlsError as exc:
             entries.append(CurveError(omega=float(w), message=str(exc)))
-
-    out = list(entries)
-    run: list[int] = []
-    for idx in range(len(entries) + 1):
-        inside = idx < len(entries) and isinstance(entries[idx], CurveSample)
-        if inside:
-            run.append(idx)
-            continue
-        if len(run) >= 2:
-            ws = np.array([entries[i].omega for i in run])
-            ms = np.array([entries[i].mass for i in run])
-            dmass = np.gradient(ms, ws)
-            for j, i in enumerate(run):
-                out[i] = replace(
-                    entries[i], dmass_domega=float(dmass[j]),
-                    d2_dd=0.5 * float(dmass[j]),
-                )
-        run = []
-    return out
+    return entries
 
 
 @dataclass(frozen=True)
 class DerivativeAudit:
-    """Centered-difference derivatives along the fixed-L curve at one omega.
+    """Frequency derivatives of the curve parameters at one omega.
 
-    dk_partial is the frequency derivative of the modulus k at frozen
-    alpha3 (the only one with a closed form, dk_partial_closed); dk_total
-    follows the curve.  signs_ok records whether each documented sign
-    expectation holds for the computed value; the audit never raises on a
-    sign mismatch so that the full record stays inspectable.
+    All rates come from the curve's tangent.  dk_total is the derivative
+    of the modulus k along the curve, from the root-ratio form of m;
+    dk_partial, its rate at frozen alpha3, subtracts dk_dalpha * dalpha3
+    and is checked against the closed form dk_partial_closed.  dT_dB is
+    the period's closed-form slope in the quadrature constant.  signs_ok
+    records whether each documented sign expectation holds for the
+    computed value; the audit never raises on a sign mismatch so that the
+    full record stays inspectable.
     """
 
     L: float
     omega: float
-    h: float
     dalpha3: float
     dalpha1: float
     dalpha2: float
@@ -207,87 +208,50 @@ class DerivativeAudit:
         return all(self.signs_ok.values())
 
 
-def _partial_step(alpha3: float, omega: float, h: float) -> float:
-    # alpha3 leaves the admissible set once omega drops below
-    # alpha3 (2 alpha3 + 3)/6 (there alpha_hi(omega) = alpha3); keep the
-    # frozen-alpha3 difference inside that margin
-    return min(h, 0.3 * (omega - alpha3 * (2.0 * alpha3 + 3.0) / 6.0))
-
-
-def derivative_audit(L: float, omega: float, h: float | None = None,
-                     N: int = 256) -> DerivativeAudit:
+def derivative_audit(L: float, omega: float, N: int = 256) -> DerivativeAudit:
     """Signed frequency derivatives of the curve parameters at one point."""
-    if h is None:
-        h = _default_step(omega)
-    lo = curve_sample(L, omega - h, N)
-    hi = curve_sample(L, omega + h, N)
-    mid = curve_sample(L, omega, N)
-    plo = params_from_alpha3(L, omega - h, lo.alpha3)
-    phi_ = params_from_alpha3(L, omega + h, hi.alpha3)
-    inv = 0.5 / h
-    dalpha3 = (hi.alpha3 - lo.alpha3) * inv
-    dalpha1 = (phi_.alpha1 - plo.alpha1) * inv
-    dalpha2 = (phi_.alpha2 - plo.alpha2) * inv
-    dB = (hi.B - lo.B) * inv
-    dk_total = (math.sqrt(hi.m) - math.sqrt(lo.m)) * inv
-
-    hp = _partial_step(mid.alpha3, omega, h)
-    dk_partial = (
-        math.sqrt(modulus_from(mid.alpha3, omega + hp))
-        - math.sqrt(modulus_from(mid.alpha3, omega - hp))
-    ) / (2.0 * hp)
-    dk_closed = dk_domega(mid.alpha3, omega)
-    dk_match = abs(dk_partial - dk_closed) / abs(dk_closed)
-
-    wp_mid = params_from_alpha3(L, omega, mid.alpha3)
-    hB = min(1e-6, 0.4 * abs(wp_mid.B), 0.4 * (wp_mid.B - b_threshold(omega)))
-    dT_dB = (period_of_B(wp_mid.B + hB, omega)
-             - period_of_B(wp_mid.B - hB, omega)) / (2.0 * hB)
+    s = curve_sample(L, omega, N)
+    a3, da3, da2 = s.alpha3, s.dalpha3, s.dalpha2
+    a1, a2 = roots_from_alpha3(a3, omega)
+    da1 = -da2 - da3  # the roots sum to -3/2
+    # m = k^2 = -a1 (a3 - a2) / (a3 (a2 - a1)), differentiated by its log
+    dlog_m = (da1 / a1 + (da3 - da2) / (a3 - a2)
+              - da3 / a3 - (da2 - da1) / (a2 - a1))
+    dk_total = 0.5 * math.sqrt(s.m) * dlog_m
+    dk_partial = dk_total - dk_dalpha(a3, omega) * da3
+    dk_closed = dk_domega(a3, omega)
+    dT_dB = period_map_dB(a3, omega)
 
     signs_ok = {
-        "dalpha3_positive": dalpha3 > 0.0,
+        "dalpha3_positive": da3 > 0.0,
         "dk_partial_negative": dk_partial < 0.0,
-        "dB_negative": dB < 0.0,
-        "dalpha1_positive": dalpha1 > 0.0,
-        "dalpha2_negative": dalpha2 < 0.0,
+        "dB_negative": s.dB < 0.0,
+        "dalpha1_positive": da1 > 0.0,
+        "dalpha2_negative": da2 < 0.0,
         "dT_dB_positive": dT_dB > 0.0,
     }
     return DerivativeAudit(
-        L=L, omega=omega, h=h, dalpha3=dalpha3, dalpha1=dalpha1,
-        dalpha2=dalpha2, dB=dB, dk_total=dk_total, dk_partial=dk_partial,
-        dk_partial_closed=dk_closed, dk_partial_match=dk_match, dT_dB=dT_dB,
-        signs_ok=signs_ok,
+        L=L, omega=omega, dalpha3=da3, dalpha1=da1, dalpha2=da2, dB=s.dB,
+        dk_total=dk_total, dk_partial=dk_partial, dk_partial_closed=dk_closed,
+        dk_partial_match=abs(dk_partial - dk_closed) / abs(dk_closed),
+        dT_dB=dT_dB, signs_ok=signs_ok,
     )
 
 
-def d2d_direct(L: float, omega: float, h: float | None = None,
-               N: int = 256) -> float:
-    """Direct route to d''(omega): centered difference of the mass integral."""
-    if h is None:
-        h = _default_step(omega)
-    lo = curve_sample(L, omega - h, N)
-    hi = curve_sample(L, omega + h, N)
-    return (hi.mass - lo.mass) / (4.0 * h)
+def d2d_direct(L: float, omega: float, N: int = 256) -> float:
+    """Direct route to d''(omega): int phi dphi/domega."""
+    return curve_sample(L, omega, N).d2_dd
 
 
-def d2d_identity(L: float, omega: float, h: float | None = None,
-                 N: int = 256) -> float:
+def d2d_identity(L: float, omega: float, N: int = 256) -> float:
     """Identity route to d''(omega) through B and the inverse-square integral.
 
     Uses (2 omega + 3/8) dmass/domega = -(3/4) B' inv2 - B' L - (3 B/4) inv2'
-    with B' and inv2' by centered differences and inv2 by the elliptic
-    closed form.  Near the solitary limit the right side is a small
-    difference of large terms, so the agreement with d2d_direct degrades
-    for very small h; steps around 5e-3 stay well conditioned there.
+    with inv2 by the elliptic closed form.  Near the solitary limit the
+    right side is a small difference of large terms.
     """
-    if h is None:
-        h = _default_step(omega)
-    lo = curve_sample(L, omega - h, N)
-    hi = curve_sample(L, omega + h, N)
-    mid = curve_sample(L, omega, N)
-    dB = (hi.B - lo.B) / (2.0 * h)
-    dinv2 = (hi.inv2 - lo.inv2) / (2.0 * h)
-    rhs = -0.75 * dB * mid.inv2 - dB * L - 0.75 * mid.B * dinv2
+    s = curve_sample(L, omega, N)
+    rhs = -0.75 * s.dB * s.inv2 - s.dB * L - 0.75 * s.B * s.dinv2
     return rhs / (2.0 * (2.0 * omega + 3.0 / 8.0))
 
 
@@ -295,7 +259,8 @@ def d2d_identity(L: float, omega: float, h: float | None = None,
 class IdentityAudit:
     """Relative residuals of the four integral identities at one curve point.
 
-    With ' = d/domega along the curve and integrals over one period:
+    With ' = d/domega along the curve (the sample's exact rates) and
+    integrals over one period:
 
     - quartic_rate:    (1/2) p4' + (2/3) p6' = mass
     - virial:          (1/2) dphi2 + (omega/2) mass = (1/2)(p4 + p6)
@@ -307,7 +272,6 @@ class IdentityAudit:
     """
 
     omega: float
-    h: float
     quartic_rate: float
     virial: float
     mass_rate: float
@@ -319,36 +283,20 @@ class IdentityAudit:
                    self.mass_rate, self.log_derivative)
 
 
-def identity_audit(sample: CurveSample, prev: CurveSample,
-                   next: CurveSample) -> IdentityAudit:
-    """Audit the integral identities on three uniformly spaced curve samples."""
-    h1 = sample.omega - prev.omega
-    h2 = next.omega - sample.omega
-    if h1 <= 0 or h2 <= 0 or abs(h2 - h1) > 1e-9 * h1:
-        raise ConfigError(
-            f"identity audit needs uniform ascending spacing, got "
-            f"{prev.omega}, {sample.omega}, {next.omega}"
-        )
-    h = 0.5 * (h1 + h2)
-    inv = 0.5 / h
-    dmass = (next.mass - prev.mass) * inv
-    dp4 = (next.p4 - prev.p4) * inv
-    dp6 = (next.p6 - prev.p6) * inv
-    dB = (next.B - prev.B) * inv
-    w, L = sample.omega, sample.L
+def identity_audit(sample: CurveSample) -> IdentityAudit:
+    """Audit the integral identities at one curve sample."""
+    s, w, L = sample, sample.omega, sample.L
 
     def rel(residual, *terms):
         return abs(residual) / max(abs(t) for t in terms)
 
-    r1 = rel(0.5 * dp4 + (2.0 / 3.0) * dp6 - sample.mass,
-             0.5 * dp4, (2.0 / 3.0) * dp6, sample.mass)
-    r2 = rel(0.5 * sample.dphi2 + 0.5 * w * sample.mass
-             - 0.5 * sample.p4 - 0.5 * sample.p6,
-             0.5 * sample.dphi2, 0.5 * w * sample.mass,
-             0.5 * sample.p4, 0.5 * sample.p6)
-    r3 = rel(2.0 * w * dmass - 0.5 * dp4 + dB * L,
-             2.0 * w * dmass, 0.5 * dp4, dB * L)
-    r4 = rel(-sample.ratio2 + w * L - sample.mass - sample.p4,
-             sample.ratio2, w * L, sample.mass, sample.p4)
-    return IdentityAudit(omega=w, h=h, quartic_rate=r1, virial=r2,
+    r1 = rel(0.5 * s.dp4 + (2.0 / 3.0) * s.dp6 - s.mass,
+             0.5 * s.dp4, (2.0 / 3.0) * s.dp6, s.mass)
+    r2 = rel(0.5 * s.dphi2 + 0.5 * w * s.mass - 0.5 * s.p4 - 0.5 * s.p6,
+             0.5 * s.dphi2, 0.5 * w * s.mass, 0.5 * s.p4, 0.5 * s.p6)
+    r3 = rel(2.0 * w * s.dmass_domega - 0.5 * s.dp4 + s.dB * L,
+             2.0 * w * s.dmass_domega, 0.5 * s.dp4, s.dB * L)
+    r4 = rel(-s.ratio2 + w * L - s.mass - s.p4,
+             s.ratio2, w * L, s.mass, s.p4)
+    return IdentityAudit(omega=w, quartic_rate=r1, virial=r2,
                          mass_rate=r3, log_derivative=r4)

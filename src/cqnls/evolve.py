@@ -326,10 +326,9 @@ def run_stability(
     """
     if delta < 0.0:
         raise ConfigError(f"perturbation size must be nonnegative, got {delta}")
+    shape = perturbation_shape(perturbation, L, N, seed=seed)
     wp, prof = build_wave(L, omega, N)
-    u0 = prof.phi.astype(complex)
-    if delta > 0.0:
-        u0 = u0 + delta * perturbation_shape(perturbation, L, N, seed=seed)
+    u0 = (prof.phi + delta * shape).astype(complex)
     times, dists, parity = [], [], 0.0
     for t, u in _trajectory(prof, u0, t_end, dt, records, blowup_factor):
         times.append(t)

@@ -17,6 +17,7 @@ __all__ = [
     "grid",
     "wavenumbers",
     "spectral_derivative",
+    "second_derivative_column",
     "second_derivative_matrix",
     "trapezoid",
 ]
@@ -53,26 +54,29 @@ def spectral_derivative(values, L: float, order: int = 1) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(v) * mult)
 
 
+def second_derivative_column(L: float, N: int) -> np.ndarray:
+    """Even first column c of the circulant matrix D2[i, j] = c[(i - j) mod N]."""
+    if N % 2 != 0 or N <= 0:
+        raise ConfigError(f"differentiation matrix needs even positive N, got {N}")
+    h = 2.0 * np.pi / N
+    # evaluate d = 1 .. N/2 once and mirror, col[N - d] = col[d], so the
+    # matrix is exactly symmetric, circulant and reflection invariant
+    d = np.arange(1, N // 2 + 1)
+    col = np.empty(N)
+    col[0] = -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0
+    col[1:N // 2 + 1] = -((-1.0) ** d) / (2.0 * np.sin(0.5 * h * d) ** 2)
+    col[N // 2 + 1:] = col[N // 2 - 1:0:-1]
+    return col * (2.0 * np.pi / L) ** 2
+
+
 def second_derivative_matrix(L: float, N: int) -> np.ndarray:
     """Dense spectral second-derivative matrix (exactly symmetric).
 
     Eigenvalues are -(2 pi j / L)^2, each nonzero one doubled; for L = 2 pi
     they are {0, -1, -1, -4, -4, ..., -(N/2)^2}.
     """
-    if N % 2 != 0 or N <= 0:
-        raise ConfigError(f"differentiation matrix needs even positive N, got {N}")
-    h = 2.0 * np.pi / N
-    # entries depend on d = (i - j) mod N alone and are even in d: evaluate
-    # d = 1 .. N/2 once and mirror, col[N - d] = col[d], so the matrix is
-    # exactly symmetric, circulant and reflection invariant
-    d = np.arange(1, N // 2 + 1)
-    col = np.empty(N)
-    col[0] = -np.pi**2 / (3.0 * h**2) - 1.0 / 6.0
-    col[1:N // 2 + 1] = -((-1.0) ** d) / (2.0 * np.sin(0.5 * h * d) ** 2)
-    col[N // 2 + 1:] = col[N // 2 - 1:0:-1]
-    col *= (2.0 * np.pi / L) ** 2
     i = np.arange(N)
-    return col[(i[:, None] - i[None, :]) % N]
+    return second_derivative_column(L, N)[(i[:, None] - i[None, :]) % N]
 
 
 def trapezoid(values, L: float) -> float | complex:

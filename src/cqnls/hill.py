@@ -12,7 +12,10 @@ profile equation itself says L2 phi = 0, so each operator carries an
 explicit kernel element.  Both potentials are even, so the operators
 commute with the grid reflection j -> (N - j) mod N and the eigenproblem
 is solved on its even and odd blocks separately: every eigenvector is
-reflection-symmetric or antisymmetric by construction.  Oscillation
+reflection-symmetric or antisymmetric by construction.  The blocks are
+assembled from the circulant second-derivative column, never from the
+N x N matrix; solve_even inverts an operator on the even block alone,
+which is how the curve module gets its tangent from L1.  Oscillation
 theory pins the structure the stability argument needs: L1 has exactly
 one negative eigenvalue (even, nodeless ground state) with zero next,
 spanned by the odd function phi'; L2 is nonnegative with zero at the
@@ -29,13 +32,14 @@ dependence on the quadrature constant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateError, NumericError
-from .fourier import second_derivative_matrix
+from .fourier import second_derivative_column, second_derivative_matrix, spectral_derivative
 from .waves import Profile, WaveParams, profile_derivative, profile_value
 
 __all__ = [
@@ -45,6 +49,7 @@ __all__ = [
     "potential_values",
     "collocation_matrix",
     "sym_eig",
+    "solve_even",
     "spectrum_report",
     "combined_counts",
     "sign_changes",
@@ -54,6 +59,7 @@ __all__ = [
 _KINDS = ("L1", "L2")
 _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
+_SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
 
 
 @dataclass(frozen=True)
@@ -150,21 +156,68 @@ def sym_eig(matrix):
     return evals, evecs
 
 
-def _parity_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd blocks P^T M P of a reflection-commuting grid matrix M.
+def _fold(N: int) -> np.ndarray:
+    """Grid value of each parity basis vector on indices 0 .. N/2.
 
     The even basis is e_0, e_{N/2}, (e_j + e_{N-j})/sqrt(2) and the odd one
-    (e_j - e_{N-j})/sqrt(2), 0 < j < N/2.  M commutes with the reflection
-    only up to rounding, so rows and columns are folded together; both
-    sums are exactly symmetric since M[tail, head] is M[head, tail].T.
+    (e_j - e_{N-j})/sqrt(2), 0 < j < N/2.
     """
-    head = np.arange(mat.shape[0] // 2 + 1)
-    tail = (-head) % mat.shape[0]
-    same = mat[np.ix_(head, head)] + mat[np.ix_(tail, tail)]
-    cross = mat[np.ix_(head, tail)] + mat[np.ix_(tail, head)]
-    fold = np.full(head.size, math.sqrt(0.5))
-    fold[[0, -1]] = 0.5  # e_0 and e_{N/2} are their own mirror, summed twice
-    return (same + cross) * np.outer(fold, fold), 0.5 * (same - cross)[1:-1, 1:-1]
+    weight = np.full(N // 2 + 1, math.sqrt(0.5))
+    weight[[0, -1]] = 1.0
+    return weight
+
+
+@functools.lru_cache(maxsize=1)
+def _folded_d2(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """-D2 on the even and odd bases (read-only), from its circulant column.
+
+    The column c is even, so on indices 0 .. N/2 the mirror sums of D2
+    are the Toeplitz part c[|i - k|] plus (even) or minus (odd) the
+    Hankel part c[i + k].
+    """
+    col = second_derivative_column(L, N)
+    head = np.arange(N // 2 + 1)
+    toeplitz = col[np.abs(head[:, None] - head)]
+    hankel = col[(head[:, None] + head) % N]
+    # a self-mirror point enters the Toeplitz and the Hankel part alike
+    scale = math.sqrt(0.5) / _fold(N)
+    even = -(toeplitz + hankel) * np.outer(scale, scale)
+    odd = (hankel - toeplitz)[1:-1, 1:-1]
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
+def _parity_blocks(spec: HillOperatorSpec, odd: bool = True) -> list:
+    """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M.
+
+    V is even only up to rounding, so its mirror halves are averaged.
+    """
+    N = spec.prof.N
+    pot = potential_values(spec)
+    pot = 0.5 * (pot[:N // 2 + 1] + pot[-np.arange(N // 2 + 1)])
+    return [d2 + np.diag(v) for d2, v in
+            zip(_folded_d2(spec.prof.L, N)[:1 + odd], (pot, pot[1:-1]))]
+
+
+def solve_even(spec: HillOperatorSpec, rhs) -> np.ndarray:
+    """Grid solution u of (-D2 + V) u = rhs for an even right side.
+
+    Solved on the even block, so the operator need only be invertible on
+    even functions (L1's kernel phi' is odd).  The residual is checked on
+    the full grid through FFT differentiation.
+    """
+    L, N = spec.prof.L, spec.prof.N
+    rhs = np.asarray(rhs, dtype=float)
+    weight = _fold(N)
+    (even,) = _parity_blocks(spec, odd=False)
+    u = weight * np.linalg.solve(even, rhs[:N // 2 + 1] / weight)
+    u = u[np.minimum(np.arange(N), N - np.arange(N))]
+    resid = -spectral_derivative(u, L, order=2) + potential_values(spec) * u - rhs
+    worst = float(np.max(np.abs(resid)))
+    if worst > _SOLVE_TOL * float(np.max(np.abs(rhs))):
+        raise ContractError(f"even-block solve residual {worst:.3e} exceeds "
+                            f"{_SOLVE_TOL} * ||rhs||")
+    return u
 
 
 def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> SpectrumReport:
@@ -177,18 +230,17 @@ def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> Sp
     wp, prof = spec.wp, spec.prof
     if tol_zero is None:
         tol_zero = 1e-6 * max(1.0, wp.omega)
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(
-        sym_eig, _parity_blocks(collocation_matrix(spec)))
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(sym_eig, _parity_blocks(spec))
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
     # coef holds rows 0 .. N/2 of P times the block eigenvectors; row j > N/2
     # repeats row N - j, negated in the odd columns
     half = prof.N // 2
+    weight = _fold(prof.N)[:, None]
     coef = np.zeros((half + 1, prof.N))
-    coef[:, :half + 1] = math.sqrt(0.5) * even_vecs
-    coef[[0, half], :half + 1] = even_vecs[[0, half]]
-    coef[1:half, half + 1:] = math.sqrt(0.5) * odd_vecs
+    coef[:, :half + 1] = weight * even_vecs
+    coef[1:half, half + 1:] = weight[1:-1] * odd_vecs
     j = np.arange(prof.N)
     evecs = coef[:, order][np.minimum(j, prof.N - j)]
     evecs[half + 1:] *= np.where(order <= half, 1.0, -1.0)

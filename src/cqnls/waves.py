@@ -53,6 +53,7 @@ __all__ = [
     "modulus_from",
     "period_map",
     "period_map_dalpha",
+    "period_map_dB",
     "dk_dalpha",
     "dk_domega",
     "solve_alpha3",
@@ -251,6 +252,11 @@ def period_map_dalpha(alpha3: float, omega: float) -> float:
         dK_dalpha
         - K * (16.0 * omega - 8.0 * alpha3**2 - 6.0 * alpha3 + 3.0) / (2.0 * alpha3 * q)
     )
+
+
+def period_map_dB(alpha3: float, omega: float) -> float:
+    """Closed-form dT/dB at fixed omega: dT/dalpha3 over dB/dalpha3 (positive)."""
+    return period_map_dalpha(alpha3, omega) / (alpha3**2 + alpha3 - omega)
 
 
 def _bisect_newton(f, df, lo, hi, width=1e-14, newton_steps=2):

@@ -173,29 +173,45 @@ def test_audit_fine_sweep_passes(capsys):
     assert all(ln.endswith(",ok") for ln in lines[1:])
 
 
-def test_audit_coarse_sweep_fails_identities(capsys):
-    # 0.1 spacing puts the differenced identity residuals near 5e-5,
-    # beyond the default 1e-5 threshold: deterministic numeric failure
+def test_audit_coarse_sweep_passes(capsys):
+    # every rate is exact, so 0.1 spacing audits as cleanly as a fine sweep
     code, out, err = _run(capsys, "audit", "--omega", "1.9:2.1:3",
                           "--format", "csv")
-    assert code == 2
-    assert "numeric assertion failed" in err
-    lines = _data_lines(out)
-    assert any(ln.endswith(",fail") for ln in lines[1:])
+    assert code == 0 and err == ""
+    assert all(ln.endswith(",ok") for ln in _data_lines(out)[1:])
 
 
 def test_audit_threshold_knob(capsys):
     code, out, err = _run(capsys, "audit", "--omega", "1.9:2.1:3",
-                          "--max-identity-residual", "1e-3",
-                          "--format", "csv")
+                          "--format", "json")
     assert code == 0
-    assert all(ln.endswith(",ok") for ln in _data_lines(out)[1:])
+    worst = max(value for row in json.loads(out)["rows"]
+                for key, value in row.items() if key.startswith("ident_"))
+    # a threshold below the printed residuals fails the audit
+    code, out, err = _run(capsys, "audit", "--omega", "1.9:2.1:3",
+                          "--max-identity-residual", repr(0.5 * worst),
+                          "--format", "csv")
+    assert code == 2
+    assert "numeric assertion failed" in err
+    assert any(ln.endswith(",fail") for ln in _data_lines(out)[1:])
 
 
-def test_audit_needs_three_points(capsys):
-    code, out, err = _run(capsys, "audit", "--omega", "2")
-    assert code == 1
-    assert "count >= 3" in err
+def test_audit_single_omega(capsys):
+    code, out, err = _run(capsys, "audit", "--omega", "2", "--format", "csv")
+    assert code == 0
+    lines = _data_lines(out)
+    assert len(lines) == 2 and lines[1].endswith(",ok")
+
+
+@pytest.mark.parametrize("L, sweep", [(TWO_PI, "7.99:8.0:11"),
+                                      (1.5 * TWO_PI, "1.9:2.1:11")])
+def test_audit_near_solitary_and_long_period_sweeps_pass(capsys, L, sweep):
+    code, out, err = _run(capsys, "audit", "--L", repr(L), "--omega", sweep,
+                          "--format", "csv")
+    assert code == 0 and err == ""
+    lines = _data_lines(out)
+    assert len(lines) == 12
+    assert all(ln.endswith(",ok") for ln in lines[1:])
 
 
 def test_usage_errors_exit_64(capsys):
@@ -223,8 +239,9 @@ def test_byte_determinism(capsys):
     assert first == second
 
 
-# small configurations; the curve sweep holds an error row and the coarse
-# audit fails its identity threshold (exit 2)
+# small configurations; the curve sweep holds an error row and the audit
+# fails an identity threshold set below its mass_rate residuals, about
+# 5e-11 at N=64 (exit 2)
 _SMALL = {
     "construct": ("--omega", "2", "--N", "64"),
     "curve": ("--omega", "0.3:0.5:3", "--N", "64"),
@@ -233,7 +250,8 @@ _SMALL = {
     "evolve": ("--omega", "2", "--N", "64", "--t-end", "0.01", "--dt", "1e-3"),
     "stability": ("--omega", "2", "--N", "64", "--t-end", "0.01",
                   "--dt", "1e-3", "--perturbation", "random_even"),
-    "audit": ("--omega", "1.9:2.1:3", "--N", "64"),
+    "audit": ("--omega", "1.9:2.1:3", "--N", "64",
+              "--max-identity-residual", "1e-12"),
 }
 
 

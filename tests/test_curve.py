@@ -1,22 +1,18 @@
 """Curve integrals, derivative audits, and the d''(omega) routes."""
 
 import math
+import runpy
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqnls import curve, waves
 from cqnls.curve import CurveError, CurveSample
-from cqnls.errors import ConfigError, NoSolutionError
+from cqnls.errors import NoSolutionError
 
 from conftest import SWEEP, TWO_PI
-
-
-def _audit_step(omega: float) -> float:
-    # near the solitary end the identity routes difference large terms;
-    # a coarser step keeps them conditioned (truncation is still ~h^2)
-    return 5e-3 if omega >= 8.0 else 1e-4 * max(1.0, omega)
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +22,7 @@ def sweep_samples():
 
 @pytest.fixture(scope="module")
 def sweep_audits():
-    return {w: curve.derivative_audit(TWO_PI, w, h=_audit_step(w))
-            for w in SWEEP}
+    return {w: curve.derivative_audit(TWO_PI, w) for w in SWEEP}
 
 
 def test_frozen_reference_point(sweep_samples):
@@ -38,7 +33,8 @@ def test_frozen_reference_point(sweep_samples):
     assert s.inv2 == pytest.approx(544.52803534782879, rel=1e-11)
     assert s.dphi2 == pytest.approx(1.8643867658297417, rel=1e-11)
     assert s.ratio2 == pytest.approx(7.7665782910916095, rel=1e-11)
-    assert math.isnan(s.dmass_domega) and math.isnan(s.d2_dd)
+    assert s.d2_dd == pytest.approx(5.4746264e-2, rel=1e-8)
+    assert s.dmass_domega == 2.0 * s.d2_dd
 
 
 def test_positivity_and_orderings(sweep_samples):
@@ -92,19 +88,20 @@ def test_sweep_tolerates_bad_points():
     assert entries[0].omega == 0.3
     assert "period" in entries[0].message
     assert all(isinstance(e, CurveSample) for e in entries[1:])
-    # the run of successes gets difference-filled derivative fields
+    # every success carries its exact rates
     for e in entries[1:]:
         assert math.isfinite(e.dmass_domega)
         assert e.d2_dd == pytest.approx(0.5 * e.dmass_domega, rel=1e-15)
-    # interior point: centered difference of a strictly increasing mass
+    # the mass is strictly increasing along the curve
     assert entries[2].dmass_domega > 0.0
 
 
-def test_sweep_isolated_points_keep_nan():
+def test_sweep_isolated_points_carry_exact_rates():
     entries = curve.sample_curve(TWO_PI, [0.5, 0.3, 1.0])
     assert isinstance(entries[1], CurveError)
-    assert math.isnan(entries[0].dmass_domega)
-    assert math.isnan(entries[2].dmass_domega)
+    for e in (entries[0], entries[2]):
+        assert e == curve.curve_sample(TWO_PI, e.omega)
+        assert math.isfinite(e.dmass_domega) and e.dmass_domega > 0.0
 
 
 def test_mass_increases_along_curve():
@@ -170,9 +167,8 @@ def test_reported_identity_leading_term_signs(sweep_samples, sweep_audits):
 
 def test_second_derivative_routes_agree(sweep_samples):
     for w in SWEEP:
-        h = _audit_step(w)
-        direct = curve.d2d_direct(TWO_PI, w, h=h)
-        via_identity = curve.d2d_identity(TWO_PI, w, h=h)
+        direct = curve.d2d_direct(TWO_PI, w)
+        via_identity = curve.d2d_identity(TWO_PI, w)
         assert direct > 0.0
         assert abs(direct - via_identity) <= 1e-4 * direct
 
@@ -184,25 +180,62 @@ def test_second_derivative_frozen_value():
 
 def test_integral_identities_along_curve():
     for w in SWEEP:
-        h = _audit_step(w)
-        triple = [curve.curve_sample(TWO_PI, w + k * h) for k in (-1, 0, 1)]
-        audit = curve.identity_audit(triple[1], triple[0], triple[2])
+        audit = curve.identity_audit(curve.curve_sample(TWO_PI, w))
         assert audit.max_residual <= 1e-5
-        # the virial line is algebraic in one sample: h plays no role
-        coarse = [curve.curve_sample(TWO_PI, w + k * 2 * h)
-                  for k in (-1, 0, 1)]
-        audit2 = curve.identity_audit(coarse[1], coarse[0], coarse[2])
-        assert audit2.virial == pytest.approx(audit.virial, abs=1e-12)
 
 
-def test_identity_audit_rejects_uneven_spacing():
-    a = curve.curve_sample(TWO_PI, 1.9)
-    b = curve.curve_sample(TWO_PI, 2.0)
-    c = curve.curve_sample(TWO_PI, 2.2)
-    with pytest.raises(ConfigError):
-        curve.identity_audit(b, a, c)
-    with pytest.raises(ConfigError):
-        curve.identity_audit(b, c, a)
+def _alpha2(L, w):
+    return waves.roots_from_alpha3(curve.curve_sample(L, w).alpha3, w)[1]
+
+
+def _richardson(f, w, h):
+    # centered differences at h and h/2 combined to cancel the h^2 term
+    def centered(step):
+        return (f(w + step) - f(w - step)) / (2.0 * step)
+    return (4.0 * centered(0.5 * h) - centered(h)) / 3.0
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0, 2.0, 5.0])
+def test_tangent_rates_match_finite_differences(omega):
+    s = curve.curve_sample(TWO_PI, omega)
+    h = 1e-3 * max(1.0, omega)
+    for name, rate in (("alpha3", s.dalpha3), ("B", s.dB), ("mass", s.dmass_domega),
+                       ("p4", s.dp4), ("p6", s.dp6), ("inv2", s.dinv2)):
+        ref = _richardson(lambda w: getattr(curve.curve_sample(TWO_PI, w), name),
+                          omega, h)
+        assert rate == pytest.approx(ref, rel=1e-7), name
+    ref = _richardson(lambda w: _alpha2(TWO_PI, w), omega, h)
+    assert s.dalpha2 == pytest.approx(ref, rel=1e-7)
+
+
+def test_modulus_partial_matches_frozen_amplitude_difference():
+    for w in SWEEP:
+        alpha3 = curve.curve_sample(TWO_PI, w).alpha3
+        # alpha3 leaves the admissible set once omega drops below
+        # alpha3 (2 alpha3 + 3)/6; keep the frozen-alpha3 difference inside
+        h = min(1e-4 * max(1.0, w),
+                0.3 * (w - alpha3 * (2.0 * alpha3 + 3.0) / 6.0))
+        fd = (math.sqrt(waves.modulus_from(alpha3, w + h))
+              - math.sqrt(waves.modulus_from(alpha3, w - h))) / (2.0 * h)
+        closed = waves.dk_domega(alpha3, w)
+        assert abs(fd - closed) <= 1e-5 * abs(closed)
+        assert curve.derivative_audit(TWO_PI, w).dk_partial == pytest.approx(
+            closed, rel=1e-8)
+
+
+@pytest.mark.parametrize("L, omega", [(TWO_PI, 8.0), (TWO_PI, 10.0),
+                                      (2.0 * TWO_PI, 2.0)])
+def test_second_derivative_converged_in_grid(L, omega):
+    coarse = curve.curve_sample(L, omega, 256).d2_dd
+    fine = curve.curve_sample(L, omega, 512).d2_dd
+    assert abs(coarse - fine) <= 1e-10
+
+
+def test_curvature_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "05_stability_curvature.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "orbitally stable" in out
 
 
 def test_modulus_ratio_quantities_decrease():

@@ -303,3 +303,11 @@ def test_stability_config_errors():
     with pytest.raises(ConfigError):
         evolve.run_stability(TWO_PI, 2.0, delta=1e-3, perturbation="wedge",
                              t_end=1.0, dt=1e-3, N=256)
+
+
+def test_stability_checks_perturbation_name_first():
+    # the name is checked even without a kick, and before any wave is built
+    with pytest.raises(ConfigError, match="perturbation kind"):
+        evolve.run_stability(TWO_PI, 2.0, 0.0, "wedge", t_end=0.01, dt=1e-3, N=64)
+    with pytest.raises(ConfigError, match="perturbation kind"):
+        evolve.run_stability(TWO_PI, 0.1, 1e-3, "wedge", t_end=0.01, dt=1e-3, N=64)

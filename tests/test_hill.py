@@ -146,6 +146,27 @@ def test_parity_blocks_match_full_solve(kind, omega, N):
     assert _reflection_signs(rep) == expected
 
 
+@pytest.mark.parametrize("omega, N", [(2.0, 128), (10.0, 256)])
+def test_even_solve_matches_full_collocation_solve(omega, N):
+    wp, prof = waves.build_wave(TWO_PI, omega, N)
+    spec = HillOperatorSpec("L1", wp, prof)
+    # the full operator is singular along phi'; border it by u . phi' = 0
+    bordered = np.zeros((N + 1, N + 1))
+    bordered[:N, :N] = hill.collocation_matrix(spec)
+    bordered[:N, N] = bordered[N, :N] = prof.dphi
+    full = np.linalg.solve(bordered, np.append(-prof.phi, 0.0))[:N]
+    u = hill.solve_even(spec, -prof.phi)
+    assert np.max(np.abs(u - full)) <= 1e-10 * np.max(np.abs(full))
+    assert np.array_equal(u, u[(-np.arange(N)) % N])
+
+
+def test_even_solve_rejects_an_odd_right_side(ref_wave):
+    # the even block cannot represent an odd part, and the residual says so
+    spec = HillOperatorSpec("L1", *ref_wave)
+    with pytest.raises(ContractError):
+        hill.solve_even(spec, ref_wave[1].dphi)
+
+
 def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
     # a zero profile leaves the constant potential omega, so every cosine
     # mode is exactly degenerate with its sine partner
