@@ -16,21 +16,22 @@ import math
 from cqnls import curve
 
 L = 2.0 * math.pi
+samples = [curve.curve_sample(L, omega) for omega in (0.5, 1.0, 2.0, 5.0, 10.0)]
 
 print(f"{'omega':>6} {'curv direct':>12} {'curv identity':>13} {'rel gap':>10}")
-for omega in (0.5, 1.0, 2.0, 5.0, 10.0):
-    direct = curve.d2d_direct(L, omega)
-    ident = curve.d2d_identity(L, omega)
-    print(f"{omega:6.1f} {direct:12.6e} {ident:13.6e} "
+for s in samples:
+    direct = curve.d2d_direct(s)
+    ident = curve.d2d_identity(s)
+    print(f"{s.omega:6.1f} {direct:12.6e} {ident:13.6e} "
           f"{abs(direct - ident) / direct:10.2e}")
 
 # the integral identities behind the second route, audited numerically
 print("\nintegral-identity residuals (relative, exact rates):")
 print(f"{'omega':>6} {'quartic rate':>13} {'virial':>10} "
       f"{'mass rate':>10} {'log deriv':>10}")
-for omega in (0.5, 1.0, 2.0, 5.0, 10.0):
-    audit = curve.identity_audit(curve.curve_sample(L, omega))
-    print(f"{omega:6.1f} {audit.quartic_rate:13.2e} {audit.virial:10.2e} "
+for s in samples:
+    audit = curve.identity_audit(s)
+    print(f"{s.omega:6.1f} {audit.quartic_rate:13.2e} {audit.virial:10.2e} "
           f"{audit.mass_rate:10.2e} {audit.log_derivative:10.2e}")
 
 print("\nd\"(omega) > 0 across the sweep by both routes: the wave curve is "

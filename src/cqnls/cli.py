@@ -41,13 +41,7 @@ from .curve import (
     identity_audit,
     sample_curve,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    CqnlsError,
-    DomainError,
-    NumericError,
-)
+from .errors import ConfigError, ContractError, CqnlsError, NumericError
 from .evolve import _PERTURBATIONS, run_fidelity, run_stability
 from .hill import HillOperatorSpec, combined_counts, spectrum_report, theta_constant
 from .waves import build_wave, period_map_dB, quadrature_residual
@@ -69,6 +63,8 @@ _AUDIT_COLUMNS = (
 _SPECTRUM_COLUMNS = ("operator", "index", "eigenvalue", "parity")
 _EVOLVE_COLUMNS = ("t", "sup_error")
 _STABILITY_COLUMNS = ("t", "orbital_dist")
+_DEFAULT_DT = 1e-4  # evolve and stability time step
+_DEFAULT_T_END = {"evolve": 10.0, "stability": 50.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,6 +114,8 @@ def _parse_omega(text: str):
             count = int(parts[2])
         except ValueError as exc:
             raise ConfigError(f"malformed omega range {text!r}") from exc
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"omega range ends must be finite, got {text!r}")
         if count < 2 or stop <= start:
             raise ConfigError(
                 f"omega range needs stop > start and count >= 2, got {text!r}"
@@ -258,8 +256,8 @@ def _run_spectrum(config: RunConfig) -> _Report:
 
 def _run_theta(config: RunConfig) -> _Report:
     omega = _scalar_omega(config)
-    wp, prof = build_wave(config.L, omega, config.N)
-    theta = theta_constant(wp, prof, config.dt)
+    wp, _ = build_wave(config.L, omega, config.N)
+    theta = theta_constant(wp, config.dt)
     dT_dB = period_map_dB(wp.alpha3, omega)
     mismatch = abs(dT_dB + theta / 2.0) / abs(theta)
     fields = {
@@ -277,8 +275,8 @@ def _run_theta(config: RunConfig) -> _Report:
 
 def _run_evolve(config: RunConfig) -> _Report:
     omega = _scalar_omega(config)
-    dt = config.dt if config.dt is not None else 1e-4
-    t_end = config.t_end if config.t_end is not None else 10.0
+    dt = config.dt if config.dt is not None else _DEFAULT_DT
+    t_end = config.t_end if config.t_end is not None else _DEFAULT_T_END[config.subcommand]
     rep = run_fidelity(config.L, omega, t_end, dt, config.N)
     summary = {
         "mass_drift": rep.mass_drift,
@@ -292,8 +290,8 @@ def _run_evolve(config: RunConfig) -> _Report:
 
 def _run_stability(config: RunConfig) -> _Report:
     omega = _scalar_omega(config)
-    dt = config.dt if config.dt is not None else 1e-4
-    t_end = config.t_end if config.t_end is not None else 50.0
+    dt = config.dt if config.dt is not None else _DEFAULT_DT
+    t_end = config.t_end if config.t_end is not None else _DEFAULT_T_END[config.subcommand]
     rep = run_stability(
         config.L, omega, config.delta, config.perturbation, t_end, dt,
         config.N, seed=config.seed,
@@ -309,11 +307,12 @@ def _run_stability(config: RunConfig) -> _Report:
 
 
 def _audit_row(config: RunConfig, omega: float) -> list:
-    audit = derivative_audit(config.L, omega, config.N)
-    direct = d2d_direct(config.L, omega, config.N)
-    ident = d2d_identity(config.L, omega, config.N)
+    sample = curve_sample(config.L, omega, config.N)
+    audit = derivative_audit(sample)
+    direct = d2d_direct(sample)
+    ident = d2d_identity(sample)
     route_rel = abs(direct - ident) / max(abs(direct), 1e-300)
-    ia = identity_audit(curve_sample(config.L, omega, config.N))
+    ia = identity_audit(sample)
     residuals = [ia.quartic_rate, ia.virial, ia.mass_rate, ia.log_derivative]
 
     ok = (
@@ -396,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, default=None,
                        help="time step (evolve/stability) or Hill RK4 step (theta)")
         p.add_argument("--t-end", dest="t_end", type=float, default=None,
-                       help="final time (default 10 for evolve, 50 for stability)")
+                       help="final time (default "
+                       + ", ".join(f"{t:g} for {name}" for name, t in _DEFAULT_T_END.items())
+                       + ")")
         p.add_argument("--delta", type=float, default=1e-3,
                        help="perturbation size for stability (default 1e-3)")
         p.add_argument("--perturbation", default="mode_cos1",
@@ -442,9 +443,6 @@ def run(config: RunConfig) -> int:
         print(f"cqnls {config.subcommand}: numeric assertion failed: {exc}",
               file=sys.stderr)
         return 2
-    except (DomainError, ConfigError) as exc:
-        print(f"cqnls {config.subcommand}: {exc}", file=sys.stderr)
-        return 1
     except CqnlsError as exc:
         print(f"cqnls {config.subcommand}: {exc}", file=sys.stderr)
         return 1

@@ -15,6 +15,9 @@ the tangent, and each rate follows by quadrature or by reading the crest
 d''(omega) = (1/2) d/domega int phi^2 = int phi dphi/domega then has a
 direct route and an independent one through B and inv2.
 
+curve_sample builds one point with its integrals and rates, and each
+audit below reads a CurveSample, so one build serves all of them.
+
 Every frequency derivative here is a total derivative along the fixed-L
 curve unless explicitly named partial.  The documented sign expectations
 for some of these derivatives (see DerivativeAudit.signs_ok) do not all
@@ -24,7 +27,6 @@ booleans instead of asserting.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -109,8 +111,8 @@ def inv2_closed_form(wp: WaveParams) -> float:
     return wp.L / wp.alpha1 - ratio * wp.L / wp.alpha1 + ratio * wp.L / trough
 
 
-@functools.lru_cache(maxsize=2048)
-def _sample(L: float, omega: float, N: int) -> CurveSample:
+def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
+    """Build one self-checked curve point with its exact rates."""
     wp, prof = build_wave(L, omega, N)
     phi, dphi = prof.phi, prof.dphi
     mass = trapezoid(phi**2, L)
@@ -155,11 +157,6 @@ def _sample(L: float, omega: float, N: int) -> CurveSample:
         dp6=6.0 * trapezoid(phi**5 * tangent, L),
         dinv2=-2.0 * trapezoid(tangent / phi**3, L), d2_dd=d2,
     )
-
-
-def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
-    """Build one self-checked curve point with its exact rates (cached)."""
-    return _sample(float(L), float(omega), int(N))
 
 
 def sample_curve(L: float, omegas, N: int = 256) -> list:
@@ -208,9 +205,9 @@ class DerivativeAudit:
         return all(self.signs_ok.values())
 
 
-def derivative_audit(L: float, omega: float, N: int = 256) -> DerivativeAudit:
-    """Signed frequency derivatives of the curve parameters at one point."""
-    s = curve_sample(L, omega, N)
+def derivative_audit(sample: CurveSample) -> DerivativeAudit:
+    """Signed frequency derivatives of the curve parameters at one sample."""
+    s, omega = sample, sample.omega
     a3, da3, da2 = s.alpha3, s.dalpha3, s.dalpha2
     a1, a2 = roots_from_alpha3(a3, omega)
     da1 = -da2 - da3  # the roots sum to -3/2
@@ -231,28 +228,28 @@ def derivative_audit(L: float, omega: float, N: int = 256) -> DerivativeAudit:
         "dT_dB_positive": dT_dB > 0.0,
     }
     return DerivativeAudit(
-        L=L, omega=omega, dalpha3=da3, dalpha1=da1, dalpha2=da2, dB=s.dB,
+        L=s.L, omega=omega, dalpha3=da3, dalpha1=da1, dalpha2=da2, dB=s.dB,
         dk_total=dk_total, dk_partial=dk_partial, dk_partial_closed=dk_closed,
         dk_partial_match=abs(dk_partial - dk_closed) / abs(dk_closed),
         dT_dB=dT_dB, signs_ok=signs_ok,
     )
 
 
-def d2d_direct(L: float, omega: float, N: int = 256) -> float:
+def d2d_direct(sample: CurveSample) -> float:
     """Direct route to d''(omega): int phi dphi/domega."""
-    return curve_sample(L, omega, N).d2_dd
+    return sample.d2_dd
 
 
-def d2d_identity(L: float, omega: float, N: int = 256) -> float:
+def d2d_identity(sample: CurveSample) -> float:
     """Identity route to d''(omega) through B and the inverse-square integral.
 
     Uses (2 omega + 3/8) dmass/domega = -(3/4) B' inv2 - B' L - (3 B/4) inv2'
     with inv2 by the elliptic closed form.  Near the solitary limit the
     right side is a small difference of large terms.
     """
-    s = curve_sample(L, omega, N)
-    rhs = -0.75 * s.dB * s.inv2 - s.dB * L - 0.75 * s.B * s.dinv2
-    return rhs / (2.0 * (2.0 * omega + 3.0 / 8.0))
+    s = sample
+    rhs = -0.75 * s.dB * s.inv2 - s.dB * s.L - 0.75 * s.B * s.dinv2
+    return rhs / (2.0 * (2.0 * s.omega + 3.0 / 8.0))
 
 
 @dataclass(frozen=True)

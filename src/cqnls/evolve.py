@@ -26,7 +26,7 @@ where a nonfinite field, or an amplitude above a multiple of the wave's
 (1e3 unless given), aborts the run with a blow-up error: the quintic
 focusing term admits finite-time blow-up for large data, so overflow
 must fail loudly.  The drifts of mass and energy compare the last record
-with the initial field.
+with the initial field.  A field is a plain complex array on the grid.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .fourier import grid, spectral_derivative, trapezoid, wavenumbers
 from .waves import Profile, build_wave
 
 __all__ = [
-    "FieldState",
     "FidelityReport",
     "StabilityReport",
     "energy",
@@ -55,22 +54,11 @@ __all__ = [
     "perturbation_shape",
     "run_fidelity",
     "run_stability",
-    "validate_state",
 ]
 
 _PERTURBATIONS = ("mode_cos1", "bump", "random_even")
 _PARITY_TOL = 1e-8  # max evenness defect tolerated during a stability run
 _BLOWUP_FACTOR = 1e3  # default amplitude cap, in multiples of the wave's
-
-
-@dataclass(frozen=True, eq=False)
-class FieldState:
-    """Complex field samples on the uniform periodic grid at one instant."""
-
-    L: float
-    N: int
-    u: np.ndarray
-    t: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,28 +98,17 @@ class StabilityReport:
     parity_defect: float
 
 
-def validate_state(state: FieldState) -> None:
-    """Reject states with wrong sample counts or nonfinite entries."""
-    if state.u.shape != (state.N,):
-        raise ConfigError(
-            f"field has {state.u.shape} samples, expected ({state.N},)"
-        )
-    if not np.all(np.isfinite(state.u.real)) or not np.all(np.isfinite(state.u.imag)):
-        raise NumericError("field contains nonfinite samples")
-
-
-def mass(state: FieldState) -> float:
+def mass(L: float, u: np.ndarray) -> float:
     """Half the squared L2 norm, exactly conserved by both substeps."""
-    a2 = state.u.real**2 + state.u.imag**2
-    return 0.5 * trapezoid(a2, state.L)
+    return 0.5 * trapezoid(u.real**2 + u.imag**2, L)
 
 
-def energy(state: FieldState) -> float:
+def energy(L: float, u: np.ndarray) -> float:
     """Hamiltonian (1/2) integral of |u_x|^2 - |u|^4/2 - |u|^6/3."""
-    ux = spectral_derivative(state.u, state.L)
-    a2 = state.u.real**2 + state.u.imag**2
+    ux = spectral_derivative(u, L)
+    a2 = u.real**2 + u.imag**2
     dens = ux.real**2 + ux.imag**2 - 0.5 * a2 * a2 - (a2 * a2 * a2) / 3.0
-    return 0.5 * trapezoid(dens, state.L)
+    return 0.5 * trapezoid(dens, L)
 
 
 def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -151,13 +128,13 @@ def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.nda
     return u
 
 
-def step_strang(state: FieldState, dt: float) -> FieldState:
+def step_strang(L: float, u, dt: float) -> np.ndarray:
     """One second-order split step; dt <= 0.5 (L/N)^2 keeps phases resolved."""
     if dt <= 0.0:
         raise ConfigError(f"time step must be positive, got dt={dt}")
-    kernel = np.exp(-1j * dt * wavenumbers(state.L, state.N) ** 2)
-    u = _advance(np.asarray(state.u, dtype=complex), kernel, dt, 1)
-    return FieldState(L=state.L, N=state.N, u=u, t=state.t + dt)
+    u = np.asarray(u, dtype=complex)
+    kernel = np.exp(-1j * dt * wavenumbers(L, u.shape[0]) ** 2)
+    return _advance(u, kernel, dt, 1)
 
 
 def h1_inner(L: float, f, g):
@@ -177,28 +154,28 @@ def h1_norm(L: float, f) -> float:
     return math.sqrt(max(float(sq), 0.0))
 
 
-def _h1_pairing(state: FieldState, prof: Profile) -> tuple[complex, np.ndarray]:
+def _h1_pairing(u: np.ndarray, prof: Profile) -> tuple[complex, np.ndarray]:
     # <u, phi> in H^1 and u_x from one FFT pair: prof.dphi is the same
     # spectral derivative of phi that h1_inner would recompute
-    if state.N != prof.N or abs(state.L - prof.L) > 1e-12 * max(1.0, prof.L):
-        raise ContractError("field and profile live on different grids")
-    du = spectral_derivative(state.u, state.L)
-    return trapezoid(state.u * prof.phi + du * prof.dphi, state.L), du
+    if u.shape != prof.phi.shape:
+        raise ContractError(f"field has {u.shape} samples, profile {prof.phi.shape}")
+    du = spectral_derivative(u, prof.L)
+    return trapezoid(u * prof.phi + du * prof.dphi, prof.L), du
 
 
-def orbital_phase(state: FieldState, prof: Profile) -> float:
-    """Rotation angle minimizing the H^1 distance to e^{i theta} phi."""
-    return float(np.angle(_h1_pairing(state, prof)[0]))
+def orbital_phase(u: np.ndarray, prof: Profile) -> float:
+    """Rotation angle minimizing the H^1 distance from u to e^{i theta} phi."""
+    return float(np.angle(_h1_pairing(u, prof)[0]))
 
 
-def orbital_distance(state: FieldState, prof: Profile) -> float:
-    """H^1 distance from the field to the rotation orbit of the profile.
+def orbital_distance(u: np.ndarray, prof: Profile) -> float:
+    """H^1 distance from the field u to the rotation orbit of the profile.
 
     The minimizing angle is the argument of the H^1 pairing <u, phi>, so
     the squared distance is ||u||^2 + ||phi||^2 - 2 |<u, phi>|.
     """
-    pair, du = _h1_pairing(state, prof)
-    nu = trapezoid(state.u.real**2 + state.u.imag**2 + du.real**2 + du.imag**2, state.L)
+    pair, du = _h1_pairing(u, prof)
+    nu = trapezoid(u.real**2 + u.imag**2 + du.real**2 + du.imag**2, prof.L)
     nphi = trapezoid(prof.phi**2 + prof.dphi**2, prof.L)
     return math.sqrt(max(float(nu + nphi - 2.0 * abs(pair)), 0.0))
 
@@ -217,6 +194,8 @@ def perturbation_shape(kind: str, L: float, N: int, seed: int = 0) -> np.ndarray
         s = np.sin(math.pi * x / L)
         p = np.exp(-((s / 0.15) ** 2))
     elif kind == "random_even":
+        if seed < 0:
+            raise ConfigError(f"random_even seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         coeff = rng.uniform(-1.0, 1.0, size=10)
         modes = np.arange(1, 11)[:, None] * (2.0 * math.pi / L) * x[None, :]
@@ -243,7 +222,8 @@ def _trajectory(
         raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
     if records < 1:
         raise ConfigError(f"need at least one record interval, got {records}")
-    validate_state(FieldState(L=prof.L, N=prof.N, u=u, t=0.0))
+    if u.shape != (prof.N,) or not np.all(np.isfinite(u)):
+        raise ConfigError(f"initial field needs {prof.N} finite samples, got {u.shape}")
     kernel = np.exp(-1j * dt * wavenumbers(prof.L, prof.N) ** 2)
     amp_cap = blowup_factor * float(np.max(prof.phi))
     yield 0.0, u
@@ -267,8 +247,7 @@ def _trajectory(
 
 def _drifts(L: float, u0: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     # |change| of mass and energy from the field u0 to the field u
-    start, end = (FieldState(L=L, N=v.shape[0], u=v, t=0.0) for v in (u0, u))
-    return abs(mass(end) - mass(start)), abs(energy(end) - energy(start))
+    return abs(mass(L, u) - mass(L, u0)), abs(energy(L, u) - energy(L, u0))
 
 
 def run_fidelity(
@@ -324,15 +303,17 @@ def run_stability(
     whole run, and aborts once the amplitude exceeds blowup_factor times
     the wave's.
     """
-    if delta < 0.0:
-        raise ConfigError(f"perturbation size must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ConfigError(
+            f"perturbation size must be nonnegative and finite, got {delta}"
+        )
     shape = perturbation_shape(perturbation, L, N, seed=seed)
     wp, prof = build_wave(L, omega, N)
     u0 = (prof.phi + delta * shape).astype(complex)
     times, dists, parity = [], [], 0.0
     for t, u in _trajectory(prof, u0, t_end, dt, records, blowup_factor):
         times.append(t)
-        dists.append(orbital_distance(FieldState(L=L, N=N, u=u, t=t), prof))
+        dists.append(orbital_distance(u, prof))
         parity = max(parity, _parity_defect(u))
     if parity > _PARITY_TOL:
         raise NumericError(f"evenness defect {parity:.3e} exceeds {_PARITY_TOL}")

@@ -315,7 +315,7 @@ def sign_changes(values, rel_floor: float = 1e-8) -> int:
     return int(np.sum(circ[1:] * circ[:-1] < 0.0))
 
 
-def theta_constant(wp: WaveParams, prof: Profile, dt: float | None = None) -> float:
+def theta_constant(wp: WaveParams, dt: float | None = None) -> float:
     """Growth coefficient of the companion amplitude-channel Hill solution.
 
     The equation y'' = (omega - 3 phi^2 - 5 phi^4) y has the L-periodic
@@ -335,8 +335,6 @@ def theta_constant(wp: WaveParams, prof: Profile, dt: float | None = None) -> fl
     if not (0.0 < dt <= L / 1e5):
         raise ConfigError(f"integration step dt={dt} must lie in (0, L/1e5]")
     phi0 = math.sqrt(wp.alpha3)
-    if abs(prof.phi[0] - phi0) > 1e-8 * max(1.0, phi0):
-        raise ContractError("profile does not match the wave parameters at x=0")
     ddphi0 = wp.omega * phi0 - phi0**3 - phi0**5
     if abs(ddphi0) < 1e-12:
         raise DegenerateError(

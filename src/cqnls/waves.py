@@ -297,6 +297,8 @@ def solve_alpha3(L: float, omega: float) -> float:
     """
     if L <= 0:
         raise DomainError(f"period must be positive, got L={L}")
+    if not (math.isfinite(L) and math.isfinite(omega)):
+        raise DomainError(f"period and frequency must be finite, got L={L}, omega={omega}")
     tl = min_period(omega)
     if tl >= L:
         thr = omega_threshold(L)

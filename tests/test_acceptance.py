@@ -102,7 +102,7 @@ def test_period_map_and_frequency_monotonicity():
     worst_match = 0.0
     signs_ok = True
     for omega in SWEEP:
-        audit = curve.derivative_audit(TWO_PI, omega)
+        audit = curve.derivative_audit(curve.curve_sample(TWO_PI, omega))
         worst_match = max(worst_match, audit.dk_partial_match)
         signs_ok = signs_ok and (
             audit.dk_partial_closed < 0.0
@@ -123,7 +123,7 @@ def test_period_map_and_frequency_monotonicity():
     reason="the quadrature-level rate d B / d omega is positive at every "
     "admissible point, against its documented sign", strict=True)
 def test_monotonicity_documented_level_rate_sign():
-    rates = [curve.derivative_audit(TWO_PI, omega).dB
+    rates = [curve.derivative_audit(curve.curve_sample(TWO_PI, omega)).dB
              for omega in SWEEP]
     ok = all(r < 0.0 for r in rates)
     record_criterion(
@@ -137,7 +137,7 @@ def test_monotonicity_documented_level_rate_sign():
     reason="the lowest-root rate d alpha1 / d omega is negative at every "
     "admissible point, against its documented sign", strict=True)
 def test_monotonicity_documented_lowest_root_rate_sign():
-    rates = [curve.derivative_audit(TWO_PI, omega).dalpha1
+    rates = [curve.derivative_audit(curve.curve_sample(TWO_PI, omega)).dalpha1
              for omega in SWEEP]
     ok = all(r > 0.0 for r in rates)
     record_criterion(
@@ -189,7 +189,7 @@ def test_companion_growth_constant_sign_link():
     all_negative = True
     for omega in (1.0, 2.0, 5.0):
         wp, prof = waves.build_wave(TWO_PI, omega, 256)
-        theta = hill.theta_constant(wp, prof)
+        theta = hill.theta_constant(wp)
         all_negative = all_negative and theta < 0.0
         h_level = min(1e-6, 0.1 * abs(wp.B))
         slope = (waves.period_of_B(wp.B + h_level, omega)
@@ -211,11 +211,12 @@ def test_stability_scalar_curvature():
     worst_audit = 0.0
     worst_inv2 = 0.0
     for omega in SWEEP:
-        direct = curve.d2d_direct(TWO_PI, omega)
-        identity = curve.d2d_identity(TWO_PI, omega)
+        sample = curve.curve_sample(TWO_PI, omega)
+        direct = curve.d2d_direct(sample)
+        identity = curve.d2d_identity(sample)
         all_positive = all_positive and direct > 0.0
         worst_route = max(worst_route, abs(direct - identity) / abs(direct))
-        audit = curve.identity_audit(curve.curve_sample(TWO_PI, omega))
+        audit = curve.identity_audit(sample)
         worst_audit = max(worst_audit, audit.max_residual)
         wp, prof = waves.build_wave(TWO_PI, omega, 256)
         closed = curve.inv2_closed_form(wp)
@@ -249,10 +250,9 @@ def test_solitary_limit_of_long_waves():
 def test_standing_wave_evolution_conserves(fidelity_report):
     rep, elapsed = fidelity_report
     wp, prof = waves.build_wave(TWO_PI, 2.0, 256)
-    base = evolve.FieldState(L=TWO_PI, N=256,
-                             u=prof.phi.astype(complex), t=0.0)
-    mass_rel = rep.mass_drift / evolve.mass(base)
-    energy_rel = rep.energy_drift / abs(evolve.energy(base))
+    u0 = prof.phi.astype(complex)
+    mass_rel = rep.mass_drift / evolve.mass(TWO_PI, u0)
+    energy_rel = rep.energy_drift / abs(evolve.energy(TWO_PI, u0))
     ok = mass_rel <= 1e-10 and energy_rel <= 1e-8 and elapsed < 300.0
     record_criterion(
         "standing-wave evolution conservation", ok,

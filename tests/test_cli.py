@@ -232,6 +232,30 @@ def test_malformed_omega_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "--L", "inf", "--omega", "2"),
+    ("construct", "--L", "nan", "--omega", "2"),
+    ("curve", "--omega", "nan:1:3"),
+    ("curve", "--omega", "1:inf:3"),
+], ids=["L_inf", "L_nan", "omega_nan_start", "omega_inf_stop"])
+def test_nonfinite_period_or_frequency_exits_1(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("flag, value, word", [("--seed", "-1", "seed"),
+                                               ("--delta", "nan", "perturbation size")],
+                         ids=["seed", "delta"])
+def test_stability_rejects_bad_seed_or_delta(capsys, flag, value, word):
+    code, out, err = _run(capsys, "stability", "--omega", "2", "--t-end", "0.01",
+                          "--dt", "1e-3", "--N", "64", "--perturbation", "random_even",
+                          flag, value)
+    assert code == 1
+    assert err.startswith("cqnls stability: ") and word in err
+
+
 def test_byte_determinism(capsys):
     args = ("curve", "--omega", "1.5:2.5:5")
     _, first, _ = _run(capsys, *args)

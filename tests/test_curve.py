@@ -1,9 +1,7 @@
 """Curve integrals, derivative audits, and the d''(omega) routes."""
 
 import math
-import runpy
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +19,8 @@ def sweep_samples():
 
 
 @pytest.fixture(scope="module")
-def sweep_audits():
-    return {w: curve.derivative_audit(TWO_PI, w) for w in SWEEP}
+def sweep_audits(sweep_samples):
+    return {w: curve.derivative_audit(s) for w, s in sweep_samples.items()}
 
 
 def test_frozen_reference_point(sweep_samples):
@@ -71,10 +69,6 @@ def test_sample_identity_detects_tampering(sweep_samples):
     residual = abs(2.0 * bad.omega * bad.mass - 1.5 * bad.p4
                    - (4.0 / 3.0) * bad.p6 + bad.B * bad.L)
     assert residual > 1e-3
-
-
-def test_curve_sample_is_cached():
-    assert curve.curve_sample(TWO_PI, 2.0) is curve.curve_sample(TWO_PI, 2.0)
 
 
 def test_curve_sample_propagates_no_solution():
@@ -166,21 +160,21 @@ def test_reported_identity_leading_term_signs(sweep_samples, sweep_audits):
 
 
 def test_second_derivative_routes_agree(sweep_samples):
-    for w in SWEEP:
-        direct = curve.d2d_direct(TWO_PI, w)
-        via_identity = curve.d2d_identity(TWO_PI, w)
+    for s in sweep_samples.values():
+        direct = curve.d2d_direct(s)
+        via_identity = curve.d2d_identity(s)
         assert direct > 0.0
         assert abs(direct - via_identity) <= 1e-4 * direct
 
 
-def test_second_derivative_frozen_value():
-    assert curve.d2d_direct(TWO_PI, 2.0) == pytest.approx(
+def test_second_derivative_frozen_value(sweep_samples):
+    assert curve.d2d_direct(sweep_samples[2.0]) == pytest.approx(
         5.4746264e-2, rel=1e-6)
 
 
-def test_integral_identities_along_curve():
-    for w in SWEEP:
-        audit = curve.identity_audit(curve.curve_sample(TWO_PI, w))
+def test_integral_identities_along_curve(sweep_samples):
+    for s in sweep_samples.values():
+        audit = curve.identity_audit(s)
         assert audit.max_residual <= 1e-5
 
 
@@ -208,9 +202,10 @@ def test_tangent_rates_match_finite_differences(omega):
     assert s.dalpha2 == pytest.approx(ref, rel=1e-7)
 
 
-def test_modulus_partial_matches_frozen_amplitude_difference():
+def test_modulus_partial_matches_frozen_amplitude_difference(sweep_samples,
+                                                            sweep_audits):
     for w in SWEEP:
-        alpha3 = curve.curve_sample(TWO_PI, w).alpha3
+        alpha3 = sweep_samples[w].alpha3
         # alpha3 leaves the admissible set once omega drops below
         # alpha3 (2 alpha3 + 3)/6; keep the frozen-alpha3 difference inside
         h = min(1e-4 * max(1.0, w),
@@ -219,8 +214,7 @@ def test_modulus_partial_matches_frozen_amplitude_difference():
               - math.sqrt(waves.modulus_from(alpha3, w - h))) / (2.0 * h)
         closed = waves.dk_domega(alpha3, w)
         assert abs(fd - closed) <= 1e-5 * abs(closed)
-        assert curve.derivative_audit(TWO_PI, w).dk_partial == pytest.approx(
-            closed, rel=1e-8)
+        assert sweep_audits[w].dk_partial == pytest.approx(closed, rel=1e-8)
 
 
 @pytest.mark.parametrize("L, omega", [(TWO_PI, 8.0), (TWO_PI, 10.0),
@@ -229,13 +223,6 @@ def test_second_derivative_converged_in_grid(L, omega):
     coarse = curve.curve_sample(L, omega, 256).d2_dd
     fine = curve.curve_sample(L, omega, 512).d2_dd
     assert abs(coarse - fine) <= 1e-10
-
-
-def test_curvature_demo_runs(capsys):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "05_stability_curvature.py"
-    runpy.run_path(str(demo), run_name="__main__")
-    out = capsys.readouterr().out
-    assert "orbitally stable" in out
 
 
 def test_modulus_ratio_quantities_decrease():

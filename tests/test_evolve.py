@@ -6,68 +6,65 @@ import numpy as np
 import pytest
 
 from cqnls import curve, evolve, fourier, waves
-from cqnls.errors import BlowupError, ConfigError, ContractError, NumericError
-from cqnls.evolve import FieldState
+from cqnls.errors import BlowupError, ConfigError, ContractError
 
 from conftest import TWO_PI
 
 
-def _state(L, u, t=0.0):
-    u = np.asarray(u, dtype=complex)
-    return FieldState(L=L, N=u.shape[0], u=u, t=t)
+def test_trajectory_checks_the_initial_field(ref_wave):
+    _, prof = ref_wave
 
+    def first_record(u):
+        return next(evolve._trajectory(prof, u, 1e-3, 1e-3, 1, 1e3))
 
-def test_validate_state():
-    good = _state(TWO_PI, np.ones(64))
-    evolve.validate_state(good)
+    u0 = prof.phi.astype(complex)
+    t, u = first_record(u0)
+    assert t == 0.0 and u is u0
     with pytest.raises(ConfigError):
-        evolve.validate_state(FieldState(L=TWO_PI, N=32, u=np.ones(64,
-                              dtype=complex), t=0.0))
-    bad = np.ones(64, dtype=complex)
+        first_record(np.ones(64, dtype=complex))
+    bad = u0.copy()
     bad[3] = np.nan + 0j
-    with pytest.raises(NumericError):
-        evolve.validate_state(_state(TWO_PI, bad))
+    with pytest.raises(ConfigError, match="finite"):
+        first_record(bad)
 
 
 def test_mass_and_energy_reference_fields():
-    ones = _state(TWO_PI, np.ones(128))
-    assert evolve.mass(ones) == pytest.approx(math.pi, rel=1e-14)
-    assert evolve.energy(ones) == pytest.approx(-5.0 * math.pi / 6.0, rel=1e-14)
-    zero = _state(TWO_PI, np.zeros(128))
-    assert evolve.mass(zero) == 0.0
-    assert evolve.energy(zero) == 0.0
+    ones = np.ones(128, dtype=complex)
+    assert evolve.mass(TWO_PI, ones) == pytest.approx(math.pi, rel=1e-14)
+    assert evolve.energy(TWO_PI, ones) == pytest.approx(-5.0 * math.pi / 6.0, rel=1e-14)
+    zero = np.zeros(128, dtype=complex)
+    assert evolve.mass(TWO_PI, zero) == 0.0
+    assert evolve.energy(TWO_PI, zero) == 0.0
 
 
 def test_mass_matches_curve_integral(ref_wave):
     wp, prof = ref_wave
     s = curve.curve_sample(TWO_PI, wp.omega)
-    state = _state(TWO_PI, prof.phi)
-    assert evolve.mass(state) == pytest.approx(0.5 * s.mass, rel=1e-13)
+    assert evolve.mass(TWO_PI, prof.phi) == pytest.approx(0.5 * s.mass, rel=1e-13)
 
 
 def test_constant_field_rotates_exactly():
     c = 0.7
     rate = c * c + c ** 4
-    state = _state(TWO_PI, np.full(64, c))
+    u = np.full(64, c, dtype=complex)
     dt = 1e-3
     for _ in range(1000):
-        state = evolve.step_strang(state, dt)
-    exact = c * np.exp(1j * rate * state.t)
-    assert np.max(np.abs(state.u - exact)) <= 1e-10
-    assert state.t == pytest.approx(1.0, rel=1e-12)
+        u = evolve.step_strang(TWO_PI, u, dt)
+    exact = c * np.exp(1j * rate * 1000 * dt)
+    assert np.max(np.abs(u - exact)) <= 1e-10
 
 
 def test_plane_wave_phase_is_exact():
     k = 3.0
     c = 0.8
     x = np.arange(128) * (TWO_PI / 128)
-    state = _state(TWO_PI, c * np.exp(1j * k * x))
+    u = c * np.exp(1j * k * x)
     dt = 5e-4
     for _ in range(200):
-        state = evolve.step_strang(state, dt)
+        u = evolve.step_strang(TWO_PI, u, dt)
     rate = c * c + c ** 4 - k * k
-    exact = c * np.exp(1j * (k * x + rate * state.t))
-    assert np.max(np.abs(state.u - exact)) <= 1e-10
+    exact = c * np.exp(1j * (k * x + rate * 200 * dt))
+    assert np.max(np.abs(u - exact)) <= 1e-10
 
 
 def _unfused_strang(u, kernel, dt, steps):
@@ -101,18 +98,18 @@ def test_fused_advance_matches_unfused_steps(ref_wave):
 
 
 def test_step_rejects_bad_dt():
-    state = _state(TWO_PI, np.ones(64))
+    u = np.ones(64, dtype=complex)
     with pytest.raises(ConfigError):
-        evolve.step_strang(state, 0.0)
+        evolve.step_strang(TWO_PI, u, 0.0)
     with pytest.raises(ConfigError):
-        evolve.step_strang(state, -1e-4)
+        evolve.step_strang(TWO_PI, u, -1e-4)
 
 
 def test_orbit_point_has_zero_distance(ref_wave):
     _, prof = ref_wave
-    state = _state(TWO_PI, np.exp(1.3j) * prof.phi)
-    assert evolve.orbital_distance(state, prof) <= 1e-12
-    assert evolve.orbital_phase(state, prof) == pytest.approx(1.3, abs=1e-12)
+    u = np.exp(1.3j) * prof.phi
+    assert evolve.orbital_distance(u, prof) <= 1e-12
+    assert evolve.orbital_phase(u, prof) == pytest.approx(1.3, abs=1e-12)
 
 
 def test_orbital_distance_lower_bound(ref_wave):
@@ -121,8 +118,7 @@ def test_orbital_distance_lower_bound(ref_wave):
     for _ in range(5):
         u = (prof.phi + 0.1 * rng.standard_normal(prof.N)
              + 0.1j * rng.standard_normal(prof.N))
-        state = _state(TWO_PI, u)
-        dist = evolve.orbital_distance(state, prof)
+        dist = evolve.orbital_distance(u, prof)
         direct = evolve.h1_norm(TWO_PI, u - prof.phi)
         assert dist <= direct + 1e-12
 
@@ -133,21 +129,18 @@ def test_orbital_distance_matches_h1_pairing(ref_wave):
     for scale in (0.1, 1.0):
         u = (prof.phi + scale * rng.standard_normal(prof.N)
              + 1j * scale * rng.standard_normal(prof.N))
-        state = _state(TWO_PI, u)
         pair = evolve.h1_inner(TWO_PI, u, prof.phi)
         sq = (evolve.h1_norm(TWO_PI, u) ** 2 + evolve.h1_norm(TWO_PI, prof.phi) ** 2
               - 2.0 * abs(pair))
-        assert evolve.orbital_distance(state, prof) == pytest.approx(
+        assert evolve.orbital_distance(u, prof) == pytest.approx(
             math.sqrt(max(sq, 0.0)), rel=1e-14)
-        assert evolve.orbital_phase(state, prof) == float(np.angle(pair))
+        assert evolve.orbital_phase(u, prof) == float(np.angle(pair))
 
 
 def test_orbital_distance_grid_mismatch(ref_wave):
     _, prof = ref_wave
     with pytest.raises(ContractError):
-        evolve.orbital_distance(_state(TWO_PI, np.ones(64)), prof)
-    with pytest.raises(ContractError):
-        evolve.orbital_distance(_state(5.0, np.ones(prof.N)), prof)
+        evolve.orbital_distance(np.ones(64, dtype=complex), prof)
 
 
 def test_perturbation_shapes():
@@ -207,11 +200,9 @@ def test_fidelity_drifts_measured_at_horizon():
     u0 = prof.phi.astype(complex)
     kernel = np.exp(-1j * dt * fourier.wavenumbers(L, N) ** 2)
     u = evolve._advance(u0, kernel, dt, 10)
-    start = _state(L, u0)
-    end = _state(L, u, t=t_end)
     assert rep.times[-1] == pytest.approx(t_end, rel=1e-12)
-    assert rep.mass_drift == abs(evolve.mass(end) - evolve.mass(start))
-    assert rep.energy_drift == abs(evolve.energy(end) - evolve.energy(start))
+    assert rep.mass_drift == abs(evolve.mass(L, u) - evolve.mass(L, u0))
+    assert rep.energy_drift == abs(evolve.energy(L, u) - evolve.energy(L, u0))
 
 
 def test_fidelity_rotation_rate_over_whole_run():
@@ -264,6 +255,18 @@ def test_nonfinite_horizon_or_step_is_a_config_error(t_end, dt):
     with pytest.raises(ConfigError):
         evolve.run_stability(TWO_PI, 2.0, delta=1e-3, perturbation="bump",
                              t_end=t_end, dt=dt, N=64)
+
+
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_nonfinite_delta_is_a_config_error(delta):
+    with pytest.raises(ConfigError, match="perturbation size"):
+        evolve.run_stability(TWO_PI, 2.0, delta=delta, perturbation="bump",
+                             t_end=0.01, dt=1e-3, N=64)
+
+
+def test_negative_seed_is_a_config_error():
+    with pytest.raises(ConfigError, match="seed"):
+        evolve.perturbation_shape("random_even", TWO_PI, 64, seed=-1)
 
 
 def test_unperturbed_orbit_stays_put():

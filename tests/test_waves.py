@@ -162,6 +162,13 @@ def test_no_solution_messages():
         waves.solve_alpha3(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("L, omega", [(math.inf, 2.0), (math.nan, 2.0),
+                                      (TWO_PI, math.inf), (TWO_PI, math.nan)])
+def test_nonfinite_period_or_frequency_is_a_domain_error(L, omega):
+    with pytest.raises(DomainError, match="finite"):
+        waves.solve_alpha3(L, omega)
+
+
 def test_build_wave_frozen_values():
     for omega, a3, m, B in FROZEN:
         wp, prof = waves.build_wave(TWO_PI, omega, 128)
