@@ -334,6 +334,9 @@ def _audit_row(config: RunConfig, omega: float) -> list:
 
 
 def _run_audit(config: RunConfig) -> _Report:
+    if not config.max_identity_residual >= 0.0:
+        raise ConfigError("--max-identity-residual must be a nonnegative number, "
+                          f"got {config.max_identity_residual!r}")
     rows = [_audit_row(config, omega) for omega in _omega_list(config)]
     failure = None
     if any(row[-1] != "ok" for row in rows):

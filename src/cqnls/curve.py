@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import complete_E, complete_K
-from .errors import ContractError, CqnlsError
+from .errors import ConfigError, ContractError, CqnlsError
 from .fourier import trapezoid
 from .hill import HillOperatorSpec, solve_even
 from .waves import (
@@ -162,8 +162,12 @@ def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
 def sample_curve(L: float, omegas, N: int = 256) -> list:
     """Sample the curve at each frequency, tolerating per-point failures.
 
-    Returns one entry per frequency, a CurveSample or a CurveError.
+    Returns one entry per frequency, a CurveSample or a CurveError.  A
+    period that is not finite and positive fails every point alike, so it
+    raises ConfigError instead.
     """
+    if not (math.isfinite(L) and L > 0.0):
+        raise ConfigError(f"period must be finite and positive, got L={L}")
     entries: list = []
     for w in omegas:
         try:

@@ -27,7 +27,10 @@ eigenvalue" sharp to near machine precision.  theta_constant integrates
 the companion, linearly growing solution of the amplitude-channel Hill
 equation over one period; its growth coefficient theta satisfies
 dT/dB = -theta/2, tying the spectrum's zero position to the period's
-dependence on the quadrature constant.
+dependence on the quadrature constant.  The equation is linear, so each
+RK4 step is a 2 x 2 matrix; a blocked scan over these matrices yields
+the whole trajectory in array operations, and the unit Wronskian is
+still checked at every step.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateError, NumericError
 from .fourier import second_derivative_column, second_derivative_matrix, spectral_derivative
-from .waves import Profile, WaveParams, profile_derivative, profile_value
+from .waves import Profile, WaveParams, _profile_and_slope
 
 __all__ = [
     "HillOperatorSpec",
@@ -325,9 +328,14 @@ def theta_constant(wp: WaveParams, dt: float | None = None) -> float:
     multiple is theta = y'(L)/phi''(0).  Since phi'(0) = 0 the value
     y(L) equals y(0), so the slope alone carries the growth.
 
-    Classical 4th-order Runge-Kutta, with the potential evaluated
-    off-grid through the closed-form profile (no interpolation); the
-    unit Wronskian is monitored at every step.
+    Classical 4th-order Runge-Kutta with steps of at most L/1e5, the
+    potential evaluated off-grid through the closed-form profile (no
+    interpolation) in one pass over the half period and mirrored onto
+    the other half.  Each step is the RK4 step matrix of (y, y')' =
+    (y', V y).  A blocked scan over blocks of ceil(sqrt(steps)) steps
+    multiplies out each block, carries the block start states across the
+    period, then fills in every step; the unit Wronskian is monitored at
+    every one of the steps + 1 points.
     """
     L = wp.L
     if dt is None:
@@ -343,47 +351,93 @@ def theta_constant(wp: WaveParams, dt: float | None = None) -> float:
 
     steps = max(int(math.ceil(L / dt - 1e-9)), 1)
     h = L / steps
-    xs = np.arange(2 * steps + 1) * (0.5 * h)
-    phi2 = profile_value(wp, xs) ** 2
-    pot = (wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2).tolist()
+    # profile on the half-step points of [0, L/2]; the potential is even
+    # about L/2 and phi' odd, so the second half of the period mirrors it
+    phi, dphi = _profile_and_slope(wp, np.arange(steps + 1) * (0.5 * h))
+    phi2 = np.square(phi)
+    pot = wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2
+    pot = np.concatenate([pot, pot[-2::-1]])
+    # phi' and phi'' = phi (omega - phi^2 - phi^4) at the steps in [0, L/2]
+    dphi = dphi[::2].copy()
+    phi, phi2 = phi[::2], phi2[::2]
+    ddphi = phi * (wp.omega - phi2 - phi2 * phi2)
+    # spent full-length arrays are dropped at once: without these dels the
+    # peak memory of a call rises from 10 to 16 MiB at 1e5 steps
+    del phi, phi2
+    v0, vh, v1 = pot[:-1:2], pot[1::2], pot[2::2]
 
-    y = -1.0 / ddphi0
-    z = 0.0
-    ys = np.empty(steps + 1)
-    zs = np.empty(steps + 1)
-    ys[0] = y
-    zs[0] = z
-    for i in range(steps):
-        v0 = pot[2 * i]
-        vh = pot[2 * i + 1]
-        v1 = pot[2 * i + 2]
-        k1y = z
-        k1z = v0 * y
-        k2y = z + 0.5 * h * k1z
-        k2z = vh * (y + 0.5 * h * k1y)
-        k3y = z + 0.5 * h * k2z
-        k3z = vh * (y + 0.5 * h * k2y)
-        k4y = z + h * k3z
-        k4z = v1 * (y + h * k3y)
-        y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += (h / 6.0) * (k1z + 2.0 * (k2z + k3z) + k4z)
-        ys[i + 1] = y
-        zs[i + 1] = z
+    # RK4 step of (y, z)' = (z, V y), with V = v0, vh, v1 at x, x + h/2,
+    # x + h, as the matrix [[a, b], [c, d]]; w = h^2/6 + h^4 vh/24 and
+    # t = h^2 vh/3:
+    #   a = 1 + v0 w + t,                            b = h + h^3 vh/6,
+    #   c = (v0 + v1)(h/6 + h^3 vh/12) + 2 h vh/3,   d = 1 + v1 w + t.
+    # Entries are formed in place (few full-length temporaries), and the
+    # last block is padded with identity steps
+    block = math.isqrt(steps - 1) + 1
+    nblocks = -(-steps // block)
+    mats = np.empty((4, nblocks * block))
+    mats[:, steps:] = [[1.0], [0.0], [0.0], [1.0]]
+    a, b, c, d = mats[:, :steps]
+    hh = h * h
+    w = vh * (hh * hh / 24.0)
+    w += hh / 6.0
+    t = vh * (hh / 3.0)
+    for entry, v in ((a, v0), (d, v1)):
+        np.multiply(v, w, out=entry)
+        entry += t
+        entry += 1.0
+    np.multiply(vh, hh * h / 6.0, out=b)
+    b += h
+    np.multiply(vh, hh * h / 12.0, out=w)
+    w += h / 6.0
+    np.add(v0, v1, out=c)
+    c *= w
+    t *= 2.0 / h
+    c += t
+    del pot, v0, vh, v1, w, t
+    # row j of each entry holds step j of every block
+    a, b, c, d = mats.reshape(4, nblocks, block).transpose(0, 2, 1).copy()
+    del mats
+
+    # blocked scan: each block's product, vectorized across blocks; the
+    # block start states by a short scalar loop; then every step of every
+    # block, vectorized across blocks
+    pa, pb, pc, pd = np.ones(nblocks), np.zeros(nblocks), np.zeros(nblocks), np.ones(nblocks)
+    for j in range(block):
+        pa, pb, pc, pd = (a[j] * pa + b[j] * pc, a[j] * pb + b[j] * pd,
+                          c[j] * pa + d[j] * pc, c[j] * pb + d[j] * pd)
+    ys = np.empty((block + 1, nblocks))
+    zs = np.empty((block + 1, nblocks))
+    y, z = -1.0 / ddphi0, 0.0
+    for k, (ma, mb, mc, md) in enumerate(zip(pa.tolist(), pb.tolist(),
+                                             pc.tolist(), pd.tolist())):
+        ys[0, k], zs[0, k] = y, z
+        y, z = ma * y + mb * z, mc * y + md * z
+    for j in range(block):
+        ys[j + 1] = a[j] * ys[j] + b[j] * zs[j]
+        zs[j + 1] = c[j] * ys[j] + d[j] * zs[j]
+    del a, b, c, d
+    z_end = float(zs[-1, -1])
+    ys = np.append(ys[:-1].T.ravel()[:steps], ys[-1, -1])
+    zs = np.append(zs[:-1].T.ravel()[:steps], z_end)
 
     # W(phi', y) = phi' y' - phi'' y equals 1 at x = 0 by construction;
     # near the solitary limit the companion solution swings through huge
     # values before returning, so the drift is measured against the
     # largest flow magnitude rather than against W itself
-    full2 = phi2[::2]
-    phif = np.sqrt(full2)
-    ddphi = phif * (wp.omega - full2 - full2 * full2)
-    dphi = profile_derivative(wp, xs[::2])
-    term_a = dphi * zs
-    term_b = ddphi * ys
+    full = np.arange(steps + 1)
+    np.minimum(full, steps - full, out=full)
+    term_a = dphi[full]
+    term_a[steps // 2 + 1:] *= -1.0
+    term_a *= zs
+    term_b = ddphi[full]
+    term_b *= ys
     scale = max(1.0, float(np.max(np.abs(term_a))), float(np.max(np.abs(term_b))))
-    drift = float(np.max(np.abs(term_a - term_b - 1.0)))
+    term_a -= term_b
+    term_a -= 1.0
+    drift = float(np.max(np.abs(term_a)))
     if drift > 1e-6 * scale:
         raise NumericError(
             f"Wronskian drift {drift:.3e} exceeds 1e-6 of the flow scale {scale:.3e}"
         )
-    return float(zs[-1] / ddphi0)
+    return z_end / ddphi0

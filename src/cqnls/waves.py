@@ -352,27 +352,32 @@ def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
     )
 
 
-def profile_value(wp: WaveParams, x):
-    """Closed-form profile at arbitrary positions x (vectorized)."""
+def _profile_and_slope(wp: WaveParams, x: np.ndarray) -> tuple:
+    """Closed-form profile and its derivative at x, from one Jacobi pass."""
     # elliptic argument scaled by 2K/L so the sampled function is exactly
     # L-periodic; equals 2/(sqrt(3) g) x up to the period-solve residual
     c = 2.0 * complete_K(wp.m) / wp.L
+    sn, cn, dn = jacobi_sn_cn_dn(c * x, wp.m)
+    den = 1.0 + wp.beta_sq * np.square(sn)
+    phi = math.sqrt(wp.alpha3) * dn / np.sqrt(den)
+    dphi = (
+        -math.sqrt(wp.alpha3) * c * sn * cn
+        * (wp.m * den + wp.beta_sq * np.square(dn)) / den**1.5
+    )
+    return phi, dphi
+
+
+def profile_value(wp: WaveParams, x):
+    """Closed-form profile at arbitrary positions x (vectorized)."""
     xa = np.asarray(x, dtype=float)
-    sn, cn, dn = jacobi_sn_cn_dn(c * xa, wp.m)
-    out = math.sqrt(wp.alpha3) * dn / np.sqrt(1.0 + wp.beta_sq * np.square(sn))
+    out = _profile_and_slope(wp, xa)[0]
     return float(out) if xa.ndim == 0 else out
 
 
 def profile_derivative(wp: WaveParams, x):
     """Closed-form spatial derivative of the profile at arbitrary positions x."""
-    c = 2.0 * complete_K(wp.m) / wp.L
     xa = np.asarray(x, dtype=float)
-    sn, cn, dn = jacobi_sn_cn_dn(c * xa, wp.m)
-    den = 1.0 + wp.beta_sq * np.square(sn)
-    out = (
-        -math.sqrt(wp.alpha3) * c * sn * cn
-        * (wp.m * den + wp.beta_sq * np.square(dn)) / den**1.5
-    )
+    out = _profile_and_slope(wp, xa)[1]
     return float(out) if xa.ndim == 0 else out
 
 

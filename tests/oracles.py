@@ -5,7 +5,9 @@ library under test: adaptive quadrature for the complete integrals, a
 Runge-Kutta integration of the defining first-order system for the
 Jacobi functions, and high-order shooting for the profile equation.
 Agreement between a library routine and the matching oracle is then
-evidence for both, since they share no code and no method.
+evidence for both, since they share no code and no method.  One entry is
+a reference instead: theta_by_rk4_loop is the plain sequential form of
+the RK4 integration that hill.theta_constant runs as a blocked scan.
 """
 
 from __future__ import annotations
@@ -133,6 +135,41 @@ def companion_by_ivp(omega: float, length: float, phi0: float,
     if not sol.success:
         raise RuntimeError(f"companion integration failed: {sol.message}")
     return float(sol.y[0, -1]), float(sol.y[1, -1])
+
+
+def theta_by_rk4_loop(wp, steps: int) -> float:
+    """Companion-solution growth coefficient by a plain sequential RK4 loop.
+
+    The reference for hill.theta_constant: the same fixed-step RK4 on
+    y'' = (omega - 3 phi^2 - 5 phi^4) y from (y, y')(0) = (-1/phi''(0), 0)
+    over one period, one step at a time in scalar arithmetic, with the
+    potential sampled on the whole half-step grid (no mirroring).
+    Returns theta = y'(L) / phi''(0).
+    """
+    from cqnls.waves import profile_value
+
+    phi0 = math.sqrt(wp.alpha3)
+    ddphi0 = wp.omega * phi0 - phi0 ** 3 - phi0 ** 5
+    h = wp.L / steps
+    phi2 = profile_value(wp, np.arange(2 * steps + 1) * (0.5 * h)) ** 2
+    pot = (wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2).tolist()
+    y = -1.0 / ddphi0
+    z = 0.0
+    for i in range(steps):
+        v0 = pot[2 * i]
+        vh = pot[2 * i + 1]
+        v1 = pot[2 * i + 2]
+        k1y = z
+        k1z = v0 * y
+        k2y = z + 0.5 * h * k1z
+        k2z = vh * (y + 0.5 * h * k1y)
+        k3y = z + 0.5 * h * k2z
+        k3z = vh * (y + 0.5 * h * k2y)
+        k4y = z + h * k3z
+        k4z = v1 * (y + h * k3y)
+        y += (h / 6.0) * (k1y + 2.0 * (k2y + k3y) + k4y)
+        z += (h / 6.0) * (k1z + 2.0 * (k2z + k3z) + k4z)
+    return z / ddphi0
 
 
 def second_difference(f, x: float, h: float) -> float:

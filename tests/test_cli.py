@@ -88,6 +88,20 @@ def test_curve_sweep_with_bad_point(capsys):
     assert _data_lines(out)[3].split(",")[-2] == "ok"
 
 
+@pytest.mark.parametrize("L, omega", [("nan", "2"), ("-1", "2:3:2")])
+def test_curve_bad_period_exits_1(capsys, L, omega):
+    code, out, err = _run(capsys, "curve", "--L", L, "--omega", omega)
+    assert code == 1 and out == ""
+    assert "period must be finite and positive" in err
+
+
+def test_curve_frequency_without_wave_keeps_its_row(capsys):
+    # no period-2 pi wave exists at omega = 0.1; the sweep goes on
+    code, out, err = _run(capsys, "curve", "--omega", "0.1:2:2")
+    assert code == 0
+    assert [ln.split(",")[-2] for ln in _data_lines(out)[1:]] == ["error", "ok"]
+
+
 def test_curve_json(capsys):
     code, out, err = _run(capsys, "curve", "--omega", "2", "--format", "json")
     assert code == 0
@@ -194,6 +208,14 @@ def test_audit_threshold_knob(capsys):
     assert code == 2
     assert "numeric assertion failed" in err
     assert any(ln.endswith(",fail") for ln in _data_lines(out)[1:])
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5"])
+def test_audit_rejects_bad_threshold(capsys, value):
+    code, out, err = _run(capsys, "audit", "--omega", "2",
+                          "--max-identity-residual", value)
+    assert code == 1 and out == ""
+    assert err.startswith("cqnls audit: --max-identity-residual")
 
 
 def test_audit_single_omega(capsys):

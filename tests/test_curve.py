@@ -8,7 +8,7 @@ import pytest
 
 from cqnls import curve, waves
 from cqnls.curve import CurveError, CurveSample
-from cqnls.errors import NoSolutionError
+from cqnls.errors import ConfigError, NoSolutionError
 
 from conftest import SWEEP, TWO_PI
 
@@ -88,6 +88,13 @@ def test_sweep_tolerates_bad_points():
         assert e.d2_dd == pytest.approx(0.5 * e.dmass_domega, rel=1e-15)
     # the mass is strictly increasing along the curve
     assert entries[2].dmass_domega > 0.0
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, -1.0, 0.0])
+def test_sweep_rejects_bad_period(L):
+    # a bad period fails the whole sweep, not each point
+    with pytest.raises(ConfigError):
+        curve.sample_curve(L, [0.5, 2.0])
 
 
 def test_sweep_isolated_points_carry_exact_rates():

@@ -16,7 +16,7 @@ from cqnls.errors import (
 from cqnls.hill import HillOperatorSpec
 
 from conftest import TWO_PI
-from oracles import companion_by_ivp
+from oracles import companion_by_ivp, theta_by_rk4_loop
 
 # leading eigenvalues at (L, omega, N) = (2 pi, 2, 256), frozen
 L1_LOW = [-11.391713037069591, 0.0, 2.143311806416148, 3.882714, 4.089495]
@@ -279,6 +279,23 @@ def test_theta_slope_identity(ref_wave):
     slope = (waves.period_of_B(wp.B + hB, wp.omega)
              - waves.period_of_B(wp.B - hB, wp.omega)) / (2.0 * hB)
     assert abs(slope + 0.5 * theta) <= 1e-6 * abs(theta)
+
+
+@pytest.mark.parametrize("L, omega, steps", [
+    (TWO_PI, 2.0, 100_000),
+    (TWO_PI, 8.0, 100_003),
+    (TWO_PI, 9.9, 100_000),
+    (2.0 * TWO_PI, 2.0, 100_001),
+    (1.5 * TWO_PI, 8.0 / 2.25, 100_489),
+])
+def test_theta_matches_sequential_loop(L, omega, steps):
+    # the blocked scan multiplies the same RK4 step matrices as the plain
+    # loop, in another order; 100_003 is prime, 100_001 odd, and 100_489
+    # = 317^2 fills its blocks with no identity padding
+    wp, _ = waves.build_wave(L, omega, 64)
+    dt = None if steps == 100_000 else L / steps
+    ref = theta_by_rk4_loop(wp, steps)
+    assert abs(hill.theta_constant(wp, dt) - ref) <= 1e-12 * abs(ref)
 
 
 def test_theta_config_and_contract_errors(ref_wave):

@@ -1,6 +1,8 @@
 """Wave construction: root algebra, period map, profiles, shooting checks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,19 @@ def test_profile_closed_form_derivative(ref_wave):
     for x0 in (0.37, 1.1, 2.9):
         ref = central_difference(lambda x: waves.profile_value(wp, x), x0, 1e-6)
         assert waves.profile_derivative(wp, x0) == pytest.approx(ref, rel=1e-8)
+
+
+def test_profile_closed_forms_keep_frozen_bits():
+    # profile and slope share one Jacobi pass; both keep every bit of the
+    # values frozen from their former separate evaluations
+    frozen = json.loads((Path(__file__).parent / "frozen_profiles.json").read_text())
+    for entry in frozen:
+        wp, _ = waves.build_wave(entry["L"], entry["omega"], entry["N"])
+        x = waves.grid(wp.L, entry["N"])
+        assert np.array_equal(waves.profile_value(wp, x), entry["phi"])
+        assert np.array_equal(waves.profile_derivative(wp, x), entry["dphi"])
+        assert waves.profile_value(wp, x[5]) == entry["phi"][5]
+        assert waves.profile_derivative(wp, x[5]) == entry["dphi"][5]
 
 
 def test_profile_periodicity(ref_wave):
