@@ -3,6 +3,7 @@
 Subcommands map onto the library one-to-one:
 
 - construct: one wave, its parameter set and construction residuals
+             (profile equation, first integral, attained period)
 - curve:     sweep omega, tabulate the wave family and its derivatives
 - spectrum:  eigenvalue structure of both linearized operators
 - theta:     growth coefficient of the companion Hill solution vs dT/dB
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -44,10 +46,11 @@ from .curve import (
 from .errors import ConfigError, ContractError, CqnlsError, NumericError
 from .evolve import _PERTURBATIONS, run_fidelity, run_stability
 from .hill import HillOperatorSpec, combined_counts, spectrum_report, theta_constant
-from .waves import build_wave, period_map_dB, quadrature_residual
+from .waves import build_wave, period_map, period_map_dB, quadrature_residual
 
 _USAGE_EXIT = 64
 _IO_EXIT = 74
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 _CURVE_COLUMNS = (
     "omega", "alpha3", "B", "m", "mass", "p4", "p6", "inv2",
@@ -68,7 +71,16 @@ _DEFAULT_T_END = {"evolve": 10.0, "stability": 50.0}
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits with the usage code instead of 2."""
+    """argparse that exits with the usage code instead of 2.
+
+    A negative number with an exponent, such as -1e-3, is read as a value
+    like -1 is, so that the library's own check sees it; argparse's
+    default pattern takes it for an unknown option.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -205,7 +217,9 @@ def _run_construct(config: RunConfig) -> _Report:
         "alpha1": wp.alpha1, "alpha2": wp.alpha2, "alpha3": wp.alpha3,
         "m": wp.m, "g": wp.g, "beta_sq": wp.beta_sq, "B": wp.B,
     }
-    residuals = {"r_quad": r_quad, "r_ode": r_ode}
+    attained = period_map(wp.alpha3, wp.omega)
+    residuals = {"r_quad": r_quad, "r_ode": r_ode,
+                 "period_rel_residual": abs(attained - wp.L) / wp.L}
     row = {**wave, **residuals}
     return _Report(tuple(row), [list(row.values())],
                    fields={"wave": wave, "residuals": residuals})

@@ -259,41 +259,60 @@ def period_map_dB(alpha3: float, omega: float) -> float:
     return period_map_dalpha(alpha3, omega) / (alpha3**2 + alpha3 - omega)
 
 
-def _bisect_newton(f, df, lo, hi, width=1e-14, newton_steps=2):
-    """Root of an increasing f on (lo, hi): bisection to `width`, then Newton.
+def _log_gap_newton(f, df, lo, hi):
+    """Root of an increasing f on (lo, hi) by bracketed Newton in log(hi - x).
 
-    Endpoints are never evaluated (callers guarantee f < 0 near lo and
-    f > 0 near hi in the limit).  Newton steps are kept inside (lo, hi)
-    and abandoned on any domain failure.
+    Near hi the period map grows like log 1/(hi - x), so it is almost
+    linear in t = log(hi - x) and Newton in t converges in a few steps from
+    the midpoint.  Each evaluated point shrinks the bracket [a, b] in which
+    f changes sign.  A trial that leaves the bracket, is not finite, or
+    fails in the domain (DomainError, DegenerateError) is replaced by the
+    bracket's midpoint.  Stops when a Newton step is at most 4 ulp (and
+    returns that last Newton point) or when the bracket is at most 1e-14
+    wide (and returns the last evaluated point).  Endpoints are never
+    evaluated (callers guarantee f < 0 near lo and f > 0 near hi in the
+    limit).
     """
     a, b = lo, hi
+    x = 0.5 * (lo + hi)
+    fx = f(x)
     for _ in range(200):
-        if b - a <= width:
-            break
-        mid = 0.5 * (a + b)
-        if f(mid) < 0.0:
-            a = mid
+        if fx < 0.0:
+            a = x
+        elif fx > 0.0:
+            b = x
         else:
-            b = mid
-    root = 0.5 * (a + b)
-    for _ in range(newton_steps):
+            return x
         try:
-            step = f(root) / df(root)
-        except (DomainError, DegenerateError, ZeroDivisionError):
-            break
-        trial = root - step
-        if not (lo < trial < hi) or not math.isfinite(trial):
-            break
-        root = trial
-    return root
+            g = hi - x
+            trial = hi - g * math.exp(fx / (df(x) * g))
+        except (DomainError, DegenerateError, ZeroDivisionError, OverflowError):
+            trial = math.nan
+        inside = a < trial < b
+        if abs(trial - x) <= 4.0 * math.ulp(x):
+            return trial if inside else x
+        if b - a <= 1e-14:
+            return x
+        if inside:
+            try:
+                fx = f(trial)
+                x = trial
+                continue
+            except (DomainError, DegenerateError):
+                pass
+        x = 0.5 * (a + b)
+        fx = f(x)
+    return x
 
 
 def solve_alpha3(L: float, omega: float) -> float:
     """Unique squared amplitude whose wave period equals L at frequency omega.
 
-    Bracketed bisection over the admissible interval (the period map is
-    strictly increasing there) followed by two safeguarded Newton steps
-    using the closed-form slope.
+    The period map is strictly increasing on the admissible interval, so
+    a bracketed Newton iteration in log(hi - alpha3) with the closed-form
+    slope is safe; it takes about five period evaluations.  A trial point
+    outside the bracket or outside the numerical domain becomes a
+    bisection step.
     """
     if L <= 0:
         raise DomainError(f"period must be positive, got L={L}")
@@ -322,7 +341,7 @@ def solve_alpha3(L: float, omega: float) -> float:
         except DegenerateError:
             return (tl - L) if (alpha - lo) < (hi - alpha) else math.inf
 
-    root = _bisect_newton(deficit, lambda a: period_map_dalpha(a, omega), lo, hi)
+    root = _log_gap_newton(deficit, lambda a: period_map_dalpha(a, omega), lo, hi)
     # periods beyond the last double-precision modulus saturate the root
     # finder at the solitary cut; refuse to return a wave of the wrong period
     attained = period_map(root, omega)
@@ -476,14 +495,15 @@ def period_of_B(B: float, omega0: float) -> float:
 
     alpha3 -> B is strictly increasing on the admissible interval (its
     derivative alpha^2 + alpha - omega0 vanishes only at the lower bound),
-    so the level set pins a unique alpha3; the returned period is strictly
+    so the level set pins a unique alpha3, found by the same bracketed
+    Newton iteration as solve_alpha3; the returned period is strictly
     increasing in B.
     """
     lo_B = b_threshold(omega0)
     if not lo_B < B < 0.0:
         raise DomainError(f"B={B!r} outside the admissible window ({lo_B!r}, 0)")
     lo, hi = alpha_bounds(omega0)
-    alpha = _bisect_newton(
+    alpha = _log_gap_newton(
         lambda a: b_from_alpha(a, omega0) - B,
         lambda a: a * a + a - omega0,
         lo, hi,

@@ -5,9 +5,12 @@ library under test: adaptive quadrature for the complete integrals, a
 Runge-Kutta integration of the defining first-order system for the
 Jacobi functions, and high-order shooting for the profile equation.
 Agreement between a library routine and the matching oracle is then
-evidence for both, since they share no code and no method.  One entry is
-a reference instead: theta_by_rk4_loop is the plain sequential form of
-the RK4 integration that hill.theta_constant runs as a blocked scan.
+evidence for both, since they share no code and no method.  Three entries
+are references instead: theta_by_rk4_loop is the plain sequential form of
+the RK4 integration that hill.theta_constant runs as a blocked scan, and
+alpha3_by_bisection and period_of_B_by_bisection keep the former
+bisection solves that waves.solve_alpha3 and waves.period_of_B replaced
+by a bracketed Newton iteration.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import math
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from cqnls import waves
+from cqnls.errors import DegenerateError, DomainError, NoSolutionError
 
 
 def elliptic_first_by_quadrature(m: float) -> float:
@@ -187,3 +193,74 @@ def richardson_difference(f, x: float, h: float) -> float:
     coarse = central_difference(f, x, h)
     fine = central_difference(f, x, 0.5 * h)
     return (4.0 * fine - coarse) / 3.0
+
+
+def _bisect_newton(f, df, lo, hi, width=1e-14, newton_steps=2):
+    """Root of an increasing f on (lo, hi): bisection to `width`, then Newton.
+
+    Endpoints are never evaluated (callers guarantee f < 0 near lo and
+    f > 0 near hi in the limit).  Newton steps are kept inside (lo, hi)
+    and abandoned on any domain failure.
+    """
+    a, b = lo, hi
+    for _ in range(200):
+        if b - a <= width:
+            break
+        mid = 0.5 * (a + b)
+        if f(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    root = 0.5 * (a + b)
+    for _ in range(newton_steps):
+        try:
+            step = f(root) / df(root)
+        except (DomainError, DegenerateError, ZeroDivisionError):
+            break
+        trial = root - step
+        if not (lo < trial < hi) or not math.isfinite(trial):
+            break
+        root = trial
+    return root
+
+
+def alpha3_by_bisection(L: float, omega: float) -> float:
+    """Squared amplitude of the period-L wave by bisection plus two Newton steps.
+
+    The former body of waves.solve_alpha3, errors included: about fifty
+    period evaluations per solve.
+    """
+    if L <= 0:
+        raise DomainError(f"period must be positive, got L={L}")
+    if not (math.isfinite(L) and math.isfinite(omega)):
+        raise DomainError(f"period and frequency must be finite, got L={L}, omega={omega}")
+    tl = waves.min_period(omega)
+    if tl >= L:
+        raise NoSolutionError(f"no period-{L} wave at omega={omega}")
+    lo, hi = waves.alpha_bounds(omega)
+
+    def deficit(alpha):
+        try:
+            return waves.period_map(alpha, omega) - L
+        except DegenerateError:
+            return (tl - L) if (alpha - lo) < (hi - alpha) else math.inf
+
+    root = _bisect_newton(deficit, lambda a: waves.period_map_dalpha(a, omega), lo, hi)
+    attained = waves.period_map(root, omega)
+    if abs(attained - L) > 1e-3 * L:
+        raise DegenerateError(f"period L={L} at omega={omega} is out of numerical reach")
+    return root
+
+
+def period_of_B_by_bisection(B: float, omega0: float) -> float:
+    """Former waves.period_of_B: the level set's alpha3 by bisection plus Newton."""
+    lo_B = waves.b_threshold(omega0)
+    if not lo_B < B < 0.0:
+        raise DomainError(f"B={B!r} outside the admissible window ({lo_B!r}, 0)")
+    lo, hi = waves.alpha_bounds(omega0)
+    alpha = _bisect_newton(
+        lambda a: waves.b_from_alpha(a, omega0) - B,
+        lambda a: a * a + a - omega0,
+        lo, hi,
+    )
+    return waves.period_map(alpha, omega0)

@@ -38,6 +38,14 @@ def test_construct_json(capsys):
     assert "output_path" not in doc["config"]
 
 
+@pytest.mark.parametrize("omega", ["2", "8"])
+def test_construct_reports_attained_period(capsys, omega):
+    # the CSV column carries the same number (test_csv_and_json_carry_equal_numbers)
+    code, out, err = _run(capsys, "construct", "--omega", omega)
+    assert code == 0
+    assert 0.0 <= json.loads(out)["residuals"]["period_rel_residual"] <= 1e-10
+
+
 def test_construct_csv(capsys):
     code, out, err = _run(capsys, "construct", "--omega", "2",
                           "--format", "csv")
@@ -216,6 +224,19 @@ def test_audit_rejects_bad_threshold(capsys, value):
                           "--max-identity-residual", value)
     assert code == 1 and out == ""
     assert err.startswith("cqnls audit: --max-identity-residual")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("curve", "--L", "-1e-3", "--omega", "2"), "period must be finite and positive"),
+    (("audit", "--omega", "2", "--max-identity-residual", "-1e-5"),
+     "--max-identity-residual must be a nonnegative number"),
+    (("theta", "--omega", "2", "--dt", "-1e-9"), "integration step"),
+], ids=["curve_L", "audit_threshold", "theta_dt"])
+def test_negative_exponent_values_reach_the_library_check(capsys, argv, message):
+    # argparse alone reads -1e-3 as an option name and exits 64
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_audit_single_omega(capsys):

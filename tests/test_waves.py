@@ -11,6 +11,7 @@ from cqnls import waves
 from cqnls.errors import (
     ConfigError,
     ContractError,
+    CqnlsError,
     DegenerateError,
     DomainError,
     NoSolutionError,
@@ -18,8 +19,10 @@ from cqnls.errors import (
 
 from conftest import SWEEP, TWO_PI
 from oracles import (
+    alpha3_by_bisection,
     central_difference,
     period_by_shooting,
+    period_of_B_by_bisection,
     profile_by_shooting,
     richardson_difference,
 )
@@ -153,6 +156,59 @@ def test_solve_round_trip():
             L, rel=_round_trip_tol(a3, omega, L))
 
 
+def _solve_points():
+    # seeded (L, omega) with L in [2 pi, 4 pi] and s = omega (L / 2 pi)^2 in
+    # [0.75, 8], plus the edge cases of the test suite and a long period
+    rng = np.random.default_rng(20)
+    L = rng.uniform(TWO_PI, 2.0 * TWO_PI, 200)
+    s = rng.uniform(0.75, 8.0, 200)
+    points = [(float(l), float(v * (TWO_PI / l) ** 2)) for l, v in zip(L, s)]
+    points += [(TWO_PI, w) for w in (0.9045, 0.95, 8.0, 9.9, 10.0)]
+    return points + [(2.0 * TWO_PI, 2.0), (40.0, 0.6)]
+
+
+def test_solve_matches_bisection_with_few_period_evaluations(monkeypatch):
+    calls = []
+    period_map = waves.period_map
+
+    def counted(alpha3, omega):
+        calls.append(alpha3)
+        return period_map(alpha3, omega)
+
+    for L, omega in _solve_points():
+        ref = alpha3_by_bisection(L, omega)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(waves, "period_map", counted)
+            a3 = waves.solve_alpha3(L, omega)
+        assert abs(a3 - ref) <= 1e-15 * ref, (L, omega)
+        assert len(calls) <= 10, (L, omega, len(calls))
+
+
+@pytest.mark.parametrize("L, omega", [(200.0, 2.0), (1000.0, 0.5), (TWO_PI, 0.1)])
+def test_solve_fails_like_bisection(L, omega):
+    with pytest.raises(CqnlsError) as ref:
+        alpha3_by_bisection(L, omega)
+    with pytest.raises(CqnlsError) as new:
+        waves.solve_alpha3(L, omega)
+    assert type(new.value) is type(ref.value)
+
+
+def test_period_of_level_set_matches_bisection():
+    # the level set's alpha3 is fixed only to the rounding of b_from_alpha
+    # over its slope, and the period inherits that through dT/dalpha3
+    for omega in (0.5, 1.0, 2.0, 5.0, 8.0, 9.9):
+        lo, hi = waves.alpha_bounds(omega)
+        for a3 in lo + (hi - lo) * np.array([0.05, 0.3, 0.6, 0.9, 0.99, 0.9999]):
+            B = waves.b_from_alpha(a3, omega)
+            T = period_of_B_by_bisection(B, omega)
+            b_noise = 2.3e-16 * (a3 * omega + a3**3 / 3.0 + a3**2 / 2.0)
+            cond = 8.0 * waves.period_map_dalpha(a3, omega) * b_noise / (
+                (a3 * a3 + a3 - omega) * T)
+            assert waves.period_of_B(B, omega) == pytest.approx(
+                T, rel=max(1e-15, cond))
+
+
 def test_no_solution_messages():
     # below the documented frequency floor
     with pytest.raises(NoSolutionError, match="omega_threshold"):
@@ -218,10 +274,14 @@ def test_profile_closed_form_derivative(ref_wave):
 
 def test_profile_closed_forms_keep_frozen_bits():
     # profile and slope share one Jacobi pass; both keep every bit of the
-    # values frozen from their former separate evaluations
+    # values frozen from their former separate evaluations.  The wave is
+    # assembled from the stored alpha3, so the bit comparison does not rest
+    # on the last bit of the period solve, which need only land within 2 ulp.
     frozen = json.loads((Path(__file__).parent / "frozen_profiles.json").read_text())
     for entry in frozen:
-        wp, _ = waves.build_wave(entry["L"], entry["omega"], entry["N"])
+        a3 = waves.solve_alpha3(entry["L"], entry["omega"])
+        assert abs(a3 - entry["alpha3"]) <= 2.0 * math.ulp(entry["alpha3"])
+        wp = waves.params_from_alpha3(entry["L"], entry["omega"], entry["alpha3"])
         x = waves.grid(wp.L, entry["N"])
         assert np.array_equal(waves.profile_value(wp, x), entry["phi"])
         assert np.array_equal(waves.profile_derivative(wp, x), entry["dphi"])
