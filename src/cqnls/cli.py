@@ -1,21 +1,15 @@
 """Command-line front end emitting machine-readable reports.
 
-Subcommands map onto the library one-to-one:
-
-- construct: one wave, its parameter set and construction residuals
-             (profile equation, first integral, attained period)
-- curve:     sweep omega, tabulate the wave family and its derivatives
-- spectrum:  eigenvalue structure of both linearized operators
-- theta:     growth coefficient of the companion Hill solution vs dT/dB
-- evolve:    standing-wave fidelity run (sup error against the rotation)
-- stability: perturbed evolution, orbital distance time series
-- audit:     per-frequency derivative and integral-identity checks
-
-Reports embed the resolved configuration and library version.  JSON
-reports are written by json.dumps (NaN and Infinity as bare words) and
-CSV cells with the same float rule, Python's repr: the shortest decimal
-that reads back as the same double, so an integral float prints as 2.0.
-Identical configurations produce byte-identical output.
+Subcommands map onto the library one-to-one; _SUBCOMMANDS gives each its
+runner, default format, help and flags.  Every subcommand takes --L,
+--omega, --N, --output and --format; theta, evolve, stability and audit
+add the flags they read, and any other flag is a usage error.  Reports
+echo the subcommand's own settings (all but --output), its name and the
+library version.  JSON reports are written by json.dumps (NaN and
+Infinity as bare words) and CSV cells with the same float rule, Python's
+repr: the shortest decimal that reads back as the same double, so an
+integral float prints as 2.0.  Identical configurations produce
+byte-identical output.
 
 Exit codes: 0 success; 1 domain or configuration error; 2 a numeric
 assertion failed (an audit threshold or an internal consistency check);
@@ -30,6 +24,7 @@ import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -91,24 +86,6 @@ class SystemExit2(Exception):
     """Usage error carrying the message for exit code 64."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand plus every numeric knob."""
-
-    subcommand: str
-    L: float
-    omega: object  # float or tuple of floats for start:stop:count sweeps
-    N: int
-    dt: float | None
-    t_end: float | None
-    delta: float
-    perturbation: str
-    seed: int
-    output_path: str
-    format: str
-    max_identity_residual: float
-
-
 def _cell(value) -> str:
     # repr is the shortest string that reads back as the same double
     if isinstance(value, list):
@@ -132,41 +109,37 @@ def _parse_omega(text: str):
             raise ConfigError(
                 f"omega range needs stop > start and count >= 2, got {text!r}"
             )
-        return tuple(np.linspace(start, stop, count).tolist())
+        return np.linspace(start, stop, count).tolist()
     try:
         return float(text)
     except ValueError as exc:
         raise ConfigError(f"omega must be a number or start:stop:count, got {text!r}") from exc
 
 
-def _scalar_omega(config: RunConfig) -> float:
-    if isinstance(config.omega, tuple):
+def _scalar_omega(config: argparse.Namespace) -> float:
+    if isinstance(config.omega, list):
         raise ConfigError(
             f"subcommand {config.subcommand!r} needs a single omega, got a range"
         )
     return config.omega
 
 
-def _config_echo(config: RunConfig) -> dict:
+def _config_echo(config: argparse.Namespace) -> dict:
     # the output path does not influence any computed value, and leaving it
     # out keeps reports from identical numeric configs byte-identical
-    doc = asdict(config)
-    del doc["output_path"]
-    doc["version"] = __version__
-    if isinstance(config.omega, tuple):
-        doc["omega"] = list(config.omega)
-    return doc
+    doc = {key: value for key, value in vars(config).items() if key != "output"}
+    return {**doc, "version": __version__}
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path in ("-", ""):
+def _emit(config: argparse.Namespace, text: str) -> None:
+    if config.output in ("-", ""):
         sys.stdout.write(text + "\n")
         return
     try:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
+        with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise _OutputError(f"cannot write {config.output_path!r}: {exc}") from exc
+        raise _OutputError(f"cannot write {config.output!r}: {exc}") from exc
 
 
 class _OutputError(Exception):
@@ -190,7 +163,7 @@ class _Report:
     failure: str | None = None
 
 
-def _report(config: RunConfig, report: _Report) -> None:
+def _report(config: argparse.Namespace, report: _Report) -> None:
     """Format and write one report; the only code that knows csv from json."""
     echo = _config_echo(config)
     if config.format == "json":
@@ -209,7 +182,7 @@ def _report(config: RunConfig, report: _Report) -> None:
     _emit(config, "\n".join(lines))
 
 
-def _run_construct(config: RunConfig) -> _Report:
+def _run_construct(config: argparse.Namespace) -> _Report:
     wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
     r_quad, r_ode = quadrature_residual(prof, wp)
     wave = {
@@ -225,13 +198,11 @@ def _run_construct(config: RunConfig) -> _Report:
                    fields={"wave": wave, "residuals": residuals})
 
 
-def _omega_list(config: RunConfig) -> list[float]:
-    if isinstance(config.omega, tuple):
-        return list(config.omega)
-    return [config.omega]
+def _omega_list(config: argparse.Namespace) -> list[float]:
+    return config.omega if isinstance(config.omega, list) else [config.omega]
 
 
-def _run_curve(config: RunConfig) -> _Report:
+def _run_curve(config: argparse.Namespace) -> _Report:
     omegas = _omega_list(config)
     samples = sample_curve(config.L, omegas, config.N)
     rows = []
@@ -247,7 +218,7 @@ def _run_curve(config: RunConfig) -> _Report:
     return _Report(_CURVE_COLUMNS, rows)
 
 
-def _run_spectrum(config: RunConfig) -> _Report:
+def _run_spectrum(config: argparse.Namespace) -> _Report:
     wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
     reports = {kind: spectrum_report(HillOperatorSpec(kind, wp, prof))
                for kind in ("L1", "L2")}
@@ -268,7 +239,7 @@ def _run_spectrum(config: RunConfig) -> _Report:
     return _Report(_SPECTRUM_COLUMNS, rows, fields=fields)
 
 
-def _run_theta(config: RunConfig) -> _Report:
+def _run_theta(config: argparse.Namespace) -> _Report:
     omega = _scalar_omega(config)
     wp, _ = build_wave(config.L, omega, config.N)
     theta = theta_constant(wp, config.dt)
@@ -287,11 +258,16 @@ def _run_theta(config: RunConfig) -> _Report:
                    fields=fields, failure=failure)
 
 
-def _run_evolve(config: RunConfig) -> _Report:
-    omega = _scalar_omega(config)
-    dt = config.dt if config.dt is not None else _DEFAULT_DT
-    t_end = config.t_end if config.t_end is not None else _DEFAULT_T_END[config.subcommand]
-    rep = run_fidelity(config.L, omega, t_end, dt, config.N)
+def _time_grid(config: argparse.Namespace) -> tuple[float, float]:
+    """Step and final time of an evolve or stability run, defaults filled in."""
+    dt = _DEFAULT_DT if config.dt is None else config.dt
+    t_end = _DEFAULT_T_END[config.subcommand] if config.t_end is None else config.t_end
+    return dt, t_end
+
+
+def _run_evolve(config: argparse.Namespace) -> _Report:
+    dt, t_end = _time_grid(config)
+    rep = run_fidelity(config.L, _scalar_omega(config), t_end, dt, config.N)
     summary = {
         "mass_drift": rep.mass_drift,
         "energy_drift": rep.energy_drift,
@@ -302,13 +278,11 @@ def _run_evolve(config: RunConfig) -> _Report:
                    summary=summary)
 
 
-def _run_stability(config: RunConfig) -> _Report:
-    omega = _scalar_omega(config)
-    dt = config.dt if config.dt is not None else _DEFAULT_DT
-    t_end = config.t_end if config.t_end is not None else _DEFAULT_T_END[config.subcommand]
+def _run_stability(config: argparse.Namespace) -> _Report:
+    dt, t_end = _time_grid(config)
     rep = run_stability(
-        config.L, omega, config.delta, config.perturbation, t_end, dt,
-        config.N, seed=config.seed,
+        config.L, _scalar_omega(config), config.delta, config.perturbation,
+        t_end, dt, config.N, seed=config.seed,
     )
     summary = {
         "mass_drift": rep.mass_drift,
@@ -320,7 +294,7 @@ def _run_stability(config: RunConfig) -> _Report:
                    summary=summary)
 
 
-def _audit_row(config: RunConfig, omega: float) -> list:
+def _audit_row(config: argparse.Namespace, omega: float) -> list:
     sample = curve_sample(config.L, omega, config.N)
     audit = derivative_audit(sample)
     direct = d2d_direct(sample)
@@ -347,7 +321,7 @@ def _audit_row(config: RunConfig, omega: float) -> list:
     ] + residuals + ["ok" if ok else "fail"]
 
 
-def _run_audit(config: RunConfig) -> _Report:
+def _run_audit(config: argparse.Namespace) -> _Report:
     if not config.max_identity_residual >= 0.0:
         raise ConfigError("--max-identity-residual must be a nonnegative number, "
                           f"got {config.max_identity_residual!r}")
@@ -358,24 +332,85 @@ def _run_audit(config: RunConfig) -> _Report:
     return _Report(_AUDIT_COLUMNS, rows, failure=failure)
 
 
-_DISPATCH = {
-    "construct": _run_construct,
-    "curve": _run_curve,
-    "spectrum": _run_spectrum,
-    "theta": _run_theta,
-    "evolve": _run_evolve,
-    "stability": _run_stability,
-    "audit": _run_audit,
+@dataclass(frozen=True)
+class _Subcommand:
+    """A subcommand's runner, default report format, help and own flags.
+
+    flags maps each flag it reads beyond the common five (_COMMON_FLAGS)
+    to that flag's help text for this subcommand.
+    """
+
+    run: Callable[[argparse.Namespace], _Report]
+    format: str
+    help: str
+    flags: dict = field(default_factory=dict)
+
+
+_SPLIT_STEP = f"split-step time step (default {_DEFAULT_DT:g})"
+
+_SUBCOMMANDS = {
+    "construct": _Subcommand(
+        _run_construct, "json",
+        "build one wave; report its parameter set and construction residuals "
+        "(profile equation, first integral, attained period)"),
+    "curve": _Subcommand(
+        _run_curve, "csv",
+        "sweep omega, tabulate the wave family and its derivatives; "
+        "CSV columns: " + ",".join(_CURVE_COLUMNS)),
+    "spectrum": _Subcommand(
+        _run_spectrum, "json",
+        "eigenvalue structure of both linearized operators; "
+        "CSV columns: " + ",".join(_SPECTRUM_COLUMNS)),
+    "theta": _Subcommand(
+        _run_theta, "json",
+        "growth coefficient of the companion Hill solution vs dT/dB",
+        {"dt": "RK4 step of the companion Hill solution, at most L/1e5 "
+               "(default L/1e5)"}),
+    "evolve": _Subcommand(
+        _run_evolve, "csv",
+        "standing-wave fidelity run (sup error against the rotation); "
+        "CSV columns: " + ",".join(_EVOLVE_COLUMNS),
+        {"dt": _SPLIT_STEP,
+         "t_end": f"final time (default {_DEFAULT_T_END['evolve']:g})"}),
+    "stability": _Subcommand(
+        _run_stability, "csv",
+        "perturbed evolution, orbital distance time series; "
+        "CSV columns: " + ",".join(_STABILITY_COLUMNS),
+        {"dt": _SPLIT_STEP,
+         "t_end": f"final time (default {_DEFAULT_T_END['stability']:g})",
+         "delta": "size of the initial perturbation (default %(default)g)",
+         "perturbation": "shape of the initial perturbation (default %(default)s)",
+         "seed": "seed of the random_even shape (default %(default)d)"}),
+    "audit": _Subcommand(
+        _run_audit, "json",
+        "derivative and integral-identity checks at each omega (one value or "
+        "a sweep), every rate exact from the curve's tangent; "
+        "CSV columns: " + ",".join(_AUDIT_COLUMNS),
+        {"max_identity_residual": "largest integral-identity residual an "
+                                  "omega may carry and pass (default %(default)g)"}),
 }
 
-_DEFAULT_FORMAT = {
-    "construct": "json",
-    "curve": "csv",
-    "spectrum": "json",
-    "theta": "json",
-    "evolve": "csv",
-    "stability": "csv",
-    "audit": "json",
+_COMMON_FLAGS = {
+    "L": "spatial period (default 2*pi)",
+    "omega": "frequency, a number or start:stop:count sweep",
+    "N": "grid size, a power of two >= 64 (default %(default)d)",
+    "output": "output path, - for stdout (default)",
+    "format": "report format (default %(default)s)",
+}
+
+# argparse settings of every flag, in the order reports echo them
+_OPTIONS = {
+    "L": {"type": float, "default": 2.0 * math.pi},
+    "omega": {"required": True},
+    "N": {"type": int, "default": 256},
+    "dt": {"type": float},
+    "t_end": {"type": float},
+    "delta": {"type": float, "default": 1e-3},
+    "perturbation": {"choices": _PERTURBATIONS, "default": "mode_cos1"},
+    "seed": {"type": int, "default": 0},
+    "output": {"default": "-"},
+    "format": {"choices": ("csv", "json")},
+    "max_identity_residual": {"type": float, "default": 1e-5},
 }
 
 
@@ -386,72 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
         "equation: construction, spectra, and stability experiments.",
     )
     parser.add_argument("--version", action="version", version=f"cqnls {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    sub.required = True
-
-    docs = {
-        "construct": "build one wave; report parameters and residuals (json default)",
-        "curve": "sweep omega; CSV columns: " + ",".join(_CURVE_COLUMNS),
-        "spectrum": "linearized-operator spectra; CSV columns: "
-        + ",".join(_SPECTRUM_COLUMNS),
-        "theta": "Hill growth coefficient and dT/dB cross-check (json default)",
-        "evolve": "standing-wave fidelity run; CSV columns: " + ",".join(_EVOLVE_COLUMNS),
-        "stability": "perturbed run; CSV columns: " + ",".join(_STABILITY_COLUMNS),
-        "audit": "derivative/identity audit at each omega (one value or a "
-        "sweep), every rate exact from the curve's tangent; CSV columns: "
-        + ",".join(_AUDIT_COLUMNS),
-    }
-    for name, help_text in docs.items():
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        p.add_argument("--L", type=float, default=2.0 * math.pi,
-                       help="spatial period (default 2*pi)")
-        p.add_argument("--omega", required=True,
-                       help="frequency, a number or start:stop:count sweep")
-        p.add_argument("--N", type=int, default=256,
-                       help="grid size, a power of two >= 64 (default 256)")
-        p.add_argument("--dt", type=float, default=None,
-                       help="time step (evolve/stability) or Hill RK4 step (theta)")
-        p.add_argument("--t-end", dest="t_end", type=float, default=None,
-                       help="final time (default "
-                       + ", ".join(f"{t:g} for {name}" for name, t in _DEFAULT_T_END.items())
-                       + ")")
-        p.add_argument("--delta", type=float, default=1e-3,
-                       help="perturbation size for stability (default 1e-3)")
-        p.add_argument("--perturbation", default="mode_cos1",
-                       choices=_PERTURBATIONS,
-                       help="perturbation shape for stability")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for random_even (default 0)")
-        p.add_argument("--output", default="-",
-                       help="output path, - for stdout (default)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="report format (subcommand-specific default)")
-        p.add_argument("--max-identity-residual", type=float, default=1e-5,
-                       help="audit threshold for integral-identity residuals")
+    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND", required=True)
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help, description=spec.help)
+        helps = {**_COMMON_FLAGS, **spec.flags}
+        for flag, options in _OPTIONS.items():
+            if flag in helps:
+                p.add_argument("--" + flag.replace("_", "-"), help=helps[flag], **options)
+        p.set_defaults(format=spec.format)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        L=args.L,
-        omega=_parse_omega(args.omega),
-        N=args.N,
-        dt=args.dt,
-        t_end=args.t_end,
-        delta=args.delta,
-        perturbation=args.perturbation,
-        seed=args.seed,
-        output_path=args.output,
-        format=args.format or _DEFAULT_FORMAT[args.subcommand],
-        max_identity_residual=args.max_identity_residual,
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch one resolved configuration; returns the exit status."""
+def run(config: argparse.Namespace) -> int:
+    """Run one parsed command line (omega parsed); returns the exit status."""
     try:
-        report = _DISPATCH[config.subcommand](config)
+        report = _SUBCOMMANDS[config.subcommand].run(config)
         _report(config, report)
         if report.failure:
             raise NumericError(report.failure)
@@ -469,10 +453,9 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        config = build_parser().parse_args(argv)
+        config.omega = _parse_omega(config.omega)
     except SystemExit2 as exc:
         print(f"cqnls: usage error: {exc}", file=sys.stderr)
         return _USAGE_EXIT

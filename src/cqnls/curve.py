@@ -204,10 +204,6 @@ class DerivativeAudit:
     dT_dB: float
     signs_ok: dict
 
-    @property
-    def all_documented_signs_hold(self) -> bool:
-        return all(self.signs_ok.values())
-
 
 def derivative_audit(sample: CurveSample) -> DerivativeAudit:
     """Signed frequency derivatives of the curve parameters at one sample."""

@@ -84,11 +84,7 @@ def complete_E(m: float) -> float:
         raise DomainError(f"complete_E requires 0 <= m <= 1, got m={m}")
     if m == 1.0:
         return 1.0
-    a_seq, c_seq = _agm_sequence(m)
-    acc = 0.0
-    for n, c in enumerate(c_seq):
-        acc += 2.0 ** (n - 1) * c * c
-    return math.pi / (2.0 * a_seq[-1]) * (1.0 - acc)
+    return _complete_K_E(m)[1]
 
 
 def dK_dk(m: float) -> float:
@@ -101,8 +97,23 @@ def dK_dk(m: float) -> float:
         raise DomainError(f"dK_dk requires 0 <= m < 1, got m={m}")
     if m == 0.0:
         return 0.0
-    k = math.sqrt(m)
-    return (complete_E(m) - (1.0 - m) * complete_K(m)) / (k * (1.0 - m))
+    return _K_and_dK_dk(m)[1]
+
+
+def _complete_K_E(m: float) -> tuple[float, float]:
+    """K(m) and E(m) from one AGM sequence; 0 <= m < 1."""
+    a_seq, c_seq = _agm_sequence(m)
+    acc = 0.0
+    for n, c in enumerate(c_seq):
+        acc += 2.0 ** (n - 1) * c * c
+    K = math.pi / (2.0 * a_seq[-1])
+    return K, K * (1.0 - acc)
+
+
+def _K_and_dK_dk(m: float) -> tuple[float, float]:
+    """K(m) and dK/dk from one AGM sequence; 0 < m < 1."""
+    K, E = _complete_K_E(m)
+    return K, (E - (1.0 - m) * K) / (math.sqrt(m) * (1.0 - m))
 
 
 def _jacobi_trig(u: np.ndarray, m: float):

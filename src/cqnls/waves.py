@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import complete_K, dK_dk, jacobi_sn_cn_dn
+from .elliptic import _K_and_dK_dk, complete_K, jacobi_sn_cn_dn
 from .errors import (
     ConfigError,
     ContractError,
@@ -225,10 +225,12 @@ def period_map(alpha3: float, omega: float) -> float:
 
 def dk_dalpha(alpha3: float, omega: float) -> float:
     """Partial derivative of the modulus k in alpha3 at fixed omega (positive)."""
-    m = modulus_from(alpha3, omega)
-    k = math.sqrt(m)
+    return _dk_dalpha(alpha3, omega, modulus_from(alpha3, omega))
+
+
+def _dk_dalpha(alpha3: float, omega: float, m: float) -> float:
     return r_poly(alpha3, omega) / (
-        math.sqrt(3.0) * k * alpha3**2 * q_poly(alpha3, omega) ** 1.5
+        math.sqrt(3.0) * math.sqrt(m) * alpha3**2 * q_poly(alpha3, omega) ** 1.5
     )
 
 
@@ -246,8 +248,8 @@ def period_map_dalpha(alpha3: float, omega: float) -> float:
     m = modulus_from(alpha3, omega)
     q = q_poly(alpha3, omega)
     pref = math.sqrt(8.0) * 3.0**0.25 / (math.sqrt(alpha3) * q**0.25)
-    dK_dalpha = dK_dk(m) * dk_dalpha(alpha3, omega)
-    K = complete_K(m)
+    K, dK_dk = _K_and_dK_dk(m)
+    dK_dalpha = dK_dk * _dk_dalpha(alpha3, omega, m)
     return pref * (
         dK_dalpha
         - K * (16.0 * omega - 8.0 * alpha3**2 - 6.0 * alpha3 + 3.0) / (2.0 * alpha3 * q)

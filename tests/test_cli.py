@@ -3,11 +3,14 @@
 import json
 import math
 import re
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from cqnls import __version__
-from cqnls.cli import main
+from cqnls.cli import SystemExit2, build_parser, main
 
 from conftest import TWO_PI
 
@@ -265,6 +268,83 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
     code, out, err = _run(capsys, "frobnicate", "--omega", "2")
     assert code == 64
+
+
+_COMMON_FLAGS = ("--L", "--omega", "--N", "--output", "--format")
+_FLAG_VALUES = {
+    "--L": "7", "--omega": "2", "--N": "64", "--output": "-", "--format": "csv",
+    "--dt": "1e-3", "--t-end": "1", "--delta": "1e-3", "--perturbation": "bump",
+    "--seed": "1", "--max-identity-residual": "1e-5",
+}
+_OWN_FLAGS = {
+    "construct": (), "curve": (), "spectrum": (), "theta": ("--dt",),
+    "evolve": ("--dt", "--t-end"),
+    "stability": ("--dt", "--t-end", "--delta", "--perturbation", "--seed"),
+    "audit": ("--max-identity-residual",),
+}
+
+
+def _takes(subcommand, flag):
+    try:
+        build_parser().parse_args(
+            [subcommand, "--omega", "2", flag, _FLAG_VALUES[flag]])
+    except SystemExit2:
+        return False
+    return True
+
+
+def test_each_subcommand_takes_only_its_own_flags():
+    taken = {(sub, flag) for sub in _OWN_FLAGS for flag in _FLAG_VALUES
+             if _takes(sub, flag)}
+    expected = {(sub, flag) for sub, own in _OWN_FLAGS.items()
+                for flag in (*_COMMON_FLAGS, *own)}
+    assert taken == expected
+    assert len(taken) == 44
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--delta", "1"),
+    ("curve", "--dt", "1e-3"),
+    ("spectrum", "--seed", "1"),
+    ("theta", "--t-end", "5"),
+    ("evolve", "--seed", "1"),
+    ("audit", "--dt", "1e-3"),
+    ("stability", "--max-identity-residual", "1e-5"),
+], ids=lambda argv: "_".join(argv[:2]))
+def test_unread_flag_is_a_usage_error(capsys, argv):
+    code, out, err = _run(capsys, argv[0], "--omega", "2", *argv[1:])
+    assert code == 64 and out == ""
+    assert "usage error" in err
+
+
+@pytest.mark.parametrize("subcommand", sorted(_OWN_FLAGS))
+def test_config_echoes_only_the_subcommand_settings(capsys, subcommand):
+    _, out, _ = _run(capsys, subcommand, *_SMALL[subcommand], "--format", "json")
+    own = {flag[2:].replace("-", "_") for flag in _OWN_FLAGS[subcommand]}
+    assert set(json.loads(out)["config"]) == {
+        "subcommand", "version", "L", "omega", "N", "format", *own}
+
+
+def _load_workloads():
+    # executes perfbench/workloads.py from its source, writing nothing there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
+
+
+@pytest.mark.parametrize("workload", ["evolve", "spectral", "curve_audit"])
+def test_benchmark_rounds_parse(workload):
+    # a flag change that turned benchmark ops into usage errors fails here
+    ops = _load_workloads().make_round(workload, 1)
+    assert any(op.probe for op in ops)
+    parser = build_parser()
+    for op in ops:
+        assert parser.parse_args(list(op.argv)).subcommand == op.kind
 
 
 def test_malformed_omega_exits_1(capsys):

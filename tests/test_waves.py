@@ -136,6 +136,30 @@ def test_period_map_monotone_and_consistent():
             assert slope == pytest.approx(ref, rel=1e-6)
 
 
+def test_period_slope_takes_one_modulus_and_one_agm(monkeypatch):
+    # m, K and dK/dk of the slope come from one modulus and one AGM sequence
+    from cqnls import elliptic
+
+    calls = {"modulus": 0, "agm": 0}
+    modulus_from, agm = waves.modulus_from, elliptic._agm_sequence
+
+    def counted_modulus(alpha3, omega):
+        calls["modulus"] += 1
+        return modulus_from(alpha3, omega)
+
+    def counted_agm(m):
+        calls["agm"] += 1
+        return agm(m)
+
+    monkeypatch.setattr(waves, "modulus_from", counted_modulus)
+    monkeypatch.setattr(elliptic, "_agm_sequence", counted_agm)
+    for omega in (0.7, 2.0, 9.0):
+        lo, hi = waves.alpha_bounds(omega)
+        calls.update(modulus=0, agm=0)
+        assert waves.period_map_dalpha(0.5 * (lo + hi), omega) > 0.0
+        assert calls == {"modulus": 1, "agm": 1}, omega
+
+
 def _round_trip_tol(a3: float, omega: float, L: float) -> float:
     # the root is exact to ~2 ulps of a3; the period inherits the slope
     cond = 8.0 * waves.period_map_dalpha(a3, omega) * 2.3e-16 * a3 / L
