@@ -2,8 +2,8 @@
 
 Subcommands map onto the library one-to-one; _SUBCOMMANDS gives each its
 runner, default format, help and flags.  Every subcommand takes --L,
---omega, --N, --output and --format; theta, evolve, stability and audit
-add the flags they read, and any other flag is a usage error.  Reports
+--omega, --N, --output and --format; evolve, stability and audit add the
+flags they read, and any other flag is a usage error.  Reports
 echo the subcommand's own settings (all but --output), its name and the
 library version.  JSON reports are written by json.dumps (NaN and
 Infinity as bare words) and CSV cells with the same float rule, Python's
@@ -242,7 +242,7 @@ def _run_spectrum(config: argparse.Namespace) -> _Report:
 def _run_theta(config: argparse.Namespace) -> _Report:
     omega = _scalar_omega(config)
     wp, _ = build_wave(config.L, omega, config.N)
-    theta = theta_constant(wp, config.dt)
+    theta = theta_constant(wp)
     dT_dB = period_map_dB(wp.alpha3, omega)
     mismatch = abs(dT_dB + theta / 2.0) / abs(theta)
     fields = {
@@ -363,9 +363,7 @@ _SUBCOMMANDS = {
         "CSV columns: " + ",".join(_SPECTRUM_COLUMNS)),
     "theta": _Subcommand(
         _run_theta, "json",
-        "growth coefficient of the companion Hill solution vs dT/dB",
-        {"dt": "RK4 step of the companion Hill solution, at most L/1e5 "
-               "(default L/1e5)"}),
+        "growth coefficient of the companion Hill solution vs dT/dB"),
     "evolve": _Subcommand(
         _run_evolve, "csv",
         "standing-wave fidelity run (sup error against the rotation); "

@@ -37,6 +37,7 @@ from .hill import HillOperatorSpec, solve_even
 from .waves import (
     WaveParams,
     build_wave,
+    check_grid_size,
     dk_dalpha,
     dk_domega,
     period_map_dB,
@@ -163,11 +164,12 @@ def sample_curve(L: float, omegas, N: int = 256) -> list:
     """Sample the curve at each frequency, tolerating per-point failures.
 
     Returns one entry per frequency, a CurveSample or a CurveError.  A
-    period that is not finite and positive fails every point alike, so it
-    raises ConfigError instead.
+    period that is not finite and positive, or a bad grid size, fails
+    every point alike, so it raises ConfigError instead.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise ConfigError(f"period must be finite and positive, got L={L}")
+    check_grid_size(N)
     entries: list = []
     for w in omegas:
         try:

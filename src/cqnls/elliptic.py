@@ -142,7 +142,7 @@ def _jacobi_hyperbolic(u: np.ndarray, m: float):
     sech = 1.0 / np.cosh(u)
     grow = t - u * sech * sech          # (sinh u cosh u - u) sech^2 u
     sn = t + 0.25 * m1 * grow
-    cn = sech - 0.25 * m1 * grow * np.cosh(u) * t * sech
+    cn = sech - 0.25 * m1 * (np.sinh(u) * np.cosh(u) - u) * t * sech
     dn = sech + 0.25 * m1 * (np.sinh(u) * np.cosh(u) + u) * t * sech
     return sign * sn, sign * cn, dn
 

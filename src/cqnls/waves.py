@@ -59,6 +59,7 @@ __all__ = [
     "solve_alpha3",
     "params_from_alpha3",
     "sample_profile",
+    "check_grid_size",
     "build_wave",
     "profile_value",
     "profile_derivative",
@@ -410,6 +411,12 @@ def sample_profile(wp: WaveParams, N: int) -> Profile:
     return Profile(L=wp.L, N=N, x=x, phi=phi, dphi=dphi)
 
 
+def check_grid_size(N) -> None:
+    """Raise ConfigError unless N is a power of two >= 64."""
+    if not isinstance(N, (int, np.integer)) or N < 64 or N & (N - 1):
+        raise ConfigError(f"N must be a power of two >= 64, got {N!r}")
+
+
 def build_wave(L: float, omega: float, N: int) -> tuple[WaveParams, Profile]:
     """Construct the period-L wave at frequency omega, sampled on N points.
 
@@ -417,8 +424,7 @@ def build_wave(L: float, omega: float, N: int) -> tuple[WaveParams, Profile]:
     spectral differentiation).  Construction invariants are enforced and a
     violation raises ContractError.
     """
-    if not isinstance(N, (int, np.integer)) or N < 64 or N & (N - 1):
-        raise ConfigError(f"N must be a power of two >= 64, got {N!r}")
+    check_grid_size(N)
     alpha3 = solve_alpha3(L, omega)
     wp = params_from_alpha3(L, omega, alpha3)
     prof = sample_profile(wp, int(N))

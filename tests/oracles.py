@@ -6,11 +6,11 @@ Runge-Kutta integration of the defining first-order system for the
 Jacobi functions, and high-order shooting for the profile equation.
 Agreement between a library routine and the matching oracle is then
 evidence for both, since they share no code and no method.  Three entries
-are references instead: theta_by_rk4_loop is the plain sequential form of
-the RK4 integration that hill.theta_constant runs as a blocked scan, and
-alpha3_by_bisection and period_of_B_by_bisection keep the former
-bisection solves that waves.solve_alpha3 and waves.period_of_B replaced
-by a bracketed Newton iteration.
+are references instead: theta_by_rk4_loop is the RK4 integration of
+hill.theta_constant written out stage by stage, run with more steps to
+bound its step error, and alpha3_by_bisection and period_of_B_by_bisection
+keep the former bisection solves that waves.solve_alpha3 and
+waves.period_of_B replaced by a bracketed Newton iteration.
 """
 
 from __future__ import annotations
@@ -146,10 +146,11 @@ def companion_by_ivp(omega: float, length: float, phi0: float,
 def theta_by_rk4_loop(wp, steps: int) -> float:
     """Companion-solution growth coefficient by a plain sequential RK4 loop.
 
-    The reference for hill.theta_constant: the same fixed-step RK4 on
+    The reference for hill.theta_constant: fixed-step RK4 on
     y'' = (omega - 3 phi^2 - 5 phi^4) y from (y, y')(0) = (-1/phi''(0), 0)
-    over one period, one step at a time in scalar arithmetic, with the
-    potential sampled on the whole half-step grid (no mirroring).
+    over one period, one step at a time in scalar arithmetic through the
+    four RK4 stages rather than the step matrix, with the potential
+    sampled on the whole half-step grid.
     Returns theta = y'(L) / phi''(0).
     """
     from cqnls.waves import profile_value

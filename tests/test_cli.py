@@ -106,6 +106,12 @@ def test_curve_bad_period_exits_1(capsys, L, omega):
     assert "period must be finite and positive" in err
 
 
+def test_curve_bad_grid_size_exits_1(capsys):
+    code, out, err = _run(capsys, "curve", "--omega", "2:3:2", "--N", "100")
+    assert code == 1 and out == ""
+    assert "N must be a power of two" in err
+
+
 def test_curve_frequency_without_wave_keeps_its_row(capsys):
     # no period-2 pi wave exists at omega = 0.1; the sweep goes on
     code, out, err = _run(capsys, "curve", "--omega", "0.1:2:2")
@@ -233,8 +239,7 @@ def test_audit_rejects_bad_threshold(capsys, value):
     (("curve", "--L", "-1e-3", "--omega", "2"), "period must be finite and positive"),
     (("audit", "--omega", "2", "--max-identity-residual", "-1e-5"),
      "--max-identity-residual must be a nonnegative number"),
-    (("theta", "--omega", "2", "--dt", "-1e-9"), "integration step"),
-], ids=["curve_L", "audit_threshold", "theta_dt"])
+], ids=["curve_L", "audit_threshold"])
 def test_negative_exponent_values_reach_the_library_check(capsys, argv, message):
     # argparse alone reads -1e-3 as an option name and exits 64
     code, out, err = _run(capsys, *argv)
@@ -277,7 +282,7 @@ _FLAG_VALUES = {
     "--seed": "1", "--max-identity-residual": "1e-5",
 }
 _OWN_FLAGS = {
-    "construct": (), "curve": (), "spectrum": (), "theta": ("--dt",),
+    "construct": (), "curve": (), "spectrum": (), "theta": (),
     "evolve": ("--dt", "--t-end"),
     "stability": ("--dt", "--t-end", "--delta", "--perturbation", "--seed"),
     "audit": ("--max-identity-residual",),
@@ -299,7 +304,7 @@ def test_each_subcommand_takes_only_its_own_flags():
     expected = {(sub, flag) for sub, own in _OWN_FLAGS.items()
                 for flag in (*_COMMON_FLAGS, *own)}
     assert taken == expected
-    assert len(taken) == 44
+    assert len(taken) == 43
 
 
 @pytest.mark.parametrize("argv", [

@@ -94,7 +94,7 @@ def test_jacobi_identity_suite():
 def test_jacobi_against_scipy():
     rng = np.random.default_rng(181)
     u = rng.uniform(-10.0, 10.0, 300)
-    for mi in (1e-9, 0.01, 0.3, 0.7, 0.97, 0.9999, 1.0 - 1e-9):
+    for mi in (1e-9, 0.01, 0.3, 0.7, 0.97, 0.9999, 1.0 - 1e-9, 1.0 - 5e-11):
         sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, mi)
         sn_r, cn_r, dn_r, _ = scipy.special.ellipj(u, mi)
         assert np.max(np.abs(sn - sn_r)) <= 5e-12

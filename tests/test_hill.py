@@ -289,21 +289,19 @@ def test_theta_slope_identity(ref_wave):
     (1.5 * TWO_PI, 8.0 / 2.25, 100_489),
 ])
 def test_theta_matches_sequential_loop(L, omega, steps):
-    # the blocked scan multiplies the same RK4 step matrices as the plain
-    # loop, in another order; 100_003 is prime, 100_001 odd, and 100_489
-    # = 317^2 fills its blocks with no identity padding
+    # the sequential loop at five times theta's steps or more has a step
+    # error far below theta's own, so it bounds theta's RK4 error
     wp, _ = waves.build_wave(L, omega, 64)
-    dt = None if steps == 100_000 else L / steps
     ref = theta_by_rk4_loop(wp, steps)
-    assert abs(hill.theta_constant(wp, dt) - ref) <= 1e-12 * abs(ref)
+    assert abs(hill.theta_constant(wp) - ref) <= 1e-12 * abs(ref)
 
 
-def test_theta_config_and_contract_errors(ref_wave):
+def test_theta_wronskian_check_fires(ref_wave):
+    # a frequency off by 1e-4 makes phi' no solution of the Hill equation:
+    # the drift is 5.1e-2 against a bound of 5.5e-4
     wp, _ = ref_wave
-    with pytest.raises(ConfigError):
-        hill.theta_constant(wp, dt=wp.L / 100.0)
-    with pytest.raises(ConfigError):
-        hill.theta_constant(wp, dt=-1.0)
+    with pytest.raises(NumericError, match="Wronskian drift"):
+        hill.theta_constant(replace(wp, omega=wp.omega * 1.0001))
 
 
 def test_theta_rejects_equilibrium(ref_wave):
