@@ -12,13 +12,12 @@ to one negative and a simple kernel on even functions.
 import math
 
 from cqnls import build_wave, hill
-from cqnls.hill import HillOperatorSpec
 
 L = 2.0 * math.pi
 wp, prof = build_wave(L, 2.0, 256)
 
 for kind in ("L1", "L2"):
-    rep = hill.spectrum_report(HillOperatorSpec(kind, wp, prof))
+    rep = hill.spectrum_report(kind, wp, prof)
     print(f"{kind}: lowest eigenvalues")
     for j in range(5):
         lam = rep.eigenvalues[j]
@@ -30,8 +29,7 @@ for kind in ("L1", "L2"):
           f"kernel matches analytic element to {rep.zero_match_error:.2e}\n")
 
 counts = hill.combined_counts(
-    hill.spectrum_report(HillOperatorSpec("L1", wp, prof)),
-    hill.spectrum_report(HillOperatorSpec("L2", wp, prof)))
+    hill.spectrum_report("L1", wp, prof), hill.spectrum_report("L2", wp, prof))
 print("combined linearization diag(L1, L2):")
 print(f"  full space:      {counts.n_negative} negative, "
       f"kernel multiplicity {counts.zero_multiplicity}")

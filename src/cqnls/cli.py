@@ -40,7 +40,7 @@ from .curve import (
 )
 from .errors import ConfigError, ContractError, CqnlsError, NumericError
 from .evolve import _PERTURBATIONS, run_fidelity, run_stability
-from .hill import HillOperatorSpec, combined_counts, spectrum_report, theta_constant
+from .hill import combined_counts, spectrum_report, theta_constant
 from .waves import build_wave, period_map, period_map_dB, quadrature_residual
 
 _USAGE_EXIT = 64
@@ -62,7 +62,6 @@ _SPECTRUM_COLUMNS = ("operator", "index", "eigenvalue", "parity")
 _EVOLVE_COLUMNS = ("t", "sup_error")
 _STABILITY_COLUMNS = ("t", "orbital_dist")
 _DEFAULT_DT = 1e-4  # evolve and stability time step
-_DEFAULT_T_END = {"evolve": 10.0, "stability": 50.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,8 +219,7 @@ def _run_curve(config: argparse.Namespace) -> _Report:
 
 def _run_spectrum(config: argparse.Namespace) -> _Report:
     wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
-    reports = {kind: spectrum_report(HillOperatorSpec(kind, wp, prof))
-               for kind in ("L1", "L2")}
+    reports = {kind: spectrum_report(kind, wp, prof) for kind in ("L1", "L2")}
     fields = {
         kind: {
             "eigenvalues_low": rep.eigenvalues[:10].tolist(),
@@ -258,16 +256,9 @@ def _run_theta(config: argparse.Namespace) -> _Report:
                    fields=fields, failure=failure)
 
 
-def _time_grid(config: argparse.Namespace) -> tuple[float, float]:
-    """Step and final time of an evolve or stability run, defaults filled in."""
-    dt = _DEFAULT_DT if config.dt is None else config.dt
-    t_end = _DEFAULT_T_END[config.subcommand] if config.t_end is None else config.t_end
-    return dt, t_end
-
-
 def _run_evolve(config: argparse.Namespace) -> _Report:
-    dt, t_end = _time_grid(config)
-    rep = run_fidelity(config.L, _scalar_omega(config), t_end, dt, config.N)
+    rep = run_fidelity(config.L, _scalar_omega(config), config.t_end, config.dt,
+                       config.N)
     summary = {
         "mass_drift": rep.mass_drift,
         "energy_drift": rep.energy_drift,
@@ -279,10 +270,9 @@ def _run_evolve(config: argparse.Namespace) -> _Report:
 
 
 def _run_stability(config: argparse.Namespace) -> _Report:
-    dt, t_end = _time_grid(config)
     rep = run_stability(
         config.L, _scalar_omega(config), config.delta, config.perturbation,
-        t_end, dt, config.N, seed=config.seed,
+        config.t_end, config.dt, config.N, seed=config.seed,
     )
     summary = {
         "mass_drift": rep.mass_drift,
@@ -337,16 +327,19 @@ class _Subcommand:
     """A subcommand's runner, default report format, help and own flags.
 
     flags maps each flag it reads beyond the common five (_COMMON_FLAGS)
-    to that flag's help text for this subcommand.
+    to that flag's help text for this subcommand; defaults holds the
+    defaults that differ between subcommands, over those of _OPTIONS.
     """
 
     run: Callable[[argparse.Namespace], _Report]
     format: str
     help: str
     flags: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=dict)
 
 
-_SPLIT_STEP = f"split-step time step (default {_DEFAULT_DT:g})"
+_TIME_FLAGS = {"dt": "split-step time step (default %(default)g)",
+               "t_end": "final time (default %(default)g)"}
 
 _SUBCOMMANDS = {
     "construct": _Subcommand(
@@ -368,17 +361,16 @@ _SUBCOMMANDS = {
         _run_evolve, "csv",
         "standing-wave fidelity run (sup error against the rotation); "
         "CSV columns: " + ",".join(_EVOLVE_COLUMNS),
-        {"dt": _SPLIT_STEP,
-         "t_end": f"final time (default {_DEFAULT_T_END['evolve']:g})"}),
+        _TIME_FLAGS, {"dt": _DEFAULT_DT, "t_end": 10.0}),
     "stability": _Subcommand(
         _run_stability, "csv",
         "perturbed evolution, orbital distance time series; "
         "CSV columns: " + ",".join(_STABILITY_COLUMNS),
-        {"dt": _SPLIT_STEP,
-         "t_end": f"final time (default {_DEFAULT_T_END['stability']:g})",
+        {**_TIME_FLAGS,
          "delta": "size of the initial perturbation (default %(default)g)",
          "perturbation": "shape of the initial perturbation (default %(default)s)",
-         "seed": "seed of the random_even shape (default %(default)d)"}),
+         "seed": "seed of the random_even shape (default %(default)d)"},
+        {"dt": _DEFAULT_DT, "t_end": 50.0}),
     "audit": _Subcommand(
         _run_audit, "json",
         "derivative and integral-identity checks at each omega (one value or "
@@ -426,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, options in _OPTIONS.items():
             if flag in helps:
                 p.add_argument("--" + flag.replace("_", "-"), help=helps[flag], **options)
-        p.set_defaults(format=spec.format)
+        p.set_defaults(format=spec.format, **spec.defaults)
     return parser
 
 

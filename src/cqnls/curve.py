@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .elliptic import complete_E, complete_K
 from .errors import ConfigError, ContractError, CqnlsError
 from .fourier import trapezoid
-from .hill import HillOperatorSpec, solve_even
+from .hill import solve_even
 from .waves import (
     WaveParams,
     build_wave,
@@ -142,7 +142,7 @@ def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
         raise ContractError(f"mass/p4/p6/B identity residual {r_a!r}")
 
     # the curve's tangent: L1 dphi/domega = -phi on the even block
-    tangent = solve_even(HillOperatorSpec("L1", wp, prof), -phi)
+    tangent = solve_even("L1", wp, prof, -phi)
     d2 = trapezoid(phi * tangent, L)
     dalpha2 = 2.0 * phi[N // 2] * tangent[N // 2]
     # B = b_from_alpha(alpha2, omega) differentiated at the trough; the

@@ -126,10 +126,21 @@ def _jacobi_trig(u: np.ndarray, m: float):
     return sn, cn, dn
 
 
+def _cn_dn_hyperbolic(u: np.ndarray, m1: float):
+    # A&S 16.15.2-3: first-order corrections to cn and dn at 1 - m = m1.
+    t = np.tanh(u)
+    sech = 1.0 / np.cosh(u)
+    sc = np.sinh(u) * np.cosh(u)
+    return sech - 0.25 * m1 * (sc - u) * t * sech, sech + 0.25 * m1 * (sc + u) * t * sech
+
+
 def _jacobi_hyperbolic(u: np.ndarray, m: float):
     # A&S 16.15: first-order corrections around the hyperbolic limit.
     # For m < 1 the argument is first folded into one period, |u| <= K:
     # sn(u + 2K) = -sn(u), cn(u + 2K) = -cn(u), dn(u + 2K) = dn(u).
+    # The first-order sn (16.15.1) loses accuracy towards |u| = K, so for
+    # |u| > K/2 it is taken from sn(u) = sign(u) cn(K - |u|) / dn(K - |u|)
+    # (A&S table 16.8), whose cn and dn stay accurate there.
     m1 = 1.0 - m
     sign = np.ones_like(u)
     if m1 > 0.0:
@@ -140,10 +151,11 @@ def _jacobi_hyperbolic(u: np.ndarray, m: float):
         sign = np.where(outer, -1.0, 1.0)
     t = np.tanh(u)
     sech = 1.0 / np.cosh(u)
-    grow = t - u * sech * sech          # (sinh u cosh u - u) sech^2 u
-    sn = t + 0.25 * m1 * grow
-    cn = sech - 0.25 * m1 * (np.sinh(u) * np.cosh(u) - u) * t * sech
-    dn = sech + 0.25 * m1 * (np.sinh(u) * np.cosh(u) + u) * t * sech
+    sn = t + 0.25 * m1 * (t - u * sech * sech)   # (sinh u cosh u - u) sech^2 u
+    cn, dn = _cn_dn_hyperbolic(u, m1)
+    if m1 > 0.0:
+        cn_c, dn_c = _cn_dn_hyperbolic(K - np.abs(u), m1)
+        sn = np.where(np.abs(u) > 0.5 * K, np.sign(u) * cn_c / dn_c, sn)
     return sign * sn, sign * cn, dn
 
 

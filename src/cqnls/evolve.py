@@ -47,9 +47,7 @@ __all__ = [
     "energy",
     "mass",
     "step_strang",
-    "h1_inner",
     "h1_norm",
-    "orbital_phase",
     "orbital_distance",
     "perturbation_shape",
     "run_fidelity",
@@ -137,35 +135,12 @@ def step_strang(L: float, u, dt: float) -> np.ndarray:
     return _advance(u, kernel, dt, 1)
 
 
-def h1_inner(L: float, f, g):
-    """Discrete H^1 pairing: L2 pairing of values plus spectral derivatives."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    df = spectral_derivative(f, L)
-    dg = spectral_derivative(g, L)
-    return trapezoid(f * np.conj(g) + df * np.conj(dg), L)
-
-
 def h1_norm(L: float, f) -> float:
-    """Discrete H^1 norm matching h1_inner."""
+    """Discrete H^1 norm, the trapezoid integral of |f|^2 + |f'|^2 with f' spectral."""
     f = np.asarray(f)
     df = spectral_derivative(f, L)
     sq = trapezoid(f.real**2 + f.imag**2 + df.real**2 + df.imag**2, L)
     return math.sqrt(max(float(sq), 0.0))
-
-
-def _h1_pairing(u: np.ndarray, prof: Profile) -> tuple[complex, np.ndarray]:
-    # <u, phi> in H^1 and u_x from one FFT pair: prof.dphi is the same
-    # spectral derivative of phi that h1_inner would recompute
-    if u.shape != prof.phi.shape:
-        raise ContractError(f"field has {u.shape} samples, profile {prof.phi.shape}")
-    du = spectral_derivative(u, prof.L)
-    return trapezoid(u * prof.phi + du * prof.dphi, prof.L), du
-
-
-def orbital_phase(u: np.ndarray, prof: Profile) -> float:
-    """Rotation angle minimizing the H^1 distance from u to e^{i theta} phi."""
-    return float(np.angle(_h1_pairing(u, prof)[0]))
 
 
 def orbital_distance(u: np.ndarray, prof: Profile) -> float:
@@ -174,7 +149,12 @@ def orbital_distance(u: np.ndarray, prof: Profile) -> float:
     The minimizing angle is the argument of the H^1 pairing <u, phi>, so
     the squared distance is ||u||^2 + ||phi||^2 - 2 |<u, phi>|.
     """
-    pair, du = _h1_pairing(u, prof)
+    if u.shape != prof.phi.shape:
+        raise ContractError(f"field has {u.shape} samples, profile {prof.phi.shape}")
+    # <u, phi> in H^1 from one FFT pair: prof.dphi is already the
+    # spectral derivative of phi
+    du = spectral_derivative(u, prof.L)
+    pair = trapezoid(u * prof.phi + du * prof.dphi, prof.L)
     nu = trapezoid(u.real**2 + u.imag**2 + du.real**2 + du.imag**2, prof.L)
     nphi = trapezoid(prof.phi**2 + prof.dphi**2, prof.L)
     return math.sqrt(max(float(nu + nphi - 2.0 * abs(pair)), 0.0))

@@ -2,9 +2,10 @@
 
 All routines assume N equispaced samples x_j = j L / N of an L-periodic
 function (right endpoint excluded).  Differentiation acts by multiplying
-Fourier coefficients by (i k)^order; the dense second-derivative matrix
-uses the closed-form entries of trigonometric interpolation (Trefethen,
-Spectral Methods in MATLAB, ch. 3) and is exactly symmetric.
+Fourier coefficients by (i k)^order; the circulant second-derivative
+column holds the closed-form entries of trigonometric interpolation
+(Trefethen, Spectral Methods in MATLAB, ch. 3), mirrored so that the
+matrix it defines is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "wavenumbers",
     "spectral_derivative",
     "second_derivative_column",
-    "second_derivative_matrix",
     "trapezoid",
 ]
 
@@ -67,16 +67,6 @@ def second_derivative_column(L: float, N: int) -> np.ndarray:
     col[1:N // 2 + 1] = -((-1.0) ** d) / (2.0 * np.sin(0.5 * h * d) ** 2)
     col[N // 2 + 1:] = col[N // 2 - 1:0:-1]
     return col * (2.0 * np.pi / L) ** 2
-
-
-def second_derivative_matrix(L: float, N: int) -> np.ndarray:
-    """Dense spectral second-derivative matrix (exactly symmetric).
-
-    Eigenvalues are -(2 pi j / L)^2, each nonzero one doubled; for L = 2 pi
-    they are {0, -1, -1, -4, -4, ..., -(N/2)^2}.
-    """
-    i = np.arange(N)
-    return second_derivative_column(L, N)[(i[:, None] - i[None, :]) % N]
 
 
 def trapezoid(values, L: float) -> float | complex:

@@ -9,9 +9,11 @@ self-adjoint Hill operators on L-periodic functions,
 
 Differentiating the profile equation once shows L1 phi' = 0, and the
 profile equation itself says L2 phi = 0, so each operator carries an
-explicit kernel element.  Both potentials are even, so the operators
-commute with the grid reflection j -> (N - j) mod N and the eigenproblem
-is solved on its even and odd blocks separately: every eigenvector is
+explicit kernel element.  The operator routines take an operator as
+its kind ("L1" or "L2") followed by the wave's parameters and grid
+profile.  Both potentials are even, so the operators commute with the
+grid reflection j -> (N - j) mod N and the eigenproblem is solved on
+its even and odd blocks separately: every eigenvector is
 reflection-symmetric or antisymmetric by construction.  The blocks are
 assembled from the circulant second-derivative column, never from the
 N x N matrix; solve_even inverts an operator on the even block alone,
@@ -42,20 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DegenerateError, NumericError
-from .fourier import second_derivative_column, second_derivative_matrix, spectral_derivative
+from .fourier import second_derivative_column, spectral_derivative
 from .waves import Profile, WaveParams, _profile_and_slope
 
 __all__ = [
-    "HillOperatorSpec",
     "SpectrumReport",
     "CombinedCounts",
     "potential_values",
-    "collocation_matrix",
     "sym_eig",
     "solve_even",
     "spectrum_report",
     "combined_counts",
-    "sign_changes",
     "theta_constant",
 ]
 
@@ -64,19 +63,6 @@ _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
 _SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
 _THETA_STEPS = 20_000  # theta's RK4 steps per period; 1e4 misses 1e-12 at (2 pi, 9.9)
-
-
-@dataclass(frozen=True)
-class HillOperatorSpec:
-    """One of the two linearized operators, tied to a concrete wave.
-
-    kind is "L1" (amplitude channel, potential omega - 3 phi^2 - 5 phi^4)
-    or "L2" (phase channel, potential omega - phi^2 - phi^4).
-    """
-
-    kind: str
-    wp: WaveParams
-    prof: Profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +104,14 @@ class CombinedCounts:
     zero_multiplicity_even: int
 
 
-def potential_values(spec: HillOperatorSpec) -> np.ndarray:
-    """Grid samples of the potential selected by spec.kind."""
-    phi2 = spec.prof.phi**2
-    if spec.kind == "L1":
-        return spec.wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2
-    if spec.kind == "L2":
-        return spec.wp.omega - phi2 - phi2 * phi2
-    raise ConfigError(f"operator kind must be one of {_KINDS}, got {spec.kind!r}")
-
-
-def collocation_matrix(spec: HillOperatorSpec) -> np.ndarray:
-    """Dense symmetric discretization -D2 + diag(V) on the wave's grid."""
-    mat = -second_derivative_matrix(spec.prof.L, spec.prof.N)
-    mat[np.diag_indices_from(mat)] += potential_values(spec)
-    return mat
+def potential_values(kind: str, wp: WaveParams, prof: Profile) -> np.ndarray:
+    """Grid samples of the potential of operator kind, "L1" or "L2"."""
+    phi2 = prof.phi**2
+    if kind == "L1":
+        return wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2
+    if kind == "L2":
+        return wp.omega - phi2 - phi2 * phi2
+    raise ConfigError(f"operator kind must be one of {_KINDS}, got {kind!r}")
 
 
 def sym_eig(matrix):
@@ -191,32 +170,32 @@ def _folded_d2(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _parity_blocks(spec: HillOperatorSpec, odd: bool = True) -> list:
+def _parity_blocks(kind: str, wp: WaveParams, prof: Profile, odd: bool = True) -> list:
     """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M.
 
     V is even only up to rounding, so its mirror halves are averaged.
     """
-    N = spec.prof.N
-    pot = potential_values(spec)
+    N = prof.N
+    pot = potential_values(kind, wp, prof)
     pot = 0.5 * (pot[:N // 2 + 1] + pot[-np.arange(N // 2 + 1)])
     return [d2 + np.diag(v) for d2, v in
-            zip(_folded_d2(spec.prof.L, N)[:1 + odd], (pot, pot[1:-1]))]
+            zip(_folded_d2(prof.L, N)[:1 + odd], (pot, pot[1:-1]))]
 
 
-def solve_even(spec: HillOperatorSpec, rhs) -> np.ndarray:
+def solve_even(kind: str, wp: WaveParams, prof: Profile, rhs) -> np.ndarray:
     """Grid solution u of (-D2 + V) u = rhs for an even right side.
 
     Solved on the even block, so the operator need only be invertible on
     even functions (L1's kernel phi' is odd).  The residual is checked on
     the full grid through FFT differentiation.
     """
-    L, N = spec.prof.L, spec.prof.N
+    L, N = prof.L, prof.N
     rhs = np.asarray(rhs, dtype=float)
     weight = _fold(N)
-    (even,) = _parity_blocks(spec, odd=False)
+    (even,) = _parity_blocks(kind, wp, prof, odd=False)
     u = weight * np.linalg.solve(even, rhs[:N // 2 + 1] / weight)
     u = u[np.minimum(np.arange(N), N - np.arange(N))]
-    resid = -spectral_derivative(u, L, order=2) + potential_values(spec) * u - rhs
+    resid = -spectral_derivative(u, L, order=2) + potential_values(kind, wp, prof) * u - rhs
     worst = float(np.max(np.abs(resid)))
     if worst > _SOLVE_TOL * float(np.max(np.abs(rhs))):
         raise ContractError(f"even-block solve residual {worst:.3e} exceeds "
@@ -224,17 +203,17 @@ def solve_even(spec: HillOperatorSpec, rhs) -> np.ndarray:
     return u
 
 
-def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> SpectrumReport:
+def spectrum_report(kind: str, wp: WaveParams, prof: Profile,
+                    tol_zero: float | None = None) -> SpectrumReport:
     """Eigendecomposition with parity labels and zero-eigenvalue bookkeeping.
 
     Eigenvalues inside (-tol_zero, tol_zero) count as zero; the default
     tolerance 1e-6 max(1, omega) separates spectral discretization error
     from genuine negative modes.
     """
-    wp, prof = spec.wp, spec.prof
     if tol_zero is None:
         tol_zero = 1e-6 * max(1.0, wp.omega)
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(sym_eig, _parity_blocks(spec))
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(sym_eig, _parity_blocks(kind, wp, prof))
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
@@ -259,7 +238,7 @@ def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> Sp
     near = np.flatnonzero(np.abs(evals) <= tol_zero)
     if near.size:
         zero_index = int(near[np.argmin(np.abs(evals[near]))])
-        kernel = prof.dphi if spec.kind == "L1" else prof.phi
+        kernel = prof.dphi if kind == "L1" else prof.phi
         khat = kernel / np.linalg.norm(kernel)
         vec = evecs[:, zero_index]
         zero_match = float(
@@ -270,7 +249,7 @@ def spectrum_report(spec: HillOperatorSpec, tol_zero: float | None = None) -> Sp
         zero_match = math.nan
 
     return SpectrumReport(
-        kind=spec.kind,
+        kind=kind,
         wp=wp,
         eigenvalues=evals,
         eigenvectors=evecs * math.sqrt(prof.N / prof.L),
@@ -307,16 +286,6 @@ def combined_counts(r1: SpectrumReport, r2: SpectrumReport) -> CombinedCounts:
             elif abs(lam) <= rep.tol_zero:
                 zero_even += 1
     return CombinedCounts(int(n_negative), zero_mult, n_neg_even, zero_even)
-
-
-def sign_changes(values, rel_floor: float = 1e-8) -> int:
-    """Count sign alternations around the periodic grid, ignoring near-zeros."""
-    vals = np.asarray(values, dtype=float)
-    keep = vals[np.abs(vals) > rel_floor * np.max(np.abs(vals))]
-    if keep.size < 2:
-        return 0
-    circ = np.append(keep, keep[0])
-    return int(np.sum(circ[1:] * circ[:-1] < 0.0))
 
 
 def theta_constant(wp: WaveParams) -> float:

@@ -49,6 +49,6 @@ def ref_wave():
 def ref_spectra(ref_wave):
     """Spectral reports for both linearization channels at the reference wave."""
     wp, prof = ref_wave
-    r1 = hill.spectrum_report(hill.HillOperatorSpec("L1", wp, prof))
-    r2 = hill.spectrum_report(hill.HillOperatorSpec("L2", wp, prof))
+    r1 = hill.spectrum_report("L1", wp, prof)
+    r2 = hill.spectrum_report("L2", wp, prof)
     return r1, r2

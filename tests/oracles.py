@@ -5,12 +5,17 @@ library under test: adaptive quadrature for the complete integrals, a
 Runge-Kutta integration of the defining first-order system for the
 Jacobi functions, and high-order shooting for the profile equation.
 Agreement between a library routine and the matching oracle is then
-evidence for both, since they share no code and no method.  Three entries
-are references instead: theta_by_rk4_loop is the RK4 integration of
+evidence for both, since they share no code and no method.  Some
+entries are references instead: theta_by_rk4_loop is the RK4 integration of
 hill.theta_constant written out stage by stage, run with more steps to
 bound its step error, and alpha3_by_bisection and period_of_B_by_bisection
 keep the former bisection solves that waves.solve_alpha3 and
-waves.period_of_B replaced by a bracketed Newton iteration.
+waves.period_of_B replaced by a bracketed Newton iteration.  The last
+five are small routines the library itself does not need: the dense
+second-derivative matrix and the full collocation matrix that the parity
+blocks of hill are checked against, an eigenvector sign-change counter for
+the oscillation counts, and the H^1 pairing and orbital phase that
+evolve.orbital_distance is checked against.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cqnls import waves
+from cqnls import hill, waves
 from cqnls.errors import DegenerateError, DomainError, NoSolutionError
+from cqnls.fourier import second_derivative_column, spectral_derivative, trapezoid
 
 
 def elliptic_first_by_quadrature(m: float) -> float:
@@ -265,3 +271,49 @@ def period_of_B_by_bisection(B: float, omega0: float) -> float:
         lo, hi,
     )
     return waves.period_map(alpha, omega0)
+
+
+def second_derivative_matrix(L: float, N: int) -> np.ndarray:
+    """Dense spectral second-derivative matrix (exactly symmetric).
+
+    Eigenvalues are -(2 pi j / L)^2, each nonzero one doubled; for L = 2 pi
+    they are {0, -1, -1, -4, -4, ..., -(N/2)^2}.
+    """
+    i = np.arange(N)
+    return second_derivative_column(L, N)[(i[:, None] - i[None, :]) % N]
+
+
+def collocation_matrix(kind: str, wp, prof) -> np.ndarray:
+    """Dense symmetric discretization -D2 + diag(V) on the wave's grid."""
+    mat = -second_derivative_matrix(prof.L, prof.N)
+    mat[np.diag_indices_from(mat)] += hill.potential_values(kind, wp, prof)
+    return mat
+
+
+def sign_changes(values, rel_floor: float = 1e-8) -> int:
+    """Count sign alternations around the periodic grid, ignoring near-zeros."""
+    vals = np.asarray(values, dtype=float)
+    keep = vals[np.abs(vals) > rel_floor * np.max(np.abs(vals))]
+    if keep.size < 2:
+        return 0
+    circ = np.append(keep, keep[0])
+    return int(np.sum(circ[1:] * circ[:-1] < 0.0))
+
+
+def h1_inner(L: float, f, g):
+    """Discrete H^1 pairing: L2 pairing of values plus spectral derivatives."""
+    f = np.asarray(f)
+    g = np.asarray(g)
+    df = spectral_derivative(f, L)
+    dg = spectral_derivative(g, L)
+    return trapezoid(f * np.conj(g) + df * np.conj(dg), L)
+
+
+def orbital_phase(u: np.ndarray, prof) -> float:
+    """Rotation angle minimizing the H^1 distance from u to e^{i theta} phi.
+
+    The pairing <u, phi> is taken as evolve.orbital_distance takes it,
+    with the profile's stored derivative prof.dphi.
+    """
+    du = spectral_derivative(u, prof.L)
+    return float(np.angle(trapezoid(u * prof.phi + du * prof.dphi, prof.L)))

@@ -18,7 +18,6 @@ import pytest
 
 from cqnls import curve, elliptic, evolve, hill, waves
 from cqnls.fourier import trapezoid
-from cqnls.hill import HillOperatorSpec
 from conftest import SWEEP, TWO_PI, record_criterion
 from oracles import (
     elliptic_first_by_quadrature,
@@ -168,7 +167,7 @@ def test_linearized_spectra_have_stated_structure(ref_wave, ref_spectra):
     fine_wave = waves.build_wave(TWO_PI, 2.0, 512)
     worst_shift = 0.0
     for kind, coarse in (("L1", r1), ("L2", r2)):
-        fine = hill.spectrum_report(HillOperatorSpec(kind, *fine_wave))
+        fine = hill.spectrum_report(kind, *fine_wave)
         shift = (np.abs(coarse.eigenvalues[:10] - fine.eigenvalues[:10])
                  / np.maximum(1.0, np.abs(fine.eigenvalues[:10])))
         worst_shift = max(worst_shift, float(np.max(shift)))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cqnls
 from cqnls import __version__
 from cqnls.cli import SystemExit2, build_parser, main
 
@@ -330,10 +331,21 @@ def test_config_echoes_only_the_subcommand_settings(capsys, subcommand):
         "subcommand", "version", "L", "omega", "N", "format", *own}
 
 
-def _load_workloads():
-    # executes perfbench/workloads.py from its source, writing nothing there
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    module = types.ModuleType("perfbench_workloads")
+@pytest.mark.parametrize("argv, key, value", [
+    (("evolve", "--t-end", "0.01"), "dt", 1e-4),
+    (("stability", "--dt", "0.01"), "t_end", 50.0),
+])
+def test_config_echoes_the_default_time_grid(capsys, argv, key, value):
+    # a default the run uses is echoed as that value, not as null
+    code, out, _ = _run(capsys, *argv, "--omega", "2", "--N", "64", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"][key] == value
+
+
+def _load_perfbench(name):
+    # executes perfbench/<name>.py from its source, writing nothing there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
     sys.modules[module.__name__] = module
     try:
         exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
@@ -345,11 +357,20 @@ def _load_workloads():
 @pytest.mark.parametrize("workload", ["evolve", "spectral", "curve_audit"])
 def test_benchmark_rounds_parse(workload):
     # a flag change that turned benchmark ops into usage errors fails here
-    ops = _load_workloads().make_round(workload, 1)
+    ops = _load_perfbench("workloads").make_round(workload, 1)
     assert any(op.probe for op in ops)
     parser = build_parser()
     for op in ops:
         assert parser.parse_args(list(op.argv)).subcommand == op.kind
+
+
+def test_benchmark_traced_names_exist():
+    # a library cut that left a traced name dangling would silently drop
+    # its per-layer metric from the benchmark
+    for layer, names in _load_perfbench("tracing").LAYERS.items():
+        home = getattr(cqnls, layer)
+        missing = [name for name in names if not callable(getattr(home, name, None))]
+        assert not missing, (layer, missing)
 
 
 def test_malformed_omega_exits_1(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -100,6 +101,18 @@ def test_jacobi_against_scipy():
         assert np.max(np.abs(sn - sn_r)) <= 5e-12
         assert np.max(np.abs(cn - cn_r)) <= 5e-12
         assert np.max(np.abs(dn - dn_r)) <= 5e-12
+
+
+@pytest.mark.parametrize("m1", [9e-11, 5e-11, 1.5e-12])
+def test_hyperbolic_sn_against_mpmath(m1):
+    # the series branch near m = 1, across two quarter periods either side
+    m = 1.0 - m1
+    K = elliptic.complete_K(m)
+    u = np.linspace(-2.0 * K, 2.0 * K, 201)
+    sn, _, _ = elliptic.jacobi_sn_cn_dn(u, m)
+    with mpmath.workdps(40):
+        ref = [float(mpmath.ellipfun("sn", float(x), m=m)) for x in u]
+    assert np.max(np.abs(sn - ref)) <= 1e-14
 
 
 def test_jacobi_against_defining_ode():

@@ -9,6 +9,7 @@ from cqnls import curve, evolve, fourier, waves
 from cqnls.errors import BlowupError, ConfigError, ContractError
 
 from conftest import TWO_PI
+from oracles import h1_inner, orbital_phase
 
 
 def test_trajectory_checks_the_initial_field(ref_wave):
@@ -109,7 +110,7 @@ def test_orbit_point_has_zero_distance(ref_wave):
     _, prof = ref_wave
     u = np.exp(1.3j) * prof.phi
     assert evolve.orbital_distance(u, prof) <= 1e-12
-    assert evolve.orbital_phase(u, prof) == pytest.approx(1.3, abs=1e-12)
+    assert orbital_phase(u, prof) == pytest.approx(1.3, abs=1e-12)
 
 
 def test_orbital_distance_lower_bound(ref_wave):
@@ -129,12 +130,12 @@ def test_orbital_distance_matches_h1_pairing(ref_wave):
     for scale in (0.1, 1.0):
         u = (prof.phi + scale * rng.standard_normal(prof.N)
              + 1j * scale * rng.standard_normal(prof.N))
-        pair = evolve.h1_inner(TWO_PI, u, prof.phi)
+        pair = h1_inner(TWO_PI, u, prof.phi)
         sq = (evolve.h1_norm(TWO_PI, u) ** 2 + evolve.h1_norm(TWO_PI, prof.phi) ** 2
               - 2.0 * abs(pair))
         assert evolve.orbital_distance(u, prof) == pytest.approx(
             math.sqrt(max(sq, 0.0)), rel=1e-14)
-        assert evolve.orbital_phase(u, prof) == float(np.angle(pair))
+        assert orbital_phase(u, prof) == float(np.angle(pair))
 
 
 def test_orbital_distance_grid_mismatch(ref_wave):

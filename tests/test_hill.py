@@ -13,10 +13,15 @@ from cqnls.errors import (
     DegenerateError,
     NumericError,
 )
-from cqnls.hill import HillOperatorSpec
 
 from conftest import TWO_PI
-from oracles import companion_by_ivp, theta_by_rk4_loop
+from oracles import (
+    collocation_matrix,
+    companion_by_ivp,
+    second_derivative_matrix,
+    sign_changes,
+    theta_by_rk4_loop,
+)
 
 # leading eigenvalues at (L, omega, N) = (2 pi, 2, 256), frozen
 L1_LOW = [-11.391713037069591, 0.0, 2.143311806416148, 3.882714, 4.089495]
@@ -48,28 +53,27 @@ def test_sym_eig_rejects_bad_input():
 def test_potential_values(ref_wave):
     wp, prof = ref_wave
     phi2 = prof.phi ** 2
-    v1 = hill.potential_values(HillOperatorSpec("L1", wp, prof))
-    v2 = hill.potential_values(HillOperatorSpec("L2", wp, prof))
+    v1 = hill.potential_values("L1", wp, prof)
+    v2 = hill.potential_values("L2", wp, prof)
     assert np.allclose(v1, wp.omega - 3.0 * phi2 - 5.0 * phi2 ** 2,
                        rtol=0, atol=1e-13)
     assert np.allclose(v2, wp.omega - phi2 - phi2 ** 2, rtol=0, atol=1e-13)
     with pytest.raises(ConfigError):
-        hill.potential_values(HillOperatorSpec("L3", wp, prof))
+        hill.potential_values("L3", wp, prof)
 
 
 def test_collocation_matrix_structure(ref_wave):
     wp, prof = ref_wave
-    spec = HillOperatorSpec("L2", wp, prof)
-    mat = hill.collocation_matrix(spec)
+    mat = collocation_matrix("L2", wp, prof)
     assert np.array_equal(mat, mat.T)
-    ref = -fourier.second_derivative_matrix(prof.L, prof.N)
-    off = mat - np.diag(hill.potential_values(spec))
+    ref = -second_derivative_matrix(prof.L, prof.N)
+    off = mat - np.diag(hill.potential_values("L2", wp, prof))
     assert np.array_equal(off, ref)
 
 
 def test_constant_potential_shifts_spectrum():
     N, L, c = 32, TWO_PI, 1.7
-    base = -fourier.second_derivative_matrix(L, N)
+    base = -second_derivative_matrix(L, N)
     shifted, _ = hill.sym_eig(base + c * np.eye(N))
     plain, _ = hill.sym_eig(base)
     assert np.max(np.abs(shifted - (plain + c))) <= 1e-10
@@ -88,8 +92,8 @@ def test_amplitude_channel_structure(ref_spectra):
     # even nodeless ground state; odd kernel with exactly two sign changes
     assert r1.parity[0] == "even"
     assert r1.parity[1] == "odd"
-    assert hill.sign_changes(r1.eigenvectors[:, 0]) == 0
-    assert hill.sign_changes(r1.eigenvectors[:, 1]) == 2
+    assert sign_changes(r1.eigenvectors[:, 0]) == 0
+    assert sign_changes(r1.eigenvectors[:, 1]) == 2
 
 
 def test_phase_channel_structure(ref_spectra):
@@ -135,9 +139,9 @@ def _reflection_signs(rep):
 @pytest.mark.parametrize("omega, N", [(2.0, 256), (8.0, 512)])
 @pytest.mark.parametrize("kind", ["L1", "L2"])
 def test_parity_blocks_match_full_solve(kind, omega, N):
-    spec = HillOperatorSpec(kind, *waves.build_wave(TWO_PI, omega, N))
-    rep = hill.spectrum_report(spec)
-    full = np.linalg.eigh(hill.collocation_matrix(spec))[0]
+    op = (kind, *waves.build_wave(TWO_PI, omega, N))
+    rep = hill.spectrum_report(*op)
+    full = np.linalg.eigh(collocation_matrix(*op))[0]
     scale = np.max(np.abs(full))
     assert np.max(np.abs(rep.eigenvalues - full)) <= 1e-12 * scale
     expected = [1 if label == "even" else -1 for label in rep.parity]
@@ -147,22 +151,20 @@ def test_parity_blocks_match_full_solve(kind, omega, N):
 @pytest.mark.parametrize("omega, N", [(2.0, 128), (10.0, 256)])
 def test_even_solve_matches_full_collocation_solve(omega, N):
     wp, prof = waves.build_wave(TWO_PI, omega, N)
-    spec = HillOperatorSpec("L1", wp, prof)
     # the full operator is singular along phi'; border it by u . phi' = 0
     bordered = np.zeros((N + 1, N + 1))
-    bordered[:N, :N] = hill.collocation_matrix(spec)
+    bordered[:N, :N] = collocation_matrix("L1", wp, prof)
     bordered[:N, N] = bordered[N, :N] = prof.dphi
     full = np.linalg.solve(bordered, np.append(-prof.phi, 0.0))[:N]
-    u = hill.solve_even(spec, -prof.phi)
+    u = hill.solve_even("L1", wp, prof, -prof.phi)
     assert np.max(np.abs(u - full)) <= 1e-10 * np.max(np.abs(full))
     assert np.array_equal(u, u[(-np.arange(N)) % N])
 
 
 def test_even_solve_rejects_an_odd_right_side(ref_wave):
     # the even block cannot represent an odd part, and the residual says so
-    spec = HillOperatorSpec("L1", *ref_wave)
     with pytest.raises(ContractError):
-        hill.solve_even(spec, ref_wave[1].dphi)
+        hill.solve_even("L1", *ref_wave, ref_wave[1].dphi)
 
 
 def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
@@ -173,7 +175,7 @@ def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
     flat = waves.Profile(L=L, N=N, x=prof.x, phi=np.zeros(N),
                          dphi=np.zeros(N))
     for kind in ("L1", "L2"):
-        rep = hill.spectrum_report(HillOperatorSpec(kind, wp, flat))
+        rep = hill.spectrum_report(kind, wp, flat)
         assert rep.parity.count("even") == N // 2 + 1
         assert rep.parity.count("odd") == N // 2 - 1
         expected = [1 if label == "even" else -1 for label in rep.parity]
@@ -187,7 +189,7 @@ def test_oscillation_counts_phase_channel(ref_spectra):
     _, r2 = ref_spectra
     for j in range(7):
         expected = 2 * ((j + 1) // 2)
-        assert hill.sign_changes(r2.eigenvectors[:, j]) == expected
+        assert sign_changes(r2.eigenvectors[:, j]) == expected
 
 
 def test_eigenvectors_orthonormal_under_trapezoid(ref_spectra):
@@ -203,8 +205,7 @@ def test_zero_tolerance_override(ref_wave, ref_spectra):
     wp, prof = ref_wave
     default = ref_spectra[0]
     lam0 = default.eigenvalues[default.zero_index]
-    rep = hill.spectrum_report(HillOperatorSpec("L1", wp, prof),
-                               tol_zero=1e-15)
+    rep = hill.spectrum_report("L1", wp, prof, tol_zero=1e-15)
     # the discrete kernel eigenvalue is rounding-sized (~1e-12) and of
     # either sign; outside this tolerance it counts only when below zero
     assert abs(lam0) > 1e-15
@@ -227,7 +228,7 @@ def test_combined_counts_contract_errors(ref_spectra):
     with pytest.raises(ContractError):
         hill.combined_counts(r2, r1)
     other = waves.build_wave(TWO_PI, 1.0, 256)
-    r2_other = hill.spectrum_report(HillOperatorSpec("L2", *other))
+    r2_other = hill.spectrum_report("L2", *other)
     with pytest.raises(ContractError):
         hill.combined_counts(r1, r2_other)
 
@@ -236,19 +237,19 @@ def test_spectrum_stability_under_refinement():
     coarse_wave = waves.build_wave(TWO_PI, 2.0, 128)
     fine_wave = waves.build_wave(TWO_PI, 2.0, 256)
     for kind in ("L1", "L2"):
-        coarse = hill.spectrum_report(HillOperatorSpec(kind, *coarse_wave))
-        fine = hill.spectrum_report(HillOperatorSpec(kind, *fine_wave))
+        coarse = hill.spectrum_report(kind, *coarse_wave)
+        fine = hill.spectrum_report(kind, *fine_wave)
         diff = np.abs(coarse.eigenvalues[:5] - fine.eigenvalues[:5])
         assert np.max(diff) <= 1e-8
 
 
 def test_sign_changes_counter():
-    assert hill.sign_changes([1.0, 1.0, 1.0]) == 0
-    assert hill.sign_changes([1.0, -1.0, 1.0, -1.0]) == 4
+    assert sign_changes([1.0, 1.0, 1.0]) == 0
+    assert sign_changes([1.0, -1.0, 1.0, -1.0]) == 4
     x = np.sin(2.0 * np.pi * np.arange(64) / 64)
-    assert hill.sign_changes(x) == 2
+    assert sign_changes(x) == 2
     # near-zero samples do not flip the count
-    assert hill.sign_changes([1.0, 1e-12, -1.0, 1.0]) == 2
+    assert sign_changes([1.0, 1e-12, -1.0, 1.0]) == 2
 
 
 def test_theta_reference_value(ref_wave):
