@@ -2,8 +2,8 @@
 
 Subcommands map onto the library one-to-one; _SUBCOMMANDS gives each its
 runner, default format, help and flags.  Every subcommand takes --L,
---omega, --N, --output and --format; evolve, stability and audit add the
-flags they read, and any other flag is a usage error.  Reports
+--omega, --N, --output and --format; evolve and stability add the flags
+they read, and any other flag is a usage error.  Reports
 echo the subcommand's own settings (all but --output), its name and the
 library version.  JSON reports are written by json.dumps (NaN and
 Infinity as bare words) and CSV cells with the same float rule, Python's
@@ -62,6 +62,7 @@ _SPECTRUM_COLUMNS = ("operator", "index", "eigenvalue", "parity")
 _EVOLVE_COLUMNS = ("t", "sup_error")
 _STABILITY_COLUMNS = ("t", "orbital_dist")
 _DEFAULT_DT = 1e-4  # evolve and stability time step
+_IDENTITY_RESIDUAL_MAX = 1e-5  # largest integral-identity residual an audit passes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -302,7 +303,7 @@ def _audit_row(config: argparse.Namespace, omega: float) -> list:
         and direct > 0.0
         and ident > 0.0
         and route_rel <= 1e-4
-        and all(r <= config.max_identity_residual for r in residuals)
+        and all(r <= _IDENTITY_RESIDUAL_MAX for r in residuals)
     )
     return [
         omega, audit.dalpha3, audit.dB, audit.dalpha1, audit.dalpha2,
@@ -312,9 +313,6 @@ def _audit_row(config: argparse.Namespace, omega: float) -> list:
 
 
 def _run_audit(config: argparse.Namespace) -> _Report:
-    if not config.max_identity_residual >= 0.0:
-        raise ConfigError("--max-identity-residual must be a nonnegative number, "
-                          f"got {config.max_identity_residual!r}")
     rows = [_audit_row(config, omega) for omega in _omega_list(config)]
     failure = None
     if any(row[-1] != "ok" for row in rows):
@@ -375,9 +373,7 @@ _SUBCOMMANDS = {
         _run_audit, "json",
         "derivative and integral-identity checks at each omega (one value or "
         "a sweep), every rate exact from the curve's tangent; "
-        "CSV columns: " + ",".join(_AUDIT_COLUMNS),
-        {"max_identity_residual": "largest integral-identity residual an "
-                                  "omega may carry and pass (default %(default)g)"}),
+        "CSV columns: " + ",".join(_AUDIT_COLUMNS)),
 }
 
 _COMMON_FLAGS = {
@@ -400,7 +396,6 @@ _OPTIONS = {
     "seed": {"type": int, "default": 0},
     "output": {"default": "-"},
     "format": {"choices": ("csv", "json")},
-    "max_identity_residual": {"type": float, "default": 1e-5},
 }
 
 

@@ -5,10 +5,10 @@ Conventions
 All routines take the *parameter* m = k**2 (k the modulus), following
 Abramowitz & Stegun chapters 16-17.  K and E are computed with the
 arithmetic-geometric mean iteration (A&S 17.6); sn, cn, dn use the AGM
-scale and the descending amplitude recursion of A&S 16.4.  Near the
-degenerate ends the standard expansions take over: trigonometric forms
-with first-order corrections for m -> 0 (A&S 16.13) and hyperbolic
-forms for m -> 1 (A&S 16.15).
+scale and the descending amplitude recursion of A&S 16.4, which stays
+accurate as m -> 0 (at m = 0 it returns sin, cos and 1 exactly).  Near
+m = 1 the hyperbolic forms with first-order corrections take over
+(A&S 16.15).
 
 Accuracy is limited by the quadratic convergence of the AGM, which
 reaches machine precision in at most a dozen iterations for every
@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 _AGM_TOL = 1e-15
-_TRIG_CUT = 1e-12       # below: series around m = 0
 _HYPERBOLIC_CUT = 1e-10  # 1 - m below: series around m = 1
 
 
@@ -116,16 +115,6 @@ def _K_and_dK_dk(m: float) -> tuple[float, float]:
     return K, (E - (1.0 - m) * K) / (math.sqrt(m) * (1.0 - m))
 
 
-def _jacobi_trig(u: np.ndarray, m: float):
-    # A&S 16.13: first-order corrections around the circular limit.
-    s, c = np.sin(u), np.cos(u)
-    corr = 0.25 * m * (u - s * c)
-    sn = s - corr * c
-    cn = c + corr * s
-    dn = 1.0 - 0.5 * m * s * s
-    return sn, cn, dn
-
-
 def _cn_dn_hyperbolic(u: np.ndarray, m1: float):
     # A&S 16.15.2-3: first-order corrections to cn and dn at 1 - m = m1.
     t = np.tanh(u)
@@ -179,9 +168,7 @@ def jacobi_sn_cn_dn(u, m: float):
     scalar = u_arr.ndim == 0
     u_arr = np.atleast_1d(u_arr)
 
-    if m <= _TRIG_CUT:
-        sn, cn, dn = _jacobi_trig(u_arr, m)
-    elif m >= 1.0 - _HYPERBOLIC_CUT:
+    if m >= 1.0 - _HYPERBOLIC_CUT:
         sn, cn, dn = _jacobi_hyperbolic(u_arr, m)
     else:
         a_seq, c_seq = _agm_sequence(m)

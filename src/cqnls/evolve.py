@@ -18,15 +18,15 @@ even subspace: even initial data stays even under both substeps, and the
 run asserts that parity is preserved.
 
 The fidelity and stability runs share one schedule.  A run takes
-n = max(1, round(t_end / dt)) steps over min(records, n) record
-intervals whose step counts differ by at most one and sum to n (equal
-when n is a multiple of the interval count), so the last record is at
-n dt.  The field is recorded at t = 0 and at the end of every interval,
-where a nonfinite field, or an amplitude above a multiple of the wave's
-(1e3 unless given), aborts the run with a blow-up error: the quintic
-focusing term admits finite-time blow-up for large data, so overflow
-must fail loudly.  The drifts of mass and energy compare the last record
-with the initial field.  A field is a plain complex array on the grid.
+n = max(1, round(t_end / dt)) steps over min(200, n) record intervals
+whose step counts differ by at most one and sum to n (equal when n is a
+multiple of the interval count), so the last record is at n dt.  The
+field is recorded at t = 0 and at the end of every interval, where a
+nonfinite field, or an amplitude above 1e3 times the wave's, aborts the
+run with a blow-up error: the quintic focusing term admits finite-time
+blow-up for large data, so overflow must fail loudly.  The drifts of
+mass and energy compare the last record with the initial field.  A
+field is a plain complex array on the grid.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ __all__ = [
 
 _PERTURBATIONS = ("mode_cos1", "bump", "random_even")
 _PARITY_TOL = 1e-8  # max evenness defect tolerated during a stability run
-_BLOWUP_FACTOR = 1e3  # default amplitude cap, in multiples of the wave's
+_BLOWUP_FACTOR = 1e3  # amplitude cap, in multiples of the wave's
+_RECORDS = 200  # record intervals per run (fewer if the run has fewer steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,22 +194,19 @@ def _parity_defect(u: np.ndarray) -> float:
 
 
 def _trajectory(
-    prof: Profile, u: np.ndarray, t_end: float, dt: float, records: int,
-    blowup_factor: float,
+    prof: Profile, u: np.ndarray, t_end: float, dt: float,
 ) -> Iterator[tuple[float, np.ndarray]]:
     # (t, u) at t = 0 and at the end of every record interval of the
     # schedule in the module docstring, with its checks after each interval
     if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
         raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
-    if records < 1:
-        raise ConfigError(f"need at least one record interval, got {records}")
     if u.shape != (prof.N,) or not np.all(np.isfinite(u)):
         raise ConfigError(f"initial field needs {prof.N} finite samples, got {u.shape}")
     kernel = np.exp(-1j * dt * wavenumbers(prof.L, prof.N) ** 2)
-    amp_cap = blowup_factor * float(np.max(prof.phi))
+    amp_cap = _BLOWUP_FACTOR * float(np.max(prof.phi))
     yield 0.0, u
     n = max(1, int(round(t_end / dt)))
-    count = min(records, n)
+    count = min(_RECORDS, n)
     done = 0
     for rec in range(1, count + 1):
         total = (rec * n) // count
@@ -220,7 +218,7 @@ def _trajectory(
         amp = float(np.max(np.abs(u)))
         if amp > amp_cap:
             raise BlowupError(
-                f"amplitude {amp:.3e} exceeds {blowup_factor:g} x wave amplitude at t={t:.6g}"
+                f"amplitude {amp:.3e} exceeds {_BLOWUP_FACTOR:g} x wave amplitude at t={t:.6g}"
             )
         yield t, u
 
@@ -236,8 +234,6 @@ def run_fidelity(
     t_end: float,
     dt: float,
     N: int,
-    *,
-    records: int = 200,
 ) -> FidelityReport:
     """Evolve the unperturbed wave and compare against e^{i omega t} phi.
 
@@ -248,7 +244,7 @@ def run_fidelity(
     wp, prof = build_wave(L, omega, N)
     u0 = prof.phi.astype(complex)
     times, sup = [], []
-    for t, u in _trajectory(prof, u0, t_end, dt, records, _BLOWUP_FACTOR):
+    for t, u in _trajectory(prof, u0, t_end, dt):
         exact = np.exp(1j * omega * t) * prof.phi
         times.append(t)
         sup.append(float(np.max(np.abs(u - exact))))
@@ -274,14 +270,12 @@ def run_stability(
     N: int,
     *,
     seed: int = 0,
-    records: int = 200,
-    blowup_factor: float = _BLOWUP_FACTOR,
 ) -> StabilityReport:
     """Evolve phi + delta * (unit even perturbation) and track the orbit.
 
     Records the orbital distance, asserts that evenness survives the
-    whole run, and aborts once the amplitude exceeds blowup_factor times
-    the wave's.
+    whole run, and aborts once the amplitude exceeds 1e3 times the
+    wave's.
     """
     if not 0.0 <= delta < math.inf:
         raise ConfigError(
@@ -291,7 +285,7 @@ def run_stability(
     wp, prof = build_wave(L, omega, N)
     u0 = (prof.phi + delta * shape).astype(complex)
     times, dists, parity = [], [], 0.0
-    for t, u in _trajectory(prof, u0, t_end, dt, records, blowup_factor):
+    for t, u in _trajectory(prof, u0, t_end, dt):
         times.append(t)
         dists.append(orbital_distance(u, prof))
         parity = max(parity, _parity_defect(u))

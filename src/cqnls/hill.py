@@ -203,16 +203,14 @@ def solve_even(kind: str, wp: WaveParams, prof: Profile, rhs) -> np.ndarray:
     return u
 
 
-def spectrum_report(kind: str, wp: WaveParams, prof: Profile,
-                    tol_zero: float | None = None) -> SpectrumReport:
+def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     """Eigendecomposition with parity labels and zero-eigenvalue bookkeeping.
 
-    Eigenvalues inside (-tol_zero, tol_zero) count as zero; the default
-    tolerance 1e-6 max(1, omega) separates spectral discretization error
+    Eigenvalues inside (-tol_zero, tol_zero) count as zero; the tolerance
+    tol_zero = 1e-6 max(1, omega) separates spectral discretization error
     from genuine negative modes.
     """
-    if tol_zero is None:
-        tol_zero = 1e-6 * max(1.0, wp.omega)
+    tol_zero = 1e-6 * max(1.0, wp.omega)
     (even_vals, even_vecs), (odd_vals, odd_vecs) = map(sym_eig, _parity_blocks(kind, wp, prof))
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")

@@ -117,7 +117,8 @@ def omega_threshold(L: float) -> float:
     """
     if L <= 0:
         raise DomainError(f"period must be positive, got L={L}")
-    return (math.sqrt(L * L + 16 * math.pi) / L + 8 * math.pi / L**2 - 1) / 8
+    # dividing by L twice keeps a tiny L from underflowing L**2 to zero
+    return (math.sqrt(L * L + 16 * math.pi) / L + 8 * math.pi / L / L - 1) / 8
 
 
 def min_period(omega: float) -> float:
@@ -130,8 +131,10 @@ def min_period(omega: float) -> float:
     """
     if omega <= 0:
         raise DomainError(f"frequency must be positive, got omega={omega}")
+    # s (s - 1) with s - 1 = 4 omega / (s + 1), which stays positive (and
+    # accurate) where s rounds to 1
     s = math.sqrt(4.0 * omega + 1.0)
-    return 2.0 * math.pi / math.sqrt(s * (s - 1.0))
+    return 2.0 * math.pi / math.sqrt(4.0 * omega / (1.0 + 1.0 / s))
 
 
 def alpha_bounds(omega: float) -> tuple[float, float]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cqnls
-from cqnls import __version__
+from cqnls import __version__, cli
 from cqnls.cli import SystemExit2, build_parser, main
 
 from conftest import TWO_PI
@@ -69,6 +69,16 @@ def test_construct_below_threshold_exits_1(capsys):
     assert "omega_threshold" in err
 
 
+@pytest.mark.parametrize("argv", [("--omega", "1e-300"),
+                                  ("--L", "1e-300", "--omega", "2")],
+                         ids=["tiny_omega", "tiny_L"])
+def test_construct_tiny_omega_or_period_exits_1(capsys, argv):
+    # s - 1 rounds to 0 at omega < 5e-17, and L**2 underflows at L < 1e-162
+    code, out, err = _run(capsys, "construct", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("cqnls construct: ") and err.count("\n") == 1
+
+
 def test_construct_rejects_range(capsys):
     code, out, err = _run(capsys, "construct", "--omega", "1:2:5")
     assert code == 1
@@ -118,6 +128,14 @@ def test_curve_frequency_without_wave_keeps_its_row(capsys):
     code, out, err = _run(capsys, "curve", "--omega", "0.1:2:2")
     assert code == 0
     assert [ln.split(",")[-2] for ln in _data_lines(out)[1:]] == ["error", "ok"]
+
+
+def test_curve_tiny_frequency_keeps_its_row(capsys):
+    code, out, err = _run(capsys, "curve", "--omega", "1e-300:1.0:3")
+    assert code == 0
+    rows = [ln.split(",") for ln in _data_lines(out)[1:]]
+    assert [(row[0], row[-2]) for row in rows] == [
+        ("1e-300", "error"), ("0.5", "ok"), ("1.0", "ok")]
 
 
 def test_curve_json(capsys):
@@ -213,34 +231,26 @@ def test_audit_coarse_sweep_passes(capsys):
     assert all(ln.endswith(",ok") for ln in _data_lines(out)[1:])
 
 
-def test_audit_threshold_knob(capsys):
+def test_audit_threshold_knob(capsys, monkeypatch):
     code, out, err = _run(capsys, "audit", "--omega", "1.9:2.1:3",
                           "--format", "json")
     assert code == 0
     worst = max(value for row in json.loads(out)["rows"]
                 for key, value in row.items() if key.startswith("ident_"))
     # a threshold below the printed residuals fails the audit
+    monkeypatch.setattr(cli, "_IDENTITY_RESIDUAL_MAX", 0.5 * worst)
     code, out, err = _run(capsys, "audit", "--omega", "1.9:2.1:3",
-                          "--max-identity-residual", repr(0.5 * worst),
                           "--format", "csv")
     assert code == 2
     assert "numeric assertion failed" in err
     assert any(ln.endswith(",fail") for ln in _data_lines(out)[1:])
 
 
-@pytest.mark.parametrize("value", ["nan", "-0.5"])
-def test_audit_rejects_bad_threshold(capsys, value):
-    code, out, err = _run(capsys, "audit", "--omega", "2",
-                          "--max-identity-residual", value)
-    assert code == 1 and out == ""
-    assert err.startswith("cqnls audit: --max-identity-residual")
-
-
 @pytest.mark.parametrize("argv, message", [
     (("curve", "--L", "-1e-3", "--omega", "2"), "period must be finite and positive"),
-    (("audit", "--omega", "2", "--max-identity-residual", "-1e-5"),
-     "--max-identity-residual must be a nonnegative number"),
-], ids=["curve_L", "audit_threshold"])
+    (("stability", "--omega", "2", "--delta", "-1e-3"),
+     "perturbation size must be nonnegative"),
+], ids=["curve_L", "stability_delta"])
 def test_negative_exponent_values_reach_the_library_check(capsys, argv, message):
     # argparse alone reads -1e-3 as an option name and exits 64
     code, out, err = _run(capsys, *argv)
@@ -280,13 +290,13 @@ _COMMON_FLAGS = ("--L", "--omega", "--N", "--output", "--format")
 _FLAG_VALUES = {
     "--L": "7", "--omega": "2", "--N": "64", "--output": "-", "--format": "csv",
     "--dt": "1e-3", "--t-end": "1", "--delta": "1e-3", "--perturbation": "bump",
-    "--seed": "1", "--max-identity-residual": "1e-5",
+    "--seed": "1",
 }
 _OWN_FLAGS = {
     "construct": (), "curve": (), "spectrum": (), "theta": (),
     "evolve": ("--dt", "--t-end"),
     "stability": ("--dt", "--t-end", "--delta", "--perturbation", "--seed"),
-    "audit": ("--max-identity-residual",),
+    "audit": (),
 }
 
 
@@ -305,7 +315,19 @@ def test_each_subcommand_takes_only_its_own_flags():
     expected = {(sub, flag) for sub, own in _OWN_FLAGS.items()
                 for flag in (*_COMMON_FLAGS, *own)}
     assert taken == expected
-    assert len(taken) == 43
+    assert len(taken) == 42
+
+
+def test_readme_flag_table_matches_the_subcommand_table():
+    # each README row `| \`name\` | \`--flag\` (note), ... |` lists the flags
+    # that subcommand adds; a subcommand without a row adds none
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {row.group(1): set(re.findall(r"`(--[a-z-]+)`", row.group(2)))
+             for row in re.finditer(r"^\| `(\w+)`\s*\|(.*)\|$", readme, re.M)}
+    assert table and set(table) <= set(cli._SUBCOMMANDS)
+    for name, spec in cli._SUBCOMMANDS.items():
+        own = {"--" + flag.replace("_", "-") for flag in spec.flags}
+        assert table.get(name, set()) == own, name
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,7 +337,6 @@ def test_each_subcommand_takes_only_its_own_flags():
     ("theta", "--t-end", "5"),
     ("evolve", "--seed", "1"),
     ("audit", "--dt", "1e-3"),
-    ("stability", "--max-identity-residual", "1e-5"),
 ], ids=lambda argv: "_".join(argv[:2]))
 def test_unread_flag_is_a_usage_error(capsys, argv):
     code, out, err = _run(capsys, argv[0], "--omega", "2", *argv[1:])
@@ -414,7 +435,7 @@ def test_byte_determinism(capsys):
 
 # small configurations; the curve sweep holds an error row and the audit
 # fails an identity threshold set below its mass_rate residuals, about
-# 5e-11 at N=64 (exit 2)
+# 5e-11 at N=64 (exit 2; _IDENTITY_RESIDUAL_MAX is patched to 1e-12 there)
 _SMALL = {
     "construct": ("--omega", "2", "--N", "64"),
     "curve": ("--omega", "0.3:0.5:3", "--N", "64"),
@@ -423,8 +444,7 @@ _SMALL = {
     "evolve": ("--omega", "2", "--N", "64", "--t-end", "0.01", "--dt", "1e-3"),
     "stability": ("--omega", "2", "--N", "64", "--t-end", "0.01",
                   "--dt", "1e-3", "--perturbation", "random_even"),
-    "audit": ("--omega", "1.9:2.1:3", "--N", "64",
-              "--max-identity-residual", "1e-12"),
+    "audit": ("--omega", "1.9:2.1:3", "--N", "64"),
 }
 
 
@@ -452,7 +472,8 @@ def _same(cell, value):
 
 
 @pytest.mark.parametrize("subcommand", sorted(_SMALL))
-def test_csv_and_json_carry_equal_numbers(capsys, subcommand):
+def test_csv_and_json_carry_equal_numbers(capsys, monkeypatch, subcommand):
+    monkeypatch.setattr(cli, "_IDENTITY_RESIDUAL_MAX", 1e-12)
     args = (subcommand, *_SMALL[subcommand])
     json_code, json_out, _ = _run(capsys, *args, "--format", "json")
     csv_code, csv_out, _ = _run(capsys, *args, "--format", "csv")

@@ -115,6 +115,18 @@ def test_hyperbolic_sn_against_mpmath(m1):
     assert np.max(np.abs(sn - ref)) <= 1e-14
 
 
+@pytest.mark.parametrize("m", [1e-14, 1e-13, 1e-12, 5e-12])
+def test_small_m_jacobi_against_mpmath(m):
+    # the AGM recursion alone near m = 0, across two quarter periods either side
+    K = elliptic.complete_K(m)
+    u = np.linspace(-2.0 * K, 2.0 * K, 41)
+    values = elliptic.jacobi_sn_cn_dn(u, m)
+    with mpmath.workdps(40):
+        for name, got in zip(("sn", "cn", "dn"), values):
+            ref = [float(mpmath.ellipfun(name, float(x), m=m)) for x in u]
+            assert np.max(np.abs(got - ref)) <= 1e-15, name
+
+
 def test_jacobi_against_defining_ode():
     for ui, mi in [(0.7, 0.4), (-2.3, 0.8), (5.1, 0.15), (1.9, 0.99)]:
         sn, cn, dn = elliptic.jacobi_sn_cn_dn(ui, mi)

@@ -16,7 +16,7 @@ def test_trajectory_checks_the_initial_field(ref_wave):
     _, prof = ref_wave
 
     def first_record(u):
-        return next(evolve._trajectory(prof, u, 1e-3, 1e-3, 1, 1e3))
+        return next(evolve._trajectory(prof, u, 1e-3, 1e-3))
 
     u0 = prof.phi.astype(complex)
     t, u = first_record(u0)
@@ -187,20 +187,22 @@ def test_runs_stop_at_requested_horizon():
     assert rep.times.shape == (201,)
     assert steps[-1] == 3333
     assert set(np.diff(steps)) == {16, 17}
-    # a multiple of records * dt keeps equal intervals, t = rec * chunk * dt
+    # a multiple of 200 dt keeps equal intervals, t = rec * chunk * dt
     rep = evolve.run_stability(TWO_PI, 2.0, delta=1e-3, perturbation="bump",
-                               t_end=0.06, dt=1e-3, N=64, records=20)
-    assert rep.times.tolist() == [rec * 3 * 1e-3 for rec in range(21)]
+                               t_end=0.6, dt=1e-3, N=64)
+    assert rep.times.tolist() == [rec * 3 * 1e-3 for rec in range(201)]
 
 
 def test_fidelity_drifts_measured_at_horizon():
     # the drifts compare the field at the horizon with the initial one
     L, omega, t_end, dt, N = TWO_PI, 2.0, 0.01, 1e-3, 64
-    rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N, records=1)
+    rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N)
     _, prof = waves.build_wave(L, omega, N)
     u0 = prof.phi.astype(complex)
     kernel = np.exp(-1j * dt * fourier.wavenumbers(L, N) ** 2)
-    u = evolve._advance(u0, kernel, dt, 10)
+    u = u0
+    for _ in range(10):  # the run's 10 record intervals of one step
+        u = evolve._advance(u, kernel, dt, 1)
     assert rep.times[-1] == pytest.approx(t_end, rel=1e-12)
     assert rep.mass_drift == abs(evolve.mass(L, u) - evolve.mass(L, u0))
     assert rep.energy_drift == abs(evolve.energy(L, u) - evolve.energy(L, u0))
@@ -210,10 +212,12 @@ def test_fidelity_rotation_rate_over_whole_run():
     # the mean rate is the phase lag at the horizon over |omega| T, and
     # that lag accounts for the sup error: sup ~ max(phi) |omega| T error
     L, omega, t_end, dt, N = TWO_PI, 2.0, 4.0, 1e-3, 64
-    rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N, records=1)
+    rep = evolve.run_fidelity(L, omega, t_end=t_end, dt=dt, N=N)
     _, prof = waves.build_wave(L, omega, N)
     kernel = np.exp(-1j * dt * fourier.wavenumbers(L, N) ** 2)
-    u = evolve._advance(prof.phi.astype(complex), kernel, dt, 4000)
+    u = prof.phi.astype(complex)
+    for _ in range(200):  # the run's 200 record intervals of 20 steps
+        u = evolve._advance(u, kernel, dt, 20)
     T = rep.times[-1]
     lag = np.angle(np.sum(u * np.conj(np.exp(1j * omega * T) * prof.phi)))
     assert rep.rotation_rate_error == abs(float(lag)) / (abs(omega) * T)
@@ -222,7 +226,7 @@ def test_fidelity_rotation_rate_over_whole_run():
 
 
 def test_fidelity_and_unperturbed_stability_share_the_run():
-    args = dict(L=TWO_PI, omega=2.0, t_end=0.2, dt=1e-3, N=64, records=7)
+    args = dict(L=TWO_PI, omega=2.0, t_end=0.2, dt=1e-3, N=64)
     fid = evolve.run_fidelity(**args)
     stab = evolve.run_stability(delta=0.0, perturbation="bump", **args)
     assert np.array_equal(fid.times, stab.times)
@@ -233,8 +237,7 @@ def test_fidelity_and_unperturbed_stability_share_the_run():
 def test_fidelity_second_order_in_dt():
     sup = {}
     for dt in (2e-4, 1e-4):
-        rep = evolve.run_fidelity(TWO_PI, 2.0, t_end=0.5, dt=dt, N=256,
-                                  records=10)
+        rep = evolve.run_fidelity(TWO_PI, 2.0, t_end=0.5, dt=dt, N=256)
         sup[dt] = float(rep.sup_error[-1])
     ratio = sup[2e-4] / sup[1e-4]
     assert 3.4 <= ratio <= 4.6
@@ -245,8 +248,6 @@ def test_fidelity_config_errors():
         evolve.run_fidelity(TWO_PI, 2.0, t_end=0.0, dt=1e-4, N=256)
     with pytest.raises(ConfigError):
         evolve.run_fidelity(TWO_PI, 2.0, t_end=1.0, dt=-1e-4, N=256)
-    with pytest.raises(ConfigError):
-        evolve.run_fidelity(TWO_PI, 2.0, t_end=1.0, dt=1e-4, N=256, records=0)
 
 
 @pytest.mark.parametrize("t_end, dt", [(math.inf, 1e-3), (0.01, math.nan)])
@@ -286,7 +287,7 @@ def test_stability_linear_response():
     for delta in (1e-3, 2e-3):
         rep = evolve.run_stability(TWO_PI, 2.0, delta=delta,
                                    perturbation="bump", t_end=2.0, dt=2e-4,
-                                   N=256, records=50)
+                                   N=256)
         dists[delta] = rep.max_dist
         assert rep.parity_defect <= 1e-8
         assert np.all(rep.orbital_dist >= 0.0)
@@ -294,10 +295,11 @@ def test_stability_linear_response():
     assert 1.7 <= ratio <= 2.3
 
 
-def test_stability_blowup_sentinel():
+def test_stability_blowup_sentinel(monkeypatch):
+    monkeypatch.setattr(evolve, "_BLOWUP_FACTOR", 1.0)
     with pytest.raises(BlowupError):
         evolve.run_stability(TWO_PI, 2.0, delta=1e-2, perturbation="bump",
-                             t_end=0.01, dt=1e-3, N=256, blowup_factor=1.0)
+                             t_end=0.01, dt=1e-3, N=256)
 
 
 def test_stability_config_errors():

@@ -201,19 +201,6 @@ def test_eigenvectors_orthonormal_under_trapezoid(ref_spectra):
         assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
 
 
-def test_zero_tolerance_override(ref_wave, ref_spectra):
-    wp, prof = ref_wave
-    default = ref_spectra[0]
-    lam0 = default.eigenvalues[default.zero_index]
-    rep = hill.spectrum_report("L1", wp, prof, tol_zero=1e-15)
-    # the discrete kernel eigenvalue is rounding-sized (~1e-12) and of
-    # either sign; outside this tolerance it counts only when below zero
-    assert abs(lam0) > 1e-15
-    assert rep.zero_index is None
-    assert math.isnan(rep.zero_match_error)
-    assert rep.n_negative == 1 + (lam0 < -1e-15)
-
-
 def test_combined_counts(ref_spectra):
     r1, r2 = ref_spectra
     counts = hill.combined_counts(r1, r2)

@@ -57,6 +57,17 @@ def test_min_period_closed_form():
         TWO_PI, rel=1e-12)
 
 
+def test_min_period_tiny_frequency():
+    # s = sqrt(4 omega + 1) rounds to 1 here; the limit is pi sqrt(2 / omega)
+    assert waves.min_period(1e-17) == pytest.approx(
+        math.pi * math.sqrt(2.0 / 1e-17), rel=1e-12)
+
+
+def test_threshold_tiny_period():
+    # L**2 underflows to zero here; the floor grows without bound instead
+    assert waves.omega_threshold(1e-300) == math.inf
+
+
 def test_alpha_bounds_are_the_right_roots():
     for omega in SWEEP:
         lo, hi = waves.alpha_bounds(omega)
