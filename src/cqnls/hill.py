@@ -16,8 +16,10 @@ grid reflection j -> (N - j) mod N and the eigenproblem is solved on
 its even and odd blocks separately: every eigenvector is
 reflection-symmetric or antisymmetric by construction.  The blocks are
 assembled from the circulant second-derivative column, never from the
-N x N matrix; solve_even inverts an operator on the even block alone,
-which is how the curve module gets its tangent from L1.  Oscillation
+N x N matrix, and the eigenpairs stay in block form: a report lifts its
+N x N eigenvector matrix only when first read.  solve_even inverts an
+operator on the even block alone, which is how the curve module gets
+its tangent from L1.  Oscillation
 theory pins the structure the stability argument needs: L1 has exactly
 one negative eigenvalue (even, nodeless ground state) with zero next,
 spanned by the odd function phi'; L2 is nonnegative with zero at the
@@ -71,23 +73,31 @@ class SpectrumReport:
 
     The spectrum is solved on the even and odd blocks of the operator and
     merged, so parity[i] ("even" or "odd") is the block eigenpair i came
-    from and holds by construction.  eigenvalues are ascending;
-    eigenvector columns are orthonormal in the discrete inner product
-    sum_j f_j g_j (L/N).  zero_match_error compares the unit-normalized
-    zero eigenvector against the analytic kernel element (phi' for L1,
-    phi for L2), ignoring overall sign; it is NaN when no eigenvalue
-    falls inside the zero tolerance.
+    from and holds by construction.  eigenvalues are ascending; order[i]
+    is its column among the (even, odd) block_vectors, and eigenvectors,
+    lifted from them when first read, are orthonormal under sum_j f_j g_j
+    (L/N).  orthonormality_defect is the largest |V^T V - I| entry over
+    both blocks, the grid Gram defect up to rounding.  zero_match_error
+    compares the unit-normalized zero eigenvector against the analytic
+    kernel element (phi' for L1, phi for L2), ignoring overall sign; it is
+    NaN when no eigenvalue falls inside the zero tolerance.
     """
 
     kind: str
     wp: WaveParams
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     parity: tuple
     n_negative: int
     zero_index: int | None
     zero_match_error: float
     tol_zero: float
+    orthonormality_defect: float
+    block_vectors: tuple
+    order: np.ndarray
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return _lift(*self.block_vectors, self.order) * math.sqrt(self.order.size / self.wp.L)
 
 
 @dataclass(frozen=True)
@@ -203,6 +213,22 @@ def solve_even(kind: str, wp: WaveParams, prof: Profile, rhs) -> np.ndarray:
     return u
 
 
+def _lift(even_vecs: np.ndarray, odd_vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Grid columns P v, unit in sum_j v_j^2, of the merged block columns cols.
+
+    Row j > N/2 repeats row N - j, negated in the odd columns (cols > N/2).
+    """
+    half = even_vecs.shape[0] - 1
+    weight = _fold(2 * half)[:, None]
+    even = cols <= half
+    coef = np.zeros((half + 1, cols.size))
+    coef[:, even] = weight * even_vecs[:, cols[even]]
+    coef[1:half, ~even] = weight[1:-1] * odd_vecs[:, cols[~even] - half - 1]
+    vecs = coef[np.minimum(np.arange(2 * half), np.arange(2 * half, 0, -1))]
+    vecs[half + 1:] *= np.where(even, 1.0, -1.0)
+    return vecs
+
+
 def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     """Eigendecomposition with parity labels and zero-eigenvalue bookkeeping.
 
@@ -212,25 +238,13 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     """
     tol_zero = 1e-6 * max(1.0, wp.omega)
     (even_vals, even_vecs), (odd_vals, odd_vecs) = map(sym_eig, _parity_blocks(kind, wp, prof))
+    ortho = max(float(np.max(np.abs(v.T @ v - np.eye(len(v))))) for v in (even_vecs, odd_vecs))
+    if ortho > 1e-10:
+        raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
-    # coef holds rows 0 .. N/2 of P times the block eigenvectors; row j > N/2
-    # repeats row N - j, negated in the odd columns
-    half = prof.N // 2
-    weight = _fold(prof.N)[:, None]
-    coef = np.zeros((half + 1, prof.N))
-    coef[:, :half + 1] = weight * even_vecs
-    coef[1:half, half + 1:] = weight[1:-1] * odd_vecs
-    j = np.arange(prof.N)
-    evecs = coef[:, order][np.minimum(j, prof.N - j)]
-    evecs[half + 1:] *= np.where(order <= half, 1.0, -1.0)
-    parity = tuple("even" if i <= half else "odd" for i in order)
-    gram = evecs.T @ evecs
-    gram[np.diag_indices_from(gram)] -= 1.0
-    ortho = float(np.max(np.abs(gram)))
-    if ortho > 1e-10:
-        raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
+    parity = tuple("even" if i <= prof.N // 2 else "odd" for i in order)
 
     n_negative = int(np.sum(evals < -tol_zero))
     near = np.flatnonzero(np.abs(evals) <= tol_zero)
@@ -238,10 +252,9 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
         zero_index = int(near[np.argmin(np.abs(evals[near]))])
         kernel = prof.dphi if kind == "L1" else prof.phi
         khat = kernel / np.linalg.norm(kernel)
-        vec = evecs[:, zero_index]
-        zero_match = float(
-            min(np.linalg.norm(vec - khat), np.linalg.norm(vec + khat))
-        )
+        vec = _lift(even_vecs, odd_vecs, order[[zero_index]])[:, 0]
+        zero_match = float(min(np.linalg.norm(vec - khat),
+                               np.linalg.norm(vec + khat)))
     else:
         zero_index = None
         zero_match = math.nan
@@ -250,12 +263,14 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
         kind=kind,
         wp=wp,
         eigenvalues=evals,
-        eigenvectors=evecs * math.sqrt(prof.N / prof.L),
         parity=parity,
         n_negative=n_negative,
         zero_index=zero_index,
         zero_match_error=zero_match,
         tol_zero=tol_zero,
+        orthonormality_defect=ortho,
+        block_vectors=(even_vecs, odd_vecs),
+        order=order,
     )
 
 

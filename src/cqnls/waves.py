@@ -141,8 +141,8 @@ def alpha_bounds(omega: float) -> tuple[float, float]:
     """Open interval of admissible squared amplitudes at frequency omega."""
     if omega <= 0:
         raise DomainError(f"frequency must be positive, got omega={omega}")
-    lo = (math.sqrt(1.0 + 4.0 * omega) - 1.0) / 2.0
-    hi = (math.sqrt(48.0 * omega + 9.0) - 3.0) / 4.0
+    lo = 2.0 * omega / (math.sqrt(1.0 + 4.0 * omega) + 1.0)  # (sqrt(1 + 4 omega) - 1)/2
+    hi = 12.0 * omega / (math.sqrt(48.0 * omega + 9.0) + 3.0)  # (sqrt(48 omega + 9) - 3)/4
     return lo, hi
 
 

@@ -10,8 +10,10 @@ entries are references instead: theta_by_rk4_loop is the RK4 integration of
 hill.theta_constant written out stage by stage, run with more steps to
 bound its step error, and alpha3_by_bisection and period_of_B_by_bisection
 keep the former bisection solves that waves.solve_alpha3 and
-waves.period_of_B replaced by a bracketed Newton iteration.  The last
-five are small routines the library itself does not need: the dense
+waves.period_of_B replaced by a bracketed Newton iteration, and
+spectrum_by_eager_lift keeps the former body of hill.spectrum_report,
+which lifted every block eigenvector to the grid and checked the full
+N x N Gram matrix.  The last five are small routines the library itself does not need: the dense
 second-derivative matrix and the full collocation matrix that the parity
 blocks of hill are checked against, an eigenvector sign-change counter for
 the oscillation counts, and the H^1 pairing and orbital phase that
@@ -271,6 +273,48 @@ def period_of_B_by_bisection(B: float, omega0: float) -> float:
         lo, hi,
     )
     return waves.period_map(alpha, omega0)
+
+
+def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
+    """Former hill.spectrum_report: every eigenvector lifted, full Gram check.
+
+    Returns the eigenvalues, the scaled grid eigenvectors, the parity
+    labels, the zero index, the zero match error and the largest
+    |V^T V - I| entry of the N x N Gram matrix of the unit grid columns.
+    """
+    tol_zero = 1e-6 * max(1.0, wp.omega)
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(
+        hill.sym_eig, hill._parity_blocks(kind, wp, prof))
+    evals = np.concatenate([even_vals, odd_vals])
+    order = np.argsort(evals, kind="stable")
+    evals = evals[order]
+    half = prof.N // 2
+    weight = hill._fold(prof.N)[:, None]
+    coef = np.zeros((half + 1, prof.N))
+    coef[:, :half + 1] = weight * even_vecs
+    coef[1:half, half + 1:] = weight[1:-1] * odd_vecs
+    j = np.arange(prof.N)
+    evecs = coef[:, order][np.minimum(j, prof.N - j)]
+    evecs[half + 1:] *= np.where(order <= half, 1.0, -1.0)
+    gram = evecs.T @ evecs
+    gram[np.diag_indices_from(gram)] -= 1.0
+    near = np.flatnonzero(np.abs(evals) <= tol_zero)
+    zero_index, zero_match = None, math.nan
+    if near.size:
+        zero_index = int(near[np.argmin(np.abs(evals[near]))])
+        kernel = prof.dphi if kind == "L1" else prof.phi
+        khat = kernel / np.linalg.norm(kernel)
+        vec = evecs[:, zero_index]
+        zero_match = float(min(np.linalg.norm(vec - khat),
+                               np.linalg.norm(vec + khat)))
+    return {
+        "eigenvalues": evals,
+        "eigenvectors": evecs * math.sqrt(prof.N / prof.L),
+        "parity": tuple("even" if i <= half else "odd" for i in order),
+        "zero_index": zero_index,
+        "zero_match_error": zero_match,
+        "gram_defect": float(np.max(np.abs(gram))),
+    }
 
 
 def second_derivative_matrix(L: float, N: int) -> np.ndarray:

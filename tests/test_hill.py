@@ -1,6 +1,7 @@
 """Spectra of the linearized operators and the companion-solution constant."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from oracles import (
     companion_by_ivp,
     second_derivative_matrix,
     sign_changes,
+    spectrum_by_eager_lift,
     theta_by_rk4_loop,
 )
 
@@ -167,13 +169,17 @@ def test_even_solve_rejects_an_odd_right_side(ref_wave):
         hill.solve_even("L1", *ref_wave, ref_wave[1].dphi)
 
 
+def _flat(wp, prof):
+    # zero profile: the potential is the constant omega
+    return wp, waves.Profile(L=prof.L, N=prof.N, x=prof.x, phi=np.zeros(prof.N),
+                             dphi=np.zeros(prof.N))
+
+
 def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
     # a zero profile leaves the constant potential omega, so every cosine
     # mode is exactly degenerate with its sine partner
-    wp, prof = ref_wave
-    N, L = prof.N, prof.L
-    flat = waves.Profile(L=L, N=N, x=prof.x, phi=np.zeros(N),
-                         dphi=np.zeros(N))
+    wp, flat = _flat(*ref_wave)
+    N, L = flat.N, flat.L
     for kind in ("L1", "L2"):
         rep = hill.spectrum_report(kind, wp, flat)
         assert rep.parity.count("even") == N // 2 + 1
@@ -183,6 +189,65 @@ def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
         modes = np.concatenate([np.arange(N // 2 + 1), np.arange(1, N // 2)])
         exact = np.sort(wp.omega + (2.0 * math.pi * modes / L) ** 2)
         assert np.max(np.abs(rep.eigenvalues - exact)) <= 1e-12 * exact[-1]
+
+
+@pytest.mark.parametrize("omega, N, flat", [
+    (2.0, 256, False), (8.0, 512, False), (2.0, 256, True)])
+@pytest.mark.parametrize("kind", ["L1", "L2"])
+def test_block_form_matches_eager_lift(kind, omega, N, flat):
+    # the report keeps the eigenpairs in block form and lifts them on first
+    # read; every field equals the former eager lift bit for bit
+    wave = waves.build_wave(TWO_PI, omega, N)
+    wp, prof = _flat(*wave) if flat else wave
+    rep = hill.spectrum_report(kind, wp, prof)
+    ref = spectrum_by_eager_lift(kind, wp, prof)
+    assert "eigenvectors" not in vars(rep)
+    assert np.array_equal(rep.eigenvectors, ref["eigenvectors"])
+    assert rep.eigenvectors is rep.eigenvectors
+    assert np.array_equal(rep.eigenvalues, ref["eigenvalues"])
+    assert rep.parity == ref["parity"]
+    assert rep.zero_index == ref["zero_index"]
+    assert np.array_equal(rep.zero_match_error, ref["zero_match_error"], equal_nan=True)
+    assert ref["gram_defect"] <= 1e-10
+    # the block check sees the full Gram defect up to rounding
+    assert rep.orthonormality_defect <= 1e-10
+    assert abs(rep.orthonormality_defect - ref["gram_defect"]) <= 4.0 * np.finfo(float).eps
+
+
+def test_orthonormality_defect_is_the_block_maximum(ref_spectra):
+    for rep in ref_spectra:
+        defects = [np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) for v in rep.block_vectors]
+        assert rep.orthonormality_defect == max(defects)
+
+
+def test_block_orthonormality_check_fires(ref_wave, monkeypatch):
+    # odd block eigenvectors off unit length by 1e-9 give a defect of 2e-9
+    exact = hill.sym_eig
+
+    def skewed(matrix):
+        evals, evecs = exact(matrix)
+        odd = len(evals) < ref_wave[1].N // 2
+        return evals, (evecs * (1.0 + 1e-9) if odd else evecs)
+
+    monkeypatch.setattr(hill, "sym_eig", skewed)
+    with pytest.raises(NumericError, match="orthonormality defect"):
+        hill.spectrum_report("L1", *ref_wave)
+
+
+def test_spectrum_report_memory_peak():
+    # block form: no N x N matrix until eigenvectors is read.  Measured at
+    # N = 512: 3.06 MiB; 4.1 MiB with an eager lift, 8.0 MiB with the lift
+    # and the full N x N Gram check
+    wp, prof = waves.build_wave(TWO_PI, 8.0, 512)
+    hill.spectrum_report("L2", wp, prof)  # caches -D2 on the blocks
+    tracemalloc.start()
+    try:
+        rep = hill.spectrum_report("L1", wp, prof)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_negative == 1
+    assert peak <= 3.5 * 2**20
 
 
 def test_oscillation_counts_phase_channel(ref_spectra):

@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,18 @@ def test_alpha_bounds_are_the_right_roots():
         # the discriminant quadratic stays positive through the closure
         for a in np.linspace(lo, hi, 9):
             assert waves.q_poly(a, omega) > 0.0
+
+
+def test_alpha_bounds_against_mpmath():
+    # the roots in rationalized form, without the cancellation at small omega
+    with mpmath.workdps(40):
+        for omega in (1e-3, 1e-2, 2.0, 40.0):
+            w = mpmath.mpf(omega)
+            exact = ((mpmath.sqrt(1 + 4 * w) - 1) / 2, (mpmath.sqrt(48 * w + 9) - 3) / 4)
+            for got, ref in zip(waves.alpha_bounds(omega), exact):
+                assert abs(got - ref) <= 1e-15 * ref
+    lo, hi = waves.alpha_bounds(1e-17)
+    assert 0.0 < lo < hi
 
 
 def test_b_threshold_matches_lower_bound():
