@@ -4,11 +4,12 @@ Conventions
 -----------
 All routines take the *parameter* m = k**2 (k the modulus), following
 Abramowitz & Stegun chapters 16-17.  K and E are computed with the
-arithmetic-geometric mean iteration (A&S 17.6); sn, cn, dn use the AGM
-scale and the descending amplitude recursion of A&S 16.4, which stays
-accurate as m -> 0 (at m = 0 it returns sin, cos and 1 exactly).  Near
-m = 1 the hyperbolic forms with first-order corrections take over
-(A&S 16.15).
+arithmetic-geometric mean iteration (A&S 17.6); sn, cn, dn with
+Bulirsch's descending Gauss transformation over the same AGM levels
+(R. Bulirsch, Numer. Math. 7 (1965) 78-90), one path for every m in
+[0, 1).  K and the Jacobi scale share the converged mean, so the
+argument (2K/L) x of an L-periodic profile maps to pi x / L.  At m = 1
+the exact limits tanh and sech are returned.
 
 Accuracy is limited by the quadratic convergence of the AGM, which
 reaches machine precision in at most a dozen iterations for every
@@ -31,19 +32,20 @@ __all__ = [
 ]
 
 _AGM_TOL = 1e-15
-_HYPERBOLIC_CUT = 1e-10  # 1 - m below: series around m = 1
 
 
-def _agm_sequence(m: float) -> tuple[list[float], list[float]]:
-    """AGM scale (a_n) and deviation (c_n) sequences for parameter m.
+def _agm_sequence(m: float) -> tuple[list[float], list[float], list[float], float]:
+    """AGM levels (a_n, b_n), deviations c_n and converged mean for parameter m.
 
     a_0 = 1, b_0 = sqrt(1 - m), c_0 = sqrt(m);
     a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
-    Iterates until successive means agree to 1e-15.
+    Iterates until a_n - b_n <= 2e-15; the mean (a_n + b_n)/2 of the
+    last level is one step past it and within rounding of AGM(1, b_0).
     """
     a = 1.0
     b = math.sqrt(1.0 - m)
     a_seq = [a]
+    b_seq = [b]
     c_seq = [math.sqrt(m)]
     for _ in range(64):
         c = 0.5 * (a - b)
@@ -51,8 +53,9 @@ def _agm_sequence(m: float) -> tuple[list[float], list[float]]:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         a_seq.append(a)
+        b_seq.append(b)
         c_seq.append(c)
-    return a_seq, c_seq
+    return a_seq, b_seq, c_seq, 0.5 * (a + b)
 
 
 def complete_K(m: float) -> float:
@@ -66,8 +69,7 @@ def complete_K(m: float) -> float:
     m = float(m)
     if not 0.0 <= m < 1.0:
         raise DomainError(f"complete_K requires 0 <= m < 1, got m={m}")
-    a_seq, _ = _agm_sequence(m)
-    return math.pi / (2.0 * a_seq[-1])
+    return math.pi / (2.0 * _agm_sequence(m)[3])
 
 
 def complete_E(m: float) -> float:
@@ -101,11 +103,11 @@ def dK_dk(m: float) -> float:
 
 def _complete_K_E(m: float) -> tuple[float, float]:
     """K(m) and E(m) from one AGM sequence; 0 <= m < 1."""
-    a_seq, c_seq = _agm_sequence(m)
+    _, _, c_seq, mean = _agm_sequence(m)
     acc = 0.0
     for n, c in enumerate(c_seq):
         acc += 2.0 ** (n - 1) * c * c
-    K = math.pi / (2.0 * a_seq[-1])
+    K = math.pi / (2.0 * mean)
     return K, K * (1.0 - acc)
 
 
@@ -115,72 +117,47 @@ def _K_and_dK_dk(m: float) -> tuple[float, float]:
     return K, (E - (1.0 - m) * K) / (math.sqrt(m) * (1.0 - m))
 
 
-def _cn_dn_hyperbolic(u: np.ndarray, m1: float):
-    # A&S 16.15.2-3: first-order corrections to cn and dn at 1 - m = m1.
-    t = np.tanh(u)
-    sech = 1.0 / np.cosh(u)
-    sc = np.sinh(u) * np.cosh(u)
-    return sech - 0.25 * m1 * (sc - u) * t * sech, sech + 0.25 * m1 * (sc + u) * t * sech
-
-
-def _jacobi_hyperbolic(u: np.ndarray, m: float):
-    # A&S 16.15: first-order corrections around the hyperbolic limit.
-    # For m < 1 the argument is first folded into one period, |u| <= K:
-    # sn(u + 2K) = -sn(u), cn(u + 2K) = -cn(u), dn(u + 2K) = dn(u).
-    # The first-order sn (16.15.1) loses accuracy towards |u| = K, so for
-    # |u| > K/2 it is taken from sn(u) = sign(u) cn(K - |u|) / dn(K - |u|)
-    # (A&S table 16.8), whose cn and dn stay accurate there.
-    m1 = 1.0 - m
-    sign = np.ones_like(u)
-    if m1 > 0.0:
-        K = complete_K(m)
-        u = np.mod(u + 2.0 * K, 4.0 * K) - 2.0 * K   # into [-2K, 2K)
-        outer = np.abs(u) > K
-        u = np.where(outer, u - np.sign(u) * 2.0 * K, u)
-        sign = np.where(outer, -1.0, 1.0)
-    t = np.tanh(u)
-    sech = 1.0 / np.cosh(u)
-    sn = t + 0.25 * m1 * (t - u * sech * sech)   # (sinh u cosh u - u) sech^2 u
-    cn, dn = _cn_dn_hyperbolic(u, m1)
-    if m1 > 0.0:
-        cn_c, dn_c = _cn_dn_hyperbolic(K - np.abs(u), m1)
-        sn = np.where(np.abs(u) > 0.5 * K, np.sign(u) * cn_c / dn_c, sn)
-    return sign * sn, sign * cn, dn
-
-
 def jacobi_sn_cn_dn(u, m: float):
     """Jacobi elliptic functions sn(u|m), cn(u|m), dn(u|m).
 
     The argument u may be a scalar or an ndarray; m is a scalar
-    parameter in [0, 1].  The amplitude phi_0 = am(u|m) is obtained by
-    running the AGM deviation sequence backwards (A&S 16.4.2-16.4.3):
+    parameter in [0, 1].  With the AGM levels (a_n, b_n), n = 0..N, and
+    the converged mean a, Bulirsch's descending Gauss transformation
+    starts from v = a u, t = tan v, q = t / a, d = 1 and runs down the
+    levels n = N..0:
 
-        phi_N = 2^N a_N u,
-        phi_{n-1} = (phi_n + arcsin((c_n/a_n) sin phi_n)) / 2,
+        t <- t q,  q <- q / d,  d <- (b_n t + 1) / (a_n t + 1),  t <- a_n q,
 
-    after which sn = sin(phi_0), cn = cos(phi_0) and
-    dn = sqrt(1 - m sn^2).
+    after which dn = d, |sn| = |q| / sqrt(1 + q^2), |cn| = 1 / sqrt(1 + q^2),
+    with the signs of sin v and cos v.  In this tangent form no
+    intermediate overflows, even for the tiniest |u|.  At m = 1 the
+    limits sn = tanh u, cn = dn = sech u are returned.
     """
     m = float(m)
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
-    u_arr = np.asarray(u, dtype=float)
-    scalar = u_arr.ndim == 0
-    u_arr = np.atleast_1d(u_arr)
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
 
-    if m >= 1.0 - _HYPERBOLIC_CUT:
-        sn, cn, dn = _jacobi_hyperbolic(u_arr, m)
+    if m == 1.0:
+        sn = np.tanh(u_arr)
+        cn = 1.0 / np.cosh(u_arr)
+        dn = cn.copy()
     else:
-        a_seq, c_seq = _agm_sequence(m)
-        n = len(a_seq) - 1
-        phi = (2.0 ** n) * a_seq[-1] * u_arr
-        for i in range(n, 0, -1):
-            ratio = c_seq[i] / a_seq[i]
-            phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
-        sn = np.sin(phi)
-        cn = np.cos(phi)
-        dn = np.sqrt(1.0 - m * sn * sn)
+        a_seq, b_seq, _, mean = _agm_sequence(m)
+        v = mean * u_arr
+        t = np.tan(v)
+        q = t / mean
+        d = np.ones_like(t)
+        for a, b in zip(reversed(a_seq), reversed(b_seq)):
+            t *= q
+            q /= d
+            d = (b * t + 1.0) / (a * t + 1.0)
+            t = a * q
+        h = 1.0 / np.sqrt(1.0 + q * q)
+        sn = np.copysign(np.abs(q) * h, np.sin(v))
+        cn = np.copysign(h, np.cos(v))
+        dn = d
 
-    if scalar:
+    if np.ndim(u) == 0:
         return float(sn[0]), float(cn[0]), float(dn[0])
     return sn, cn, dn

@@ -147,18 +147,19 @@ def h1_norm(L: float, f) -> float:
 def orbital_distance(u: np.ndarray, prof: Profile) -> float:
     """H^1 distance from the field u to the rotation orbit of the profile.
 
-    The minimizing angle is the argument of the H^1 pairing <u, phi>, so
-    the squared distance is ||u||^2 + ||phi||^2 - 2 |<u, phi>|.
+    The minimizing rotation is the phase of the H^1 pairing <u, phi>;
+    the distance is the H^1 norm of the residual u - rot phi, taken
+    directly rather than as ||u||^2 + ||phi||^2 - 2 |<u, phi>|, whose
+    cancellation floors small distances near sqrt(eps) ||phi||.
     """
     if u.shape != prof.phi.shape:
         raise ContractError(f"field has {u.shape} samples, profile {prof.phi.shape}")
-    # <u, phi> in H^1 from one FFT pair: prof.dphi is already the
-    # spectral derivative of phi
+    # one FFT pair: prof.dphi is already the spectral derivative of phi
     du = spectral_derivative(u, prof.L)
     pair = trapezoid(u * prof.phi + du * prof.dphi, prof.L)
-    nu = trapezoid(u.real**2 + u.imag**2 + du.real**2 + du.imag**2, prof.L)
-    nphi = trapezoid(prof.phi**2 + prof.dphi**2, prof.L)
-    return math.sqrt(max(float(nu + nphi - 2.0 * abs(pair)), 0.0))
+    rot = pair / abs(pair) if pair else 1.0
+    r, dr = u - rot * prof.phi, du - rot * prof.dphi
+    return math.sqrt(trapezoid(r.real**2 + r.imag**2 + dr.real**2 + dr.imag**2, prof.L))
 
 
 def perturbation_shape(kind: str, L: float, N: int, seed: int = 0) -> np.ndarray:

@@ -3,7 +3,8 @@
 Everything here is deliberately built from different primitives than the
 library under test: adaptive quadrature for the complete integrals, a
 Runge-Kutta integration of the defining first-order system for the
-Jacobi functions, and high-order shooting for the profile equation.
+Jacobi functions, high-order shooting for the profile equation, and
+40-digit mpmath for the closed-form profile.
 Agreement between a library routine and the matching oracle is then
 evidence for both, since they share no code and no method.  Some
 entries are references instead: theta_by_rk4_loop is the RK4 integration of
@@ -103,6 +104,28 @@ def profile_by_shooting(omega: float, phi0: float, x_eval: np.ndarray
     if not sol.success:
         raise RuntimeError(f"shooting integration failed: {sol.message}")
     return sol.y[0]
+
+
+def profile_by_mpmath(wp, x) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form profile and slope of the wave wp at x, in 40-digit arithmetic.
+
+    The same formulas as waves.profile_value and waves.profile_derivative,
+    phi = sqrt(alpha3) dn(cx) / sqrt(1 + beta^2 sn^2(cx)) with c = 2K/L,
+    evaluated with mpmath's K and Jacobi functions from the stored
+    (L, alpha3, m, beta^2), so only the final rounding is in doubles.
+    """
+    with mpmath.workdps(40):
+        m, b2 = mpmath.mpf(wp.m), mpmath.mpf(wp.beta_sq)
+        root = mpmath.sqrt(mpmath.mpf(wp.alpha3))
+        c = 2 * mpmath.ellipk(m) / mpmath.mpf(wp.L)
+        phi, dphi = [], []
+        for xi in np.asarray(x, dtype=float):
+            u = c * mpmath.mpf(float(xi))
+            sn, cn, dn = (mpmath.ellipfun(f, u, m=m) for f in ("sn", "cn", "dn"))
+            den = 1 + b2 * sn**2
+            phi.append(float(root * dn / mpmath.sqrt(den)))
+            dphi.append(float(-root * c * sn * cn * (m * den + b2 * dn**2) / den**1.5))
+    return np.array(phi), np.array(dphi)
 
 
 def period_by_shooting(omega: float, phi0: float, horizon: float) -> float:

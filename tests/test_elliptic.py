@@ -103,21 +103,46 @@ def test_jacobi_against_scipy():
         assert np.max(np.abs(dn - dn_r)) <= 5e-12
 
 
-@pytest.mark.parametrize("m1", [9e-11, 5e-11, 1.5e-12])
-def test_hyperbolic_sn_against_mpmath(m1):
-    # the series branch near m = 1, across two quarter periods either side
+@pytest.mark.parametrize(
+    "m1", [1.0, 0.5, 1e-3, 3e-7, 1e-9, 3e-10, 9e-11, 5e-11, 1.5e-12, 2.0**-52])
+def test_jacobi_against_mpmath(m1):
+    # one Gauss transformation for every m < 1: sn and cn to 1e-14, and dn
+    # to 1e-13 relative down to its trough sqrt(1 - m) at u = K, over
+    # [-2K, 3K]
     m = 1.0 - m1
     K = elliptic.complete_K(m)
-    u = np.linspace(-2.0 * K, 2.0 * K, 201)
-    sn, _, _ = elliptic.jacobi_sn_cn_dn(u, m)
+    u = np.linspace(-2.0 * K, 3.0 * K, 201)
+    sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, m)
     with mpmath.workdps(40):
-        ref = [float(mpmath.ellipfun("sn", float(x), m=m)) for x in u]
-    assert np.max(np.abs(sn - ref)) <= 1e-14
+        sn_r, cn_r, dn_r = (
+            np.array([float(mpmath.ellipfun(name, float(x), m=m)) for x in u])
+            for name in ("sn", "cn", "dn"))
+    assert np.max(np.abs(sn - sn_r)) <= 1e-14
+    assert np.max(np.abs(cn - cn_r)) <= 1e-14
+    assert np.max(np.abs(dn / dn_r - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m1", [1.0, 0.5, 1e-3, 1.5e-7, 3e-7, 1e-9, 1.5e-12, 2.0**-52])
+def test_complete_first_against_mpmath(m1):
+    # K = pi / (2 AGM) from the converged mean, one step past the last level
+    m = 1.0 - m1
+    with mpmath.workdps(40):
+        ref = float(mpmath.ellipk(m))
+    assert abs(elliptic.complete_K(m) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0 - 1e-12])
+def test_jacobi_tiny_arguments(m):
+    # the tangent form neither overflows nor flushes sn to zero
+    u = np.array([1e-300, -1e-200])
+    sn, cn, dn = elliptic.jacobi_sn_cn_dn(u, m)
+    assert np.array_equal(sn, u)
+    assert np.array_equal(cn, [1.0, 1.0]) and np.array_equal(dn, [1.0, 1.0])
 
 
 @pytest.mark.parametrize("m", [1e-14, 1e-13, 1e-12, 5e-12])
 def test_small_m_jacobi_against_mpmath(m):
-    # the AGM recursion alone near m = 0, across two quarter periods either side
+    # the Gauss transformation near m = 0, across two quarter periods either side
     K = elliptic.complete_K(m)
     u = np.linspace(-2.0 * K, 2.0 * K, 41)
     values = elliptic.jacobi_sn_cn_dn(u, m)

@@ -113,6 +113,19 @@ def test_orbit_point_has_zero_distance(ref_wave):
     assert orbital_phase(u, prof) == pytest.approx(1.3, abs=1e-12)
 
 
+@pytest.mark.parametrize("L", [TWO_PI, 2.0 * TWO_PI])
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 1e-6])
+def test_small_orbital_distance_is_resolved(L, eps):
+    # an odd H^1-unit mode is H^1-orthogonal to the even profile, so phi +
+    # eps psi lies at distance eps from the orbit; ||u||^2 + ||phi||^2 -
+    # 2 |<u, phi>| loses this below about sqrt(eps) ||phi||
+    _, prof = waves.build_wave(L, 2.0, 256)
+    psi = np.sin(TWO_PI * prof.x / L)
+    psi /= evolve.h1_norm(L, psi)
+    dist = evolve.orbital_distance(prof.phi + eps * psi + 0j, prof)
+    assert dist == pytest.approx(eps, rel=1e-6)
+
+
 def test_orbital_distance_lower_bound(ref_wave):
     _, prof = ref_wave
     rng = np.random.default_rng(9)
