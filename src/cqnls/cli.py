@@ -1,9 +1,10 @@
 """Command-line front end emitting machine-readable reports.
 
 Subcommands map onto the library one-to-one; _SUBCOMMANDS gives each its
-runner, default format, help and flags.  Every subcommand takes --L,
---omega, --N, --output and --format; evolve and stability add the flags
-they read, and any other flag is a usage error.  Reports
+runner, default format, the flags it reads and help, and _OPTIONS sets up
+every flag.  Every subcommand takes --L, --omega, --output and --format,
+and all but theta take --N; evolve and stability add the flags they
+read, and any other flag is a usage error.  Reports
 echo the subcommand's own settings (all but --output), its name and the
 library version.  JSON reports are written by json.dumps (NaN and
 Infinity as bare words) and CSV cells with the same float rule, Python's
@@ -41,7 +42,8 @@ from .curve import (
 from .errors import ConfigError, ContractError, CqnlsError, NumericError
 from .evolve import _PERTURBATIONS, run_fidelity, run_stability
 from .hill import combined_counts, spectrum_report, theta_constant
-from .waves import build_wave, period_map, period_map_dB, quadrature_residual
+from .waves import (_validate_wave_params, build_wave, params_from_alpha3, period_map,
+                    period_map_dB, quadrature_residual, solve_alpha3)
 
 _USAGE_EXIT = 64
 _IO_EXIT = 74
@@ -240,7 +242,9 @@ def _run_spectrum(config: argparse.Namespace) -> _Report:
 
 def _run_theta(config: argparse.Namespace) -> _Report:
     omega = _scalar_omega(config)
-    wp, _ = build_wave(config.L, omega, config.N)
+    # theta and dT/dB read the wave parameters alone, so no grid is sampled
+    wp = params_from_alpha3(config.L, omega, solve_alpha3(config.L, omega))
+    _validate_wave_params(wp)
     theta = theta_constant(wp)
     dT_dB = period_map_dB(wp.alpha3, omega)
     mismatch = abs(dT_dB + theta / 2.0) / abs(theta)
@@ -322,80 +326,70 @@ def _run_audit(config: argparse.Namespace) -> _Report:
 
 @dataclass(frozen=True)
 class _Subcommand:
-    """A subcommand's runner, default report format, help and own flags.
+    """A subcommand's runner, default report format, flags and help.
 
-    flags maps each flag it reads beyond the common five (_COMMON_FLAGS)
-    to that flag's help text for this subcommand; defaults holds the
-    defaults that differ between subcommands, over those of _OPTIONS.
+    flags names every flag the subcommand reads, each set up as _OPTIONS
+    says; defaults holds the defaults that differ between subcommands,
+    over those of _OPTIONS.
     """
 
     run: Callable[[argparse.Namespace], _Report]
     format: str
+    flags: tuple
     help: str
-    flags: dict = field(default_factory=dict)
     defaults: dict = field(default_factory=dict)
 
 
-_TIME_FLAGS = {"dt": "split-step time step (default %(default)g)",
-               "t_end": "final time (default %(default)g)"}
-
 _SUBCOMMANDS = {
     "construct": _Subcommand(
-        _run_construct, "json",
+        _run_construct, "json", ("L", "omega", "N", "output", "format"),
         "build one wave; report its parameter set and construction residuals "
         "(profile equation, first integral, attained period)"),
     "curve": _Subcommand(
-        _run_curve, "csv",
+        _run_curve, "csv", ("L", "omega", "N", "output", "format"),
         "sweep omega, tabulate the wave family and its derivatives; "
         "CSV columns: " + ",".join(_CURVE_COLUMNS)),
     "spectrum": _Subcommand(
-        _run_spectrum, "json",
+        _run_spectrum, "json", ("L", "omega", "N", "output", "format"),
         "eigenvalue structure of both linearized operators; "
         "CSV columns: " + ",".join(_SPECTRUM_COLUMNS)),
     "theta": _Subcommand(
-        _run_theta, "json",
+        _run_theta, "json", ("L", "omega", "output", "format"),
         "growth coefficient of the companion Hill solution vs dT/dB"),
     "evolve": _Subcommand(
-        _run_evolve, "csv",
+        _run_evolve, "csv", ("L", "omega", "N", "dt", "t_end", "output", "format"),
         "standing-wave fidelity run (sup error against the rotation); "
         "CSV columns: " + ",".join(_EVOLVE_COLUMNS),
-        _TIME_FLAGS, {"dt": _DEFAULT_DT, "t_end": 10.0}),
+        {"dt": _DEFAULT_DT, "t_end": 10.0}),
     "stability": _Subcommand(
         _run_stability, "csv",
+        ("L", "omega", "N", "dt", "t_end", "delta", "perturbation", "seed", "output", "format"),
         "perturbed evolution, orbital distance time series; "
         "CSV columns: " + ",".join(_STABILITY_COLUMNS),
-        {**_TIME_FLAGS,
-         "delta": "size of the initial perturbation (default %(default)g)",
-         "perturbation": "shape of the initial perturbation (default %(default)s)",
-         "seed": "seed of the random_even shape (default %(default)d)"},
         {"dt": _DEFAULT_DT, "t_end": 50.0}),
     "audit": _Subcommand(
-        _run_audit, "json",
+        _run_audit, "json", ("L", "omega", "N", "output", "format"),
         "derivative and integral-identity checks at each omega (one value or "
         "a sweep), every rate exact from the curve's tangent; "
         "CSV columns: " + ",".join(_AUDIT_COLUMNS)),
 }
 
-_COMMON_FLAGS = {
-    "L": "spatial period (default 2*pi)",
-    "omega": "frequency, a number or start:stop:count sweep",
-    "N": "grid size, a power of two >= 64 (default %(default)d)",
-    "output": "output path, - for stdout (default)",
-    "format": "report format (default %(default)s)",
-}
-
-# argparse settings of every flag, in the order reports echo them
+# argparse settings and help of every flag, in the order reports echo them
 _OPTIONS = {
-    "L": {"type": float, "default": 2.0 * math.pi},
-    "omega": {"required": True},
-    "N": {"type": int, "default": 256},
-    "dt": {"type": float},
-    "t_end": {"type": float},
-    "delta": {"type": float, "default": 1e-3},
-    "perturbation": {"choices": _PERTURBATIONS, "default": "mode_cos1"},
-    "seed": {"type": int, "default": 0},
-    "output": {"default": "-"},
-    "format": {"choices": ("csv", "json")},
+    "L": {"type": float, "default": 2.0 * math.pi, "help": "spatial period (default 2*pi)"},
+    "omega": {"required": True, "help": "frequency, a number or start:stop:count sweep"},
+    "N": {"type": int, "default": 256,
+          "help": "grid size, a power of two >= 64 (default %(default)d)"},
+    "dt": {"type": float, "help": "split-step time step (default %(default)g)"},
+    "t_end": {"type": float, "help": "final time (default %(default)g)"},
+    "delta": {"type": float, "default": 1e-3,
+              "help": "size of the initial perturbation (default %(default)g)"},
+    "perturbation": {"choices": _PERTURBATIONS, "default": "mode_cos1",
+                     "help": "shape of the initial perturbation (default %(default)s)"},
+    "seed": {"type": int, "default": 0,
+             "help": "seed of the random_even shape (default %(default)d)"},
+    "output": {"default": "-", "help": "output path, - for stdout (default)"},
+    "format": {"choices": ("csv", "json"), "help": "report format (default %(default)s)"},
 }
 
 
@@ -409,10 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND", required=True)
     for name, spec in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=spec.help, description=spec.help)
-        helps = {**_COMMON_FLAGS, **spec.flags}
         for flag, options in _OPTIONS.items():
-            if flag in helps:
-                p.add_argument("--" + flag.replace("_", "-"), help=helps[flag], **options)
+            if flag in spec.flags:
+                p.add_argument("--" + flag.replace("_", "-"), **options)
         p.set_defaults(format=spec.format, **spec.defaults)
     return parser
 

@@ -27,7 +27,6 @@ from .errors import DomainError
 __all__ = [
     "complete_K",
     "complete_E",
-    "dK_dk",
     "jacobi_sn_cn_dn",
 ]
 
@@ -88,19 +87,6 @@ def complete_E(m: float) -> float:
     return _complete_K_E(m)[1]
 
 
-def dK_dk(m: float) -> float:
-    """Derivative dK/dk of K with respect to the modulus k = sqrt(m).
-
-    dK/dk = (E(m) - (1-m) K(m)) / (k (1-m)), with the limit 0 at k = 0.
-    """
-    m = float(m)
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"dK_dk requires 0 <= m < 1, got m={m}")
-    if m == 0.0:
-        return 0.0
-    return _K_and_dK_dk(m)[1]
-
-
 def _complete_K_E(m: float) -> tuple[float, float]:
     """K(m) and E(m) from one AGM sequence; 0 <= m < 1."""
     _, _, c_seq, mean = _agm_sequence(m)
@@ -112,7 +98,10 @@ def _complete_K_E(m: float) -> tuple[float, float]:
 
 
 def _K_and_dK_dk(m: float) -> tuple[float, float]:
-    """K(m) and dK/dk from one AGM sequence; 0 < m < 1."""
+    """K(m) and dK/dk from one AGM sequence; 0 < m < 1.
+
+    dK/dk = (E(m) - (1-m) K(m)) / (k (1-m)) for the modulus k = sqrt(m).
+    """
     K, E = _complete_K_E(m)
     return K, (E - (1.0 - m) * K) / (math.sqrt(m) * (1.0 - m))
 
@@ -139,8 +128,11 @@ def jacobi_sn_cn_dn(u, m: float):
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
 
     if m == 1.0:
+        # sech u = 2 e^-|u| / (1 + e^-2|u|), which underflows to 0 where
+        # cosh u would overflow
+        e = np.exp(-np.abs(u_arr))
         sn = np.tanh(u_arr)
-        cn = 1.0 / np.cosh(u_arr)
+        cn = 2.0 * e / (1.0 + e * e)
         dn = cn.copy()
     else:
         a_seq, b_seq, _, mean = _agm_sequence(m)

@@ -46,7 +46,6 @@ __all__ = [
     "StabilityReport",
     "energy",
     "mass",
-    "step_strang",
     "h1_norm",
     "orbital_distance",
     "perturbation_shape",
@@ -127,15 +126,6 @@ def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.nda
     return u
 
 
-def step_strang(L: float, u, dt: float) -> np.ndarray:
-    """One second-order split step; dt <= 0.5 (L/N)^2 keeps phases resolved."""
-    if dt <= 0.0:
-        raise ConfigError(f"time step must be positive, got dt={dt}")
-    u = np.asarray(u, dtype=complex)
-    kernel = np.exp(-1j * dt * wavenumbers(L, u.shape[0]) ** 2)
-    return _advance(u, kernel, dt, 1)
-
-
 def h1_norm(L: float, f) -> float:
     """Discrete H^1 norm, the trapezoid integral of |f|^2 + |f'|^2 with f' spectral."""
     f = np.asarray(f)
@@ -199,8 +189,9 @@ def _trajectory(
 ) -> Iterator[tuple[float, np.ndarray]]:
     # (t, u) at t = 0 and at the end of every record interval of the
     # schedule in the module docstring, with its checks after each interval
-    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf):
-        raise ConfigError(f"need positive t_end and dt, got {t_end}, {dt}")
+    # finite t_end and dt can still give an infinite step count t_end / dt
+    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf and t_end / dt < math.inf):
+        raise ConfigError(f"need positive t_end, dt and t_end/dt finite, got {t_end}, {dt}")
     if u.shape != (prof.N,) or not np.all(np.isfinite(u)):
         raise ConfigError(f"initial field needs {prof.N} finite samples, got {u.shape}")
     kernel = np.exp(-1j * dt * wavenumbers(prof.L, prof.N) ** 2)

@@ -45,8 +45,6 @@ __all__ = [
     "omega_threshold",
     "min_period",
     "alpha_bounds",
-    "q_poly",
-    "r_poly",
     "b_threshold",
     "b_from_alpha",
     "roots_from_alpha3",
@@ -58,16 +56,12 @@ __all__ = [
     "dk_domega",
     "solve_alpha3",
     "params_from_alpha3",
-    "sample_profile",
     "check_grid_size",
     "build_wave",
     "profile_value",
-    "profile_derivative",
     "quadrature_residual",
     "solitary_profile",
     "period_of_B",
-    "validate_wave_params",
-    "validate_profile",
 ]
 
 # Moduli closer to a degenerate limit than this are rejected: the wave is
@@ -100,11 +94,10 @@ class WaveParams:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Samples of a profile and its derivative on the grid x_j = j L / N."""
+    """Samples of a profile and its derivative on fourier.grid(L, N), x_j = j L / N."""
 
     L: float
     N: int
-    x: np.ndarray
     phi: np.ndarray
     dphi: np.ndarray
 
@@ -146,15 +139,9 @@ def alpha_bounds(omega: float) -> tuple[float, float]:
     return lo, hi
 
 
-def q_poly(alpha: float, omega: float) -> float:
+def _q_poly(alpha: float, omega: float) -> float:
     """Quadratic 16 omega - 4 alpha^2 - 4 alpha + 3, positive on the admissible interval."""
     return 16.0 * omega - 4.0 * alpha * alpha - 4.0 * alpha + 3.0
-
-
-def r_poly(alpha: float, omega: float) -> float:
-    """Cubic entering the modulus derivative: 6a^3 + 9a^2 - 18 omega a + 48 omega^2 + 9 omega."""
-    a = alpha
-    return 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
 
 
 def b_threshold(omega: float) -> float:
@@ -177,7 +164,7 @@ def roots_from_alpha3(alpha3: float, omega: float) -> tuple[float, float]:
             f"alpha3={alpha3!r} outside the admissible interval ({lo!r}, {hi!r}) "
             f"at omega={omega}"
         )
-    root = math.sqrt(3.0 * q_poly(alpha3, omega))
+    root = math.sqrt(3.0 * _q_poly(alpha3, omega))
     alpha1 = -(root + 2.0 * alpha3 + 3.0) / 4.0
     alpha2 = (root - 2.0 * alpha3 - 3.0) / 4.0
     if not alpha1 < 0.0 < alpha2 < alpha3:
@@ -196,7 +183,7 @@ def modulus_from(alpha3: float, omega: float) -> float:
     DegenerateError.
     """
     alpha1, alpha2 = roots_from_alpha3(alpha3, omega)
-    root = math.sqrt(3.0) * alpha3 * math.sqrt(q_poly(alpha3, omega))
+    root = math.sqrt(3.0) * alpha3 * math.sqrt(_q_poly(alpha3, omega))
     m = (root - 12.0 * omega + 6.0 * alpha3**2 + 9.0 * alpha3) / (2.0 * root)
     m_roots = -alpha1 * (alpha3 - alpha2) / (alpha3 * (alpha2 - alpha1))
     if abs(m - m_roots) > 1e-12:
@@ -219,7 +206,7 @@ def period_map(alpha3: float, omega: float) -> float:
     m = modulus_from(alpha3, omega)
     K = complete_K(m)
     psi = math.sqrt(8.0) * 3.0**0.25 * K / (
-        math.sqrt(alpha3) * q_poly(alpha3, omega) ** 0.25
+        math.sqrt(alpha3) * _q_poly(alpha3, omega) ** 0.25
     )
     alt = 2.0 * math.sqrt(3.0) * K / math.sqrt(alpha3 * (alpha2 - alpha1))
     if abs(psi - alt) > 1e-12 * psi:
@@ -233,9 +220,9 @@ def dk_dalpha(alpha3: float, omega: float) -> float:
 
 
 def _dk_dalpha(alpha3: float, omega: float, m: float) -> float:
-    return r_poly(alpha3, omega) / (
-        math.sqrt(3.0) * math.sqrt(m) * alpha3**2 * q_poly(alpha3, omega) ** 1.5
-    )
+    a = alpha3
+    r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
+    return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * _q_poly(a, omega) ** 1.5)
 
 
 def dk_domega(alpha3: float, omega: float) -> float:
@@ -243,14 +230,14 @@ def dk_domega(alpha3: float, omega: float) -> float:
     m = modulus_from(alpha3, omega)
     k = math.sqrt(m)
     return -math.sqrt(3.0) * (2.0 * alpha3 + 8.0 * omega + 3.0) / (
-        k * alpha3 * q_poly(alpha3, omega) ** 1.5
+        k * alpha3 * _q_poly(alpha3, omega) ** 1.5
     )
 
 
 def period_map_dalpha(alpha3: float, omega: float) -> float:
     """Closed-form partial of the period map in alpha3 (strictly positive)."""
     m = modulus_from(alpha3, omega)
-    q = q_poly(alpha3, omega)
+    q = _q_poly(alpha3, omega)
     pref = math.sqrt(8.0) * 3.0**0.25 / (math.sqrt(alpha3) * q**0.25)
     K, dK_dk = _K_and_dK_dk(m)
     dK_dalpha = dK_dk * _dk_dalpha(alpha3, omega, m)
@@ -399,21 +386,6 @@ def profile_value(wp: WaveParams, x):
     return float(out) if xa.ndim == 0 else out
 
 
-def profile_derivative(wp: WaveParams, x):
-    """Closed-form spatial derivative of the profile at arbitrary positions x."""
-    xa = np.asarray(x, dtype=float)
-    out = _profile_and_slope(wp, xa)[1]
-    return float(out) if xa.ndim == 0 else out
-
-
-def sample_profile(wp: WaveParams, N: int) -> Profile:
-    """Sample the profile and its spectral derivative on N grid points."""
-    x = grid(wp.L, N)
-    phi = profile_value(wp, x)
-    dphi = spectral_derivative(phi, wp.L)
-    return Profile(L=wp.L, N=N, x=x, phi=phi, dphi=dphi)
-
-
 def check_grid_size(N) -> None:
     """Raise ConfigError unless N is a power of two >= 64."""
     if not isinstance(N, (int, np.integer)) or N < 64 or N & (N - 1):
@@ -430,13 +402,15 @@ def build_wave(L: float, omega: float, N: int) -> tuple[WaveParams, Profile]:
     check_grid_size(N)
     alpha3 = solve_alpha3(L, omega)
     wp = params_from_alpha3(L, omega, alpha3)
-    prof = sample_profile(wp, int(N))
-    validate_wave_params(wp)
-    validate_profile(prof, wp)
+    N = int(N)
+    phi = profile_value(wp, grid(L, N))
+    prof = Profile(L=L, N=N, phi=phi, dphi=spectral_derivative(phi, L))
+    _validate_wave_params(wp)
+    _validate_profile(prof, wp)
     return wp, prof
 
 
-def validate_wave_params(wp: WaveParams) -> None:
+def _validate_wave_params(wp: WaveParams) -> None:
     """Check root identities and admissibility bounds; ContractError on failure."""
     a1, a2, a3, w = wp.alpha1, wp.alpha2, wp.alpha3, wp.omega
     residuals = [
@@ -460,7 +434,7 @@ def validate_wave_params(wp: WaveParams) -> None:
         raise ContractError(f"B={wp.B!r} outside ({b_threshold(w)!r}, 0)")
 
 
-def validate_profile(prof: Profile, wp: WaveParams) -> None:
+def _validate_profile(prof: Profile, wp: WaveParams) -> None:
     """Check positivity, evenness, and extreme values of sampled profiles."""
     phi, N = prof.phi, prof.N
     if not np.all(phi > 0.0):

@@ -109,7 +109,7 @@ def profile_by_shooting(omega: float, phi0: float, x_eval: np.ndarray
 def profile_by_mpmath(wp, x) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form profile and slope of the wave wp at x, in 40-digit arithmetic.
 
-    The same formulas as waves.profile_value and waves.profile_derivative,
+    The same formulas as waves._profile_and_slope,
     phi = sqrt(alpha3) dn(cx) / sqrt(1 + beta^2 sn^2(cx)) with c = 2K/L,
     evaluated with mpmath's K and Jacobi functions from the stored
     (L, alpha3, m, beta^2), so only the final rounding is in doubles.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cqnls
-from cqnls import __version__, cli
+from cqnls import __version__, cli, hill, waves
 from cqnls.cli import SystemExit2, build_parser, main
 
 from conftest import TWO_PI
@@ -179,6 +179,10 @@ def test_theta_json(capsys):
     assert doc["theta"] == pytest.approx(-271.3542123500556, rel=1e-9)
     assert doc["relative_mismatch"] <= 1e-4
     assert doc["sign_link_holds"] is True
+    # theta reads the wave parameters alone: no grid size, same bits
+    assert "N" not in doc["config"]
+    wp = waves.params_from_alpha3(TWO_PI, 2.0, waves.solve_alpha3(TWO_PI, 2.0))
+    assert doc["theta"] == hill.theta_constant(wp)
 
 
 def test_theta_closed_form_dT_dB(capsys):
@@ -286,17 +290,17 @@ def test_usage_errors_exit_64(capsys):
     assert code == 64
 
 
-_COMMON_FLAGS = ("--L", "--omega", "--N", "--output", "--format")
+_COMMON_FLAGS = ("--L", "--omega", "--output", "--format")
 _FLAG_VALUES = {
     "--L": "7", "--omega": "2", "--N": "64", "--output": "-", "--format": "csv",
     "--dt": "1e-3", "--t-end": "1", "--delta": "1e-3", "--perturbation": "bump",
     "--seed": "1",
 }
 _OWN_FLAGS = {
-    "construct": (), "curve": (), "spectrum": (), "theta": (),
-    "evolve": ("--dt", "--t-end"),
-    "stability": ("--dt", "--t-end", "--delta", "--perturbation", "--seed"),
-    "audit": (),
+    "construct": ("--N",), "curve": ("--N",), "spectrum": ("--N",), "theta": (),
+    "evolve": ("--N", "--dt", "--t-end"),
+    "stability": ("--N", "--dt", "--t-end", "--delta", "--perturbation", "--seed"),
+    "audit": ("--N",),
 }
 
 
@@ -315,19 +319,20 @@ def test_each_subcommand_takes_only_its_own_flags():
     expected = {(sub, flag) for sub, own in _OWN_FLAGS.items()
                 for flag in (*_COMMON_FLAGS, *own)}
     assert taken == expected
-    assert len(taken) == 42
+    assert len(taken) == 41
 
 
 def test_readme_flag_table_matches_the_subcommand_table():
     # each README row `| \`name\` | \`--flag\` (note), ... |` lists the flags
-    # that subcommand adds; a subcommand without a row adds none
+    # that subcommand adds to the common ones and --N; a subcommand without
+    # a row adds none
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = {row.group(1): set(re.findall(r"`(--[a-z-]+)`", row.group(2)))
              for row in re.finditer(r"^\| `(\w+)`\s*\|(.*)\|$", readme, re.M)}
     assert table and set(table) <= set(cli._SUBCOMMANDS)
     for name, spec in cli._SUBCOMMANDS.items():
         own = {"--" + flag.replace("_", "-") for flag in spec.flags}
-        assert table.get(name, set()) == own, name
+        assert table.get(name, set()) == own - {*_COMMON_FLAGS, "--N"}, name
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,6 +340,7 @@ def test_readme_flag_table_matches_the_subcommand_table():
     ("curve", "--dt", "1e-3"),
     ("spectrum", "--seed", "1"),
     ("theta", "--t-end", "5"),
+    ("theta", "--N", "64"),
     ("evolve", "--seed", "1"),
     ("audit", "--dt", "1e-3"),
 ], ids=lambda argv: "_".join(argv[:2]))
@@ -349,7 +355,7 @@ def test_config_echoes_only_the_subcommand_settings(capsys, subcommand):
     _, out, _ = _run(capsys, subcommand, *_SMALL[subcommand], "--format", "json")
     own = {flag[2:].replace("-", "_") for flag in _OWN_FLAGS[subcommand]}
     assert set(json.loads(out)["config"]) == {
-        "subcommand", "version", "L", "omega", "N", "format", *own}
+        "subcommand", "version", "L", "omega", "format", *own}
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -407,7 +413,10 @@ def test_malformed_omega_exits_1(capsys):
     ("construct", "--L", "nan", "--omega", "2"),
     ("curve", "--omega", "nan:1:3"),
     ("curve", "--omega", "1:inf:3"),
-], ids=["L_inf", "L_nan", "omega_nan_start", "omega_inf_stop"])
+    ("evolve", "--omega", "2", "--N", "64", "--t-end", "1e300", "--dt", "1e-300"),
+    ("stability", "--omega", "2", "--N", "64", "--t-end", "1e300", "--dt", "1e-300"),
+], ids=["L_inf", "L_nan", "omega_nan_start", "omega_inf_stop", "evolve_steps",
+        "stability_steps"])
 def test_nonfinite_period_or_frequency_exits_1(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 1
@@ -440,7 +449,7 @@ _SMALL = {
     "construct": ("--omega", "2", "--N", "64"),
     "curve": ("--omega", "0.3:0.5:3", "--N", "64"),
     "spectrum": ("--omega", "2", "--N", "64"),
-    "theta": ("--omega", "2", "--N", "64"),
+    "theta": ("--omega", "2"),
     "evolve": ("--omega", "2", "--N", "64", "--t-end", "0.01", "--dt", "1e-3"),
     "stability": ("--omega", "2", "--N", "64", "--t-end", "0.01",
                   "--dt", "1e-3", "--perturbation", "random_even"),

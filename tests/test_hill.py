@@ -171,7 +171,7 @@ def test_even_solve_rejects_an_odd_right_side(ref_wave):
 
 def _flat(wp, prof):
     # zero profile: the potential is the constant omega
-    return wp, waves.Profile(L=prof.L, N=prof.N, x=prof.x, phi=np.zeros(prof.N),
+    return wp, waves.Profile(L=prof.L, N=prof.N, phi=np.zeros(prof.N),
                              dphi=np.zeros(prof.N))
 
 

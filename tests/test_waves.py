@@ -79,7 +79,7 @@ def test_alpha_bounds_are_the_right_roots():
         assert abs(waves.b_from_alpha(hi, omega)) <= 1e-12 * max(1.0, omega)
         # the discriminant quadratic stays positive through the closure
         for a in np.linspace(lo, hi, 9):
-            assert waves.q_poly(a, omega) > 0.0
+            assert waves._q_poly(a, omega) > 0.0
 
 
 def test_alpha_bounds_against_mpmath():
@@ -307,18 +307,18 @@ def test_profile_extremes_and_symmetry(ref_wave):
     assert np.all(prof.phi > 0.0)
     mirrored = prof.phi[(-np.arange(prof.N)) % prof.N]
     assert np.max(np.abs(prof.phi - mirrored)) <= 1e-12
-    waves.validate_wave_params(wp)
-    waves.validate_profile(prof, wp)
+    waves._validate_wave_params(wp)
+    waves._validate_profile(prof, wp)
 
 
 def test_profile_closed_form_derivative(ref_wave):
     wp, prof = ref_wave
-    d_closed = waves.profile_derivative(wp, prof.x)
+    d_closed = waves._profile_and_slope(wp, waves.grid(prof.L, prof.N))[1]
     assert np.max(np.abs(d_closed - prof.dphi)) <= 1e-9
     # derivative of the closed form against a plain difference of it
     for x0 in (0.37, 1.1, 2.9):
         ref = central_difference(lambda x: waves.profile_value(wp, x), x0, 1e-6)
-        assert waves.profile_derivative(wp, x0) == pytest.approx(ref, rel=1e-8)
+        assert waves._profile_and_slope(wp, x0)[1] == pytest.approx(ref, rel=1e-8)
 
 
 def test_profile_closed_forms_keep_frozen_bits():
@@ -333,9 +333,9 @@ def test_profile_closed_forms_keep_frozen_bits():
         wp = waves.params_from_alpha3(entry["L"], entry["omega"], entry["alpha3"])
         x = waves.grid(wp.L, entry["N"])
         assert np.array_equal(waves.profile_value(wp, x), entry["phi"])
-        assert np.array_equal(waves.profile_derivative(wp, x), entry["dphi"])
+        assert np.array_equal(waves._profile_and_slope(wp, x)[1], entry["dphi"])
         assert waves.profile_value(wp, x[5]) == entry["phi"][5]
-        assert waves.profile_derivative(wp, x[5]) == entry["dphi"][5]
+        assert waves._profile_and_slope(wp, x[5])[1] == entry["dphi"][5]
 
 
 def test_frozen_profiles_against_mpmath():
