@@ -205,18 +205,14 @@ def _omega_list(config: argparse.Namespace) -> list[float]:
 
 
 def _run_curve(config: argparse.Namespace) -> _Report:
-    omegas = _omega_list(config)
-    samples = sample_curve(config.L, omegas, config.N)
+    fields = _CURVE_COLUMNS[:-2]  # CurveSample attributes, then status and message
     rows = []
-    for entry in samples:
+    for entry in sample_curve(config.L, _omega_list(config), config.N):
         if isinstance(entry, CurveError):
-            rows.append([entry.omega] + [math.nan] * 11 + ["error", entry.message])
+            rows.append([entry.omega] + [math.nan] * (len(fields) - 1)
+                        + ["error", entry.message])
         else:
-            rows.append([
-                entry.omega, entry.alpha3, entry.B, entry.m, entry.mass,
-                entry.p4, entry.p6, entry.inv2, entry.dphi2, entry.ratio2,
-                entry.dmass_domega, entry.d2_dd, "ok", "",
-            ])
+            rows.append([getattr(entry, name) for name in fields] + ["ok", ""])
     return _Report(_CURVE_COLUMNS, rows)
 
 
@@ -298,12 +294,10 @@ def _audit_row(config: argparse.Namespace, omega: float) -> list:
     ia = identity_audit(sample)
     residuals = [ia.quartic_rate, ia.virial, ia.mass_rate, ia.log_derivative]
 
+    claims = ("dalpha3_positive", "dalpha2_negative", "dk_partial_negative", "dT_dB_positive")
     ok = (
-        audit.dalpha3 > 0.0
-        and audit.dalpha2 < 0.0
-        and audit.dk_partial < 0.0
+        all(audit.signs_ok[claim] for claim in claims)
         and audit.dk_partial_match <= 1e-5
-        and audit.dT_dB > 0.0
         and direct > 0.0
         and ident > 0.0
         and route_rel <= 1e-4

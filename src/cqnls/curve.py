@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .elliptic import complete_E, complete_K
+from .elliptic import _complete_K_E
 from .errors import ConfigError, ContractError, CqnlsError
 from .fourier import trapezoid
 from .hill import solve_even
@@ -106,8 +106,8 @@ def inv2_closed_form(wp: WaveParams) -> float:
     former shares its rounding with the sampled profile, keeping the
     comparison against grid quadrature meaningful near the solitary limit.
     """
-    K = complete_K(wp.m)
-    ratio = complete_E(wp.m) / K
+    K, E = _complete_K_E(wp.m)
+    ratio = E / K
     trough = wp.alpha3 * (1.0 - wp.m) / (1.0 + wp.beta_sq)
     return wp.L / wp.alpha1 - ratio * wp.L / wp.alpha1 + ratio * wp.L / trough
 

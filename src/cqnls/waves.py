@@ -175,15 +175,11 @@ def roots_from_alpha3(alpha3: float, omega: float) -> tuple[float, float]:
     return alpha1, alpha2
 
 
-def modulus_from(alpha3: float, omega: float) -> float:
-    """Squared elliptic modulus of the wave with squared amplitude alpha3.
-
-    Evaluates the closed form in (alpha3, omega) and cross-checks the
-    equivalent root-ratio form; moduli within 1e-14 of 0 or 1 raise
-    DegenerateError.
-    """
+def _level(alpha3: float, omega: float) -> tuple[float, float, float, float]:
+    """Roots, q = _q_poly and checked modulus (alpha1, alpha2, q, m) of alpha3."""
     alpha1, alpha2 = roots_from_alpha3(alpha3, omega)
-    root = math.sqrt(3.0) * alpha3 * math.sqrt(_q_poly(alpha3, omega))
+    q = _q_poly(alpha3, omega)
+    root = math.sqrt(3.0) * alpha3 * math.sqrt(q)
     m = (root - 12.0 * omega + 6.0 * alpha3**2 + 9.0 * alpha3) / (2.0 * root)
     m_roots = -alpha1 * (alpha3 - alpha2) / (alpha3 * (alpha2 - alpha1))
     if abs(m - m_roots) > 1e-12:
@@ -192,7 +188,32 @@ def modulus_from(alpha3: float, omega: float) -> float:
         raise DegenerateError(
             f"modulus m={m!r} indistinguishable from a degenerate limit"
         )
-    return m
+    return alpha1, alpha2, q, m
+
+
+def modulus_from(alpha3: float, omega: float) -> float:
+    """Squared elliptic modulus of the wave with squared amplitude alpha3.
+
+    Evaluates the closed form in (alpha3, omega) and cross-checks the
+    equivalent root-ratio form; moduli within 1e-14 of 0 or 1 raise
+    DegenerateError.
+    """
+    return _level(alpha3, omega)[3]
+
+
+def _period_and_slope(alpha3: float, omega: float) -> tuple[float, float]:
+    """Period and its alpha3 partial from one level set and one AGM sequence."""
+    alpha1, alpha2, q, m = _level(alpha3, omega)
+    K, dK_dk = _K_and_dK_dk(m)
+    psi = math.sqrt(8.0) * 3.0**0.25 * K / (math.sqrt(alpha3) * q**0.25)
+    alt = 2.0 * math.sqrt(3.0) * K / math.sqrt(alpha3 * (alpha2 - alpha1))
+    if abs(psi - alt) > 1e-12 * psi:
+        raise ContractError(f"period-map routes disagree: {psi!r} vs {alt!r}")
+    pref = math.sqrt(8.0) * 3.0**0.25 / (math.sqrt(alpha3) * q**0.25)
+    return psi, pref * (
+        dK_dk * _dk_dalpha(alpha3, omega, q, m)
+        - K * (16.0 * omega - 8.0 * alpha3**2 - 6.0 * alpha3 + 3.0) / (2.0 * alpha3 * q)
+    )
 
 
 def period_map(alpha3: float, omega: float) -> float:
@@ -202,49 +223,29 @@ def period_map(alpha3: float, omega: float) -> float:
     admissible bound to +inf at the upper one.  Two algebraically equal
     routes are evaluated and cross-checked.
     """
-    alpha1, alpha2 = roots_from_alpha3(alpha3, omega)
-    m = modulus_from(alpha3, omega)
-    K = complete_K(m)
-    psi = math.sqrt(8.0) * 3.0**0.25 * K / (
-        math.sqrt(alpha3) * _q_poly(alpha3, omega) ** 0.25
-    )
-    alt = 2.0 * math.sqrt(3.0) * K / math.sqrt(alpha3 * (alpha2 - alpha1))
-    if abs(psi - alt) > 1e-12 * psi:
-        raise ContractError(f"period-map routes disagree: {psi!r} vs {alt!r}")
-    return psi
+    return _period_and_slope(alpha3, omega)[0]
 
 
 def dk_dalpha(alpha3: float, omega: float) -> float:
     """Partial derivative of the modulus k in alpha3 at fixed omega (positive)."""
-    return _dk_dalpha(alpha3, omega, modulus_from(alpha3, omega))
+    return _dk_dalpha(alpha3, omega, *_level(alpha3, omega)[2:])
 
 
-def _dk_dalpha(alpha3: float, omega: float, m: float) -> float:
-    a = alpha3
+def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
     r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
-    return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * _q_poly(a, omega) ** 1.5)
+    return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * q**1.5)
 
 
 def dk_domega(alpha3: float, omega: float) -> float:
     """Partial derivative of the modulus k in omega at fixed alpha3 (negative)."""
-    m = modulus_from(alpha3, omega)
+    _, _, q, m = _level(alpha3, omega)
     k = math.sqrt(m)
-    return -math.sqrt(3.0) * (2.0 * alpha3 + 8.0 * omega + 3.0) / (
-        k * alpha3 * _q_poly(alpha3, omega) ** 1.5
-    )
+    return -math.sqrt(3.0) * (2.0 * alpha3 + 8.0 * omega + 3.0) / (k * alpha3 * q**1.5)
 
 
 def period_map_dalpha(alpha3: float, omega: float) -> float:
     """Closed-form partial of the period map in alpha3 (strictly positive)."""
-    m = modulus_from(alpha3, omega)
-    q = _q_poly(alpha3, omega)
-    pref = math.sqrt(8.0) * 3.0**0.25 / (math.sqrt(alpha3) * q**0.25)
-    K, dK_dk = _K_and_dK_dk(m)
-    dK_dalpha = dK_dk * _dk_dalpha(alpha3, omega, m)
-    return pref * (
-        dK_dalpha
-        - K * (16.0 * omega - 8.0 * alpha3**2 - 6.0 * alpha3 + 3.0) / (2.0 * alpha3 * q)
-    )
+    return _period_and_slope(alpha3, omega)[1]
 
 
 def period_map_dB(alpha3: float, omega: float) -> float:
@@ -252,23 +253,23 @@ def period_map_dB(alpha3: float, omega: float) -> float:
     return period_map_dalpha(alpha3, omega) / (alpha3**2 + alpha3 - omega)
 
 
-def _log_gap_newton(f, df, lo, hi):
+def _log_gap_newton(fdf, lo, hi):
     """Root of an increasing f on (lo, hi) by bracketed Newton in log(hi - x).
 
-    Near hi the period map grows like log 1/(hi - x), so it is almost
-    linear in t = log(hi - x) and Newton in t converges in a few steps from
-    the midpoint.  Each evaluated point shrinks the bracket [a, b] in which
-    f changes sign.  A trial that leaves the bracket, is not finite, or
-    fails in the domain (DomainError, DegenerateError) is replaced by the
-    bracket's midpoint.  Stops when a Newton step is at most 4 ulp (and
-    returns that last Newton point) or when the bracket is at most 1e-14
-    wide (and returns the last evaluated point).  Endpoints are never
-    evaluated (callers guarantee f < 0 near lo and f > 0 near hi in the
-    limit).
+    fdf(x) returns f(x) and f'(x).  Near hi the period map grows like
+    log 1/(hi - x), so it is almost linear in t = log(hi - x) and Newton in
+    t converges in a few steps from the midpoint.  Each evaluated point
+    shrinks the bracket [a, b] in which f changes sign.  A trial that
+    leaves the bracket, is not finite, or fails in the domain (DomainError,
+    DegenerateError) is replaced by the bracket's midpoint.  Stops when a
+    Newton step is at most 4 ulp (and returns that last Newton point) or
+    when the bracket is at most 1e-14 wide (and returns the last evaluated
+    point).  Endpoints are never evaluated (callers guarantee f < 0 near lo
+    and f > 0 near hi in the limit).
     """
     a, b = lo, hi
     x = 0.5 * (lo + hi)
-    fx = f(x)
+    fx, dfx = fdf(x)
     for _ in range(200):
         if fx < 0.0:
             a = x
@@ -278,8 +279,8 @@ def _log_gap_newton(f, df, lo, hi):
             return x
         try:
             g = hi - x
-            trial = hi - g * math.exp(fx / (df(x) * g))
-        except (DomainError, DegenerateError, ZeroDivisionError, OverflowError):
+            trial = hi - g * math.exp(fx / (dfx * g))
+        except (ZeroDivisionError, OverflowError):
             trial = math.nan
         inside = a < trial < b
         if abs(trial - x) <= 4.0 * math.ulp(x):
@@ -288,13 +289,13 @@ def _log_gap_newton(f, df, lo, hi):
             return x
         if inside:
             try:
-                fx = f(trial)
+                fx, dfx = fdf(trial)
                 x = trial
                 continue
             except (DomainError, DegenerateError):
                 pass
         x = 0.5 * (a + b)
-        fx = f(x)
+        fx, dfx = fdf(x)
     return x
 
 
@@ -327,14 +328,16 @@ def solve_alpha3(L: float, omega: float) -> float:
     lo, hi = alpha_bounds(omega)
 
     def deficit(alpha):
-        # sign of period(alpha) - L; the degeneracy cut near either bound is
-        # classified without evaluating the elliptic integral
+        # period(alpha) - L and its slope; the degeneracy cut near either
+        # bound is classified without evaluating the elliptic integral, and
+        # its NaN slope turns the next step into bisection
         try:
-            return period_map(alpha, omega) - L
+            T, slope = _period_and_slope(alpha, omega)
         except DegenerateError:
-            return (tl - L) if (alpha - lo) < (hi - alpha) else math.inf
+            return ((tl - L) if (alpha - lo) < (hi - alpha) else math.inf), math.nan
+        return T - L, slope
 
-    root = _log_gap_newton(deficit, lambda a: period_map_dalpha(a, omega), lo, hi)
+    root = _log_gap_newton(deficit, lo, hi)
     # periods beyond the last double-precision modulus saturate the root
     # finder at the solitary cut; refuse to return a wave of the wrong period
     attained = period_map(root, omega)
@@ -348,8 +351,7 @@ def solve_alpha3(L: float, omega: float) -> float:
 
 def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
     """Assemble the full parameter set from a solved squared amplitude."""
-    alpha1, alpha2 = roots_from_alpha3(alpha3, omega)
-    m = modulus_from(alpha3, omega)
+    alpha1, alpha2, _, m = _level(alpha3, omega)
     beta_sq = -(alpha3 / alpha1) * m
     g = 2.0 / math.sqrt(alpha3 * (alpha2 - alpha1))
     B = b_from_alpha(alpha3, omega)
@@ -489,8 +491,5 @@ def period_of_B(B: float, omega0: float) -> float:
         raise DomainError(f"B={B!r} outside the admissible window ({lo_B!r}, 0)")
     lo, hi = alpha_bounds(omega0)
     alpha = _log_gap_newton(
-        lambda a: b_from_alpha(a, omega0) - B,
-        lambda a: a * a + a - omega0,
-        lo, hi,
-    )
+        lambda a: (b_from_alpha(a, omega0) - B, a * a + a - omega0), lo, hi)
     return period_map(alpha, omega0)

@@ -400,6 +400,27 @@ def test_benchmark_traced_names_exist():
         assert not missing, (layer, missing)
 
 
+def test_public_names_are_pinned():
+    # a change that adds or drops a public name must update this list
+    assert sorted(cqnls.__all__) == [
+        "BlowupError", "CombinedCounts", "ConfigError", "ContractError", "CqnlsError",
+        "CurveError", "CurveSample", "DegenerateError", "DerivativeAudit", "DomainError",
+        "FidelityReport", "IdentityAudit", "NoSolutionError", "NumericError", "Profile",
+        "SpectrumReport", "StabilityReport", "WaveParams", "__version__", "alpha_bounds",
+        "b_from_alpha", "b_threshold", "build_wave", "check_grid_size", "combined_counts",
+        "complete_E", "complete_K", "curve_sample", "d2d_direct", "d2d_identity",
+        "derivative_audit", "dk_dalpha", "dk_domega", "energy", "grid", "h1_norm",
+        "identity_audit", "inv2_closed_form", "jacobi_sn_cn_dn", "mass", "min_period",
+        "modulus_from", "omega_threshold", "orbital_distance", "params_from_alpha3",
+        "period_map", "period_map_dB", "period_map_dalpha", "period_of_B",
+        "perturbation_shape", "potential_values", "profile_value", "quadrature_residual",
+        "roots_from_alpha3", "run_fidelity", "run_stability", "sample_curve",
+        "second_derivative_column", "solitary_profile", "solve_alpha3", "solve_even",
+        "spectral_derivative", "spectrum_report", "sym_eig", "theta_constant",
+        "trapezoid", "wavenumbers",
+    ]
+
+
 def test_malformed_omega_exits_1(capsys):
     code, out, err = _run(capsys, "construct", "--omega", "2:1:5")
     assert code == 1

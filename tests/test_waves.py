@@ -161,28 +161,46 @@ def test_period_map_monotone_and_consistent():
             assert slope == pytest.approx(ref, rel=1e-6)
 
 
+def _count_calls(patch, module, name, calls):
+    # wrap module.name so that each call bumps calls[name]
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args)
+
+    patch.setattr(module, name, counted)
+
+
 def test_period_slope_takes_one_modulus_and_one_agm(monkeypatch):
-    # m, K and dK/dk of the slope come from one modulus and one AGM sequence
+    # m, K and dK/dk of the period and of its slope come from one level set
+    # (roots, q and the checked modulus) and one AGM sequence
     from cqnls import elliptic
 
-    calls = {"modulus": 0, "agm": 0}
-    modulus_from, agm = waves.modulus_from, elliptic._agm_sequence
-
-    def counted_modulus(alpha3, omega):
-        calls["modulus"] += 1
-        return modulus_from(alpha3, omega)
-
-    def counted_agm(m):
-        calls["agm"] += 1
-        return agm(m)
-
-    monkeypatch.setattr(waves, "modulus_from", counted_modulus)
-    monkeypatch.setattr(elliptic, "_agm_sequence", counted_agm)
+    calls = {}
+    _count_calls(monkeypatch, waves, "_level", calls)
+    _count_calls(monkeypatch, elliptic, "_agm_sequence", calls)
     for omega in (0.7, 2.0, 9.0):
         lo, hi = waves.alpha_bounds(omega)
-        calls.update(modulus=0, agm=0)
-        assert waves.period_map_dalpha(0.5 * (lo + hi), omega) > 0.0
-        assert calls == {"modulus": 1, "agm": 1}, omega
+        for fn in (waves.period_map, waves.period_map_dalpha):
+            calls.clear()
+            assert fn(0.5 * (lo + hi), omega) > 0.0
+            assert calls == {"_level": 1, "_agm_sequence": 1}, (fn.__name__, omega)
+
+
+def test_solve_and_curve_sample_agm_budget(monkeypatch):
+    # one AGM per period evaluation of the solve (period and slope share
+    # it), one for the attained-period check; a curve sample adds K and the
+    # Jacobi scale of the profile and one K, E pair for inv2
+    from cqnls import curve, elliptic
+
+    calls = {}
+    _count_calls(monkeypatch, elliptic, "_agm_sequence", calls)
+    waves.solve_alpha3(TWO_PI, 2.0)
+    assert calls["_agm_sequence"] <= 6
+    calls.clear()
+    curve.curve_sample(TWO_PI, 2.0)
+    assert calls["_agm_sequence"] <= 9
 
 
 def _round_trip_tol(a3: float, omega: float, L: float) -> float:
@@ -217,21 +235,17 @@ def _solve_points():
 
 
 def test_solve_matches_bisection_with_few_period_evaluations(monkeypatch):
-    calls = []
-    period_map = waves.period_map
-
-    def counted(alpha3, omega):
-        calls.append(alpha3)
-        return period_map(alpha3, omega)
-
+    # counts every period evaluation of the solve (the Newton and bisection
+    # points, each with its slope) plus the attained-period check
+    calls = {}
     for L, omega in _solve_points():
         ref = alpha3_by_bisection(L, omega)
         calls.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(waves, "period_map", counted)
+            _count_calls(patch, waves, "_period_and_slope", calls)
             a3 = waves.solve_alpha3(L, omega)
         assert abs(a3 - ref) <= 1e-15 * ref, (L, omega)
-        assert len(calls) <= 10, (L, omega, len(calls))
+        assert calls["_period_and_slope"] <= 10, (L, omega, calls)
 
 
 @pytest.mark.parametrize("L, omega", [(200.0, 2.0), (1000.0, 0.5), (TWO_PI, 0.1)])
