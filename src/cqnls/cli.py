@@ -20,6 +20,7 @@ assertion failed (an audit threshold or an internal consistency check);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__
 from .curve import (
     CurveError,
-    curve_sample,
+    _sample_rows,
     d2d_direct,
     d2d_identity,
     derivative_audit,
@@ -285,8 +286,7 @@ def _run_stability(config: argparse.Namespace) -> _Report:
                    summary=summary)
 
 
-def _audit_row(config: argparse.Namespace, omega: float) -> list:
-    sample = curve_sample(config.L, omega, config.N)
+def _audit_row(sample) -> list:
     audit = derivative_audit(sample)
     direct = d2d_direct(sample)
     ident = d2d_identity(sample)
@@ -304,14 +304,20 @@ def _audit_row(config: argparse.Namespace, omega: float) -> list:
         and all(r <= _IDENTITY_RESIDUAL_MAX for r in residuals)
     )
     return [
-        omega, audit.dalpha3, audit.dB, audit.dalpha1, audit.dalpha2,
+        sample.omega, audit.dalpha3, audit.dB, audit.dalpha1, audit.dalpha2,
         audit.dk_partial, audit.dk_partial_closed, audit.dk_partial_match,
         audit.dT_dB, direct, ident, route_rel,
     ] + residuals + ["ok" if ok else "fail"]
 
 
 def _run_audit(config: argparse.Namespace) -> _Report:
-    rows = [_audit_row(config, omega) for omega in _omega_list(config)]
+    # the sweep is sampled in one pass; the first failing omega, in sweep
+    # order, raises the error that curve_sample raises there
+    rows = []
+    for entry in _sample_rows(config.L, _omega_list(config), config.N):
+        if isinstance(entry, CqnlsError):
+            raise entry
+        rows.append(_audit_row(entry))
     failure = None
     if any(row[-1] != "ok" for row in rows):
         failure = "one or more audited quantities violated its threshold"
@@ -387,7 +393,12 @@ _OPTIONS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Help text is formatted when printed, so it still follows COLUMNS.
+    """
     parser = _Parser(
         prog="cqnls",
         description="Periodic standing waves of the cubic-quintic Schrodinger "

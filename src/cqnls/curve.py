@@ -17,6 +17,13 @@ direct route and an independent one through B and inv2.
 
 curve_sample builds one point with its integrals and rates, and each
 audit below reads a CurveSample, so one build serves all of them.
+sample_curve builds a whole sweep in one pass: the period solve and the
+parameter checks run per frequency, while the profiles, integrals,
+tangent residuals and rates of every point are rows of one
+(points, N) array.  Each point's tangent comes from its own LU of the
+even block, never from a stack of all the blocks (4 MiB at 32 points
+and N = 256).  curve_sample is a sweep of one point, and a point that
+fails in a sweep fails with curve_sample's error.
 
 Every frequency derivative here is a total derivative along the fixed-L
 curve unless explicitly named partial.  The documented sign expectations
@@ -30,18 +37,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elliptic import _complete_K_E
 from .errors import ConfigError, ContractError, CqnlsError
 from .fourier import trapezoid
-from .hill import solve_even
+from .hill import _solve_even_rows
 from .waves import (
     WaveParams,
-    build_wave,
+    _dk_dalpha,
+    _dk_domega,
+    _drop_failed,
+    _level,
+    _live,
+    _wave_rows,
+    build_wave,  # unused here; perfbench's tracer test reads curve.build_wave
     check_grid_size,
-    dk_dalpha,
-    dk_domega,
     period_map_dB,
-    roots_from_alpha3,
 )
 
 __all__ = [
@@ -114,50 +126,10 @@ def inv2_closed_form(wp: WaveParams) -> float:
 
 def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
     """Build one self-checked curve point with its exact rates."""
-    wp, prof = build_wave(L, omega, N)
-    phi, dphi = prof.phi, prof.dphi
-    mass = trapezoid(phi**2, L)
-    p4 = trapezoid(phi**4, L)
-    p6 = trapezoid(phi**6, L)
-    dphi2 = trapezoid(dphi**2, L)
-    ratio2 = trapezoid((dphi / phi) ** 2, L)
-    inv2 = inv2_closed_form(wp)
-    inv2_quad = trapezoid(phi**-2.0, L)
-
-    for name, value in (("mass", mass), ("p4", p4), ("p6", p6), ("inv2", inv2)):
-        if not value > 0.0:
-            raise ContractError(f"{name} must be positive, got {value!r}")
-    if not p6 < p4 * wp.alpha3:
-        raise ContractError("p6 must be below p4 * max(phi^2)")
-    if abs(inv2 - inv2_quad) > 1e-8 * inv2:
-        raise ContractError(
-            f"inv2 quadrature {inv2_quad!r} disagrees with closed form {inv2!r}"
-        )
-    # algebraic identity 2 w mass = (3/2) p4 + (4/3) p6 - B L of the
-    # quadrature polynomial; the companion identity through inv2 is checked
-    # in the test suite with largest-term normalization, since its B * inv2
-    # term amplifies modulus rounding by 1/(1 - m) near the solitary limit
-    r_a = 2.0 * omega * mass - 1.5 * p4 - (4.0 / 3.0) * p6 + wp.B * L
-    if abs(r_a) > 1e-8 * max(1.0, abs(wp.B * L)):
-        raise ContractError(f"mass/p4/p6/B identity residual {r_a!r}")
-
-    # the curve's tangent: L1 dphi/domega = -phi on the even block
-    tangent = solve_even("L1", wp, prof, -phi)
-    d2 = trapezoid(phi * tangent, L)
-    dalpha2 = 2.0 * phi[N // 2] * tangent[N // 2]
-    # B = b_from_alpha(alpha2, omega) differentiated at the trough; the
-    # crest form (alpha3^2 + alpha3 - omega) dalpha3 - alpha3 cancels by
-    # about alpha3 / B' near the solitary limit (5e6 at (2 pi, 10))
-    a2 = wp.alpha2
-    return CurveSample(
-        L=L, omega=omega, alpha3=wp.alpha3, B=wp.B, m=wp.m, mass=mass,
-        p4=p4, p6=p6, inv2=inv2, dphi2=dphi2, ratio2=ratio2,
-        dalpha3=2.0 * phi[0] * tangent[0], dalpha2=dalpha2,
-        dB=(a2 * a2 + a2 - omega) * dalpha2 - a2, dmass_domega=2.0 * d2,
-        dp4=4.0 * trapezoid(phi**3 * tangent, L),
-        dp6=6.0 * trapezoid(phi**5 * tangent, L),
-        dinv2=-2.0 * trapezoid(tangent / phi**3, L), d2_dd=d2,
-    )
+    (entry,) = _sample_rows(L, [omega], N)
+    if isinstance(entry, CqnlsError):
+        raise entry
+    return entry
 
 
 def sample_curve(L: float, omegas, N: int = 256) -> list:
@@ -170,13 +142,81 @@ def sample_curve(L: float, omegas, N: int = 256) -> list:
     if not (math.isfinite(L) and L > 0.0):
         raise ConfigError(f"period must be finite and positive, got L={L}")
     check_grid_size(N)
-    entries: list = []
-    for w in omegas:
-        try:
-            entries.append(curve_sample(L, w, N))
-        except CqnlsError as exc:
-            entries.append(CurveError(omega=float(w), message=str(exc)))
+    omegas = list(omegas)
+    return [CurveError(omega=float(w), message=str(e)) if isinstance(e, CqnlsError) else e
+            for w, e in zip(omegas, _sample_rows(L, omegas, N))]
+
+
+def _sample_rows(L: float, omegas, N: int) -> list:
+    """curve_sample at each frequency, the whole sweep in one pass.
+
+    Returns, per frequency, its CurveSample or the CqnlsError that
+    curve_sample raises there: every check runs per row, in curve_sample's
+    order.  The grid work of all points shares one (points, N) array, and
+    each point's tangent comes from its own even-block LU.
+    """
+    entries, phi, dphi = _wave_rows(L, omegas, N)
+    wps = _live(entries)
+    # per row: mass, p4, p6, inv2 by quadrature and in closed form, dphi2, ratio2
+    ints = np.stack([
+        *(trapezoid(f, L) for f in (phi**2, phi**4, phi**6, phi**-2.0)),
+        [inv2_closed_form(wp) for wp in wps],
+        *(trapezoid(f, L) for f in (dphi**2, (dphi / phi) ** 2)),
+    ], axis=-1)
+    errors = [_integral_error(wp, *row[:5]) for wp, row in zip(wps, ints.tolist())]
+    phi, ints = _drop_failed(entries, errors, phi, ints)
+
+    # the curve's tangent: L1 dphi/domega = -phi on the even block
+    omega = np.array([wp.omega for wp in _live(entries)])
+    tangent, errors = _solve_even_rows("L1", omega, phi, L, -phi)
+    phi, tangent, ints = _drop_failed(entries, errors, phi, tangent, ints)
+    rates = np.stack([
+        trapezoid(phi * tangent, L),
+        2.0 * phi[:, 0] * tangent[:, 0],
+        2.0 * phi[:, N // 2] * tangent[:, N // 2],
+        4.0 * trapezoid(phi**3 * tangent, L),
+        6.0 * trapezoid(phi**5 * tangent, L),
+        -2.0 * trapezoid(tangent / phi**3, L),
+    ], axis=-1)
+
+    live = [i for i, e in enumerate(entries) if isinstance(e, WaveParams)]
+    for i, row, rate in zip(live, ints.tolist(), rates.tolist()):
+        wp = entries[i]
+        mass, p4, p6, _, inv2, dphi2, ratio2 = row
+        d2, dalpha3, dalpha2, dp4, dp6, dinv2 = rate
+        # B = b_from_alpha(alpha2, omega) differentiated at the trough; the
+        # crest form (alpha3^2 + alpha3 - omega) dalpha3 - alpha3 cancels by
+        # about alpha3 / B' near the solitary limit (5e6 at (2 pi, 10))
+        a2, w = wp.alpha2, wp.omega
+        entries[i] = CurveSample(
+            L=L, omega=w, alpha3=wp.alpha3, B=wp.B, m=wp.m, mass=mass,
+            p4=p4, p6=p6, inv2=inv2, dphi2=dphi2, ratio2=ratio2,
+            dalpha3=dalpha3, dalpha2=dalpha2,
+            dB=(a2 * a2 + a2 - w) * dalpha2 - a2, dmass_domega=2.0 * d2,
+            dp4=dp4, dp6=dp6, dinv2=dinv2, d2_dd=d2,
+        )
     return entries
+
+
+def _integral_error(wp: WaveParams, mass, p4, p6, inv2_quad, inv2) -> ContractError | None:
+    """The first failed check of one point's integrals, or None."""
+    for name, value in (("mass", mass), ("p4", p4), ("p6", p6), ("inv2", inv2)):
+        if not value > 0.0:
+            return ContractError(f"{name} must be positive, got {value!r}")
+    if not p6 < p4 * wp.alpha3:
+        return ContractError("p6 must be below p4 * max(phi^2)")
+    if abs(inv2 - inv2_quad) > 1e-8 * inv2:
+        return ContractError(
+            f"inv2 quadrature {inv2_quad!r} disagrees with closed form {inv2!r}"
+        )
+    # algebraic identity 2 w mass = (3/2) p4 + (4/3) p6 - B L of the
+    # quadrature polynomial; the companion identity through inv2 is checked
+    # in the test suite with largest-term normalization, since its B * inv2
+    # term amplifies modulus rounding by 1/(1 - m) near the solitary limit
+    r_a = 2.0 * wp.omega * mass - 1.5 * p4 - (4.0 / 3.0) * p6 + wp.B * wp.L
+    if abs(r_a) > 1e-8 * max(1.0, abs(wp.B * wp.L)):
+        return ContractError(f"mass/p4/p6/B identity residual {r_a!r}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -211,14 +251,14 @@ def derivative_audit(sample: CurveSample) -> DerivativeAudit:
     """Signed frequency derivatives of the curve parameters at one sample."""
     s, omega = sample, sample.omega
     a3, da3, da2 = s.alpha3, s.dalpha3, s.dalpha2
-    a1, a2 = roots_from_alpha3(a3, omega)
+    a1, a2, q, m = _level(a3, omega)
     da1 = -da2 - da3  # the roots sum to -3/2
     # m = k^2 = -a1 (a3 - a2) / (a3 (a2 - a1)), differentiated by its log
     dlog_m = (da1 / a1 + (da3 - da2) / (a3 - a2)
               - da3 / a3 - (da2 - da1) / (a2 - a1))
     dk_total = 0.5 * math.sqrt(s.m) * dlog_m
-    dk_partial = dk_total - dk_dalpha(a3, omega) * da3
-    dk_closed = dk_domega(a3, omega)
+    dk_partial = dk_total - _dk_dalpha(a3, omega, q, m) * da3
+    dk_closed = _dk_domega(a3, omega, q, m)
     dT_dB = period_map_dB(a3, omega)
 
     signs_ok = {

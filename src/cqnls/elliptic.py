@@ -11,6 +11,10 @@ Bulirsch's descending Gauss transformation over the same AGM levels
 argument (2K/L) x of an L-periodic profile maps to pi x / L.  At m = 1
 the exact limits tanh and sech are returned.
 
+_gauss_descent runs the transformation on many rows of arguments at
+once, each row at its own m and its own AGM levels; jacobi_sn_cn_dn is
+its one-row case.
+
 Accuracy is limited by the quadratic convergence of the AGM, which
 reaches machine precision in at most a dozen iterations for every
 m in [0, 1).
@@ -135,21 +139,40 @@ def jacobi_sn_cn_dn(u, m: float):
         cn = 2.0 * e / (1.0 + e * e)
         dn = cn.copy()
     else:
-        a_seq, b_seq, _, mean = _agm_sequence(m)
-        v = mean * u_arr
-        t = np.tan(v)
-        q = t / mean
-        d = np.ones_like(t)
-        for a, b in zip(reversed(a_seq), reversed(b_seq)):
-            t *= q
-            q /= d
-            d = (b * t + 1.0) / (a * t + 1.0)
-            t = a * q
-        h = 1.0 / np.sqrt(1.0 + q * q)
-        sn = np.copysign(np.abs(q) * h, np.sin(v))
-        cn = np.copysign(h, np.cos(v))
-        dn = d
+        rows = _gauss_descent(u_arr.reshape(1, -1), [_agm_sequence(m)])
+        sn, cn, dn = (f.reshape(u_arr.shape) for f in rows)
 
     if np.ndim(u) == 0:
         return float(sn[0]), float(cn[0]), float(dn[0])
     return sn, cn, dn
+
+
+def _gauss_descent(u: np.ndarray, agms: list) -> tuple:
+    """sn, cn, dn of each row u[i] of a 2-D array at its own AGM, agms[i].
+
+    agms[i] is the _agm_sequence of the row's parameter m < 1.  Rows with
+    fewer levels join the descent at their own top level: sorted by
+    depth, the rows that hold level n are a leading block of the array,
+    updated in place, so every row gets the bits of a one-row call.
+    """
+    depth = np.array([len(agm[0]) for agm in agms])
+    order = np.argsort(-depth, kind="stable")
+    agms = [agms[i] for i in order]
+    mean = np.array([agm[3] for agm in agms])[:, None]
+    v = mean * u[order]
+    t = np.tan(v)
+    q = t / mean
+    d = np.ones_like(t)
+    for n in reversed(range(depth.max())):
+        k = np.count_nonzero(depth > n)
+        a, b = (np.array([agm[j][n] for agm in agms[:k]])[:, None] for j in (0, 1))
+        tk, qk = t[:k], q[:k]
+        tk *= qk
+        qk /= d[:k]
+        d[:k] = (b * tk + 1.0) / (a * tk + 1.0)
+        tk[...] = a * qk
+    h = 1.0 / np.sqrt(1.0 + q * q)
+    sn = np.copysign(np.abs(q) * h, np.sin(v))
+    cn = np.copysign(h, np.cos(v))
+    back = np.argsort(order)
+    return sn[back], cn[back], d[back]

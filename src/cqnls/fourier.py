@@ -34,7 +34,7 @@ def wavenumbers(L: float, N: int) -> np.ndarray:
 
 
 def spectral_derivative(values, L: float, order: int = 1) -> np.ndarray:
-    """Differentiate periodic samples through the FFT.
+    """Differentiate periodic samples through the FFT, along the last axis.
 
     Real input stays real (rfft path).  For odd orders on an even grid the
     Nyquist mode is zeroed: its sawtooth derivative is not representable.
@@ -69,8 +69,14 @@ def second_derivative_column(L: float, N: int) -> np.ndarray:
     return col * (2.0 * np.pi / L) ** 2
 
 
-def trapezoid(values, L: float) -> float | complex:
-    """Periodic trapezoid rule h * sum(values), spectrally accurate for smooth data."""
+def trapezoid(values, L: float):
+    """Periodic trapezoid rule h * sum(values), spectrally accurate for smooth data.
+
+    One period of samples gives a float (complex for complex data); a
+    2-D array gives the array of its rows' integrals.
+    """
     v = np.asarray(values)
     total = v.sum(axis=-1) * (L / v.shape[-1])
+    if v.ndim > 1:
+        return total
     return complex(total) if np.iscomplexobj(v) else float(total)

@@ -19,7 +19,9 @@ assembled from the circulant second-derivative column, never from the
 N x N matrix, and the eigenpairs stay in block form: a report lifts its
 N x N eigenvector matrix only when first read.  solve_even inverts an
 operator on the even block alone, which is how the curve module gets
-its tangent from L1.  Oscillation
+its tangent from L1; a curve sweep solves all its points as rows, one
+LU per row of the shared folded -D2, with the residuals of all rows
+checked in one pass.  Oscillation
 theory pins the structure the stability argument needs: L1 has exactly
 one negative eigenvalue (even, nodeless ground state) with zero next,
 spanned by the odd function phi'; L2 is nonnegative with zero at the
@@ -116,11 +118,16 @@ class CombinedCounts:
 
 def potential_values(kind: str, wp: WaveParams, prof: Profile) -> np.ndarray:
     """Grid samples of the potential of operator kind, "L1" or "L2"."""
-    phi2 = prof.phi**2
+    return _potential(kind, wp.omega, prof.phi)
+
+
+def _potential(kind: str, omega, phi: np.ndarray) -> np.ndarray:
+    """Potential of kind from profile rows phi and a frequency (column) omega."""
+    phi2 = phi**2
     if kind == "L1":
-        return wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2
+        return omega - 3.0 * phi2 - 5.0 * phi2 * phi2
     if kind == "L2":
-        return wp.omega - phi2 - phi2 * phi2
+        return omega - phi2 - phi2 * phi2
     raise ConfigError(f"operator kind must be one of {_KINDS}, got {kind!r}")
 
 
@@ -180,16 +187,20 @@ def _folded_d2(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _parity_blocks(kind: str, wp: WaveParams, prof: Profile, odd: bool = True) -> list:
-    """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M.
+def _folded(pot: np.ndarray) -> np.ndarray:
+    """Grid rows on indices 0 .. N/2, each averaged with its mirror value.
 
-    V is even only up to rounding, so its mirror halves are averaged.
+    A potential is even only up to rounding, so its mirror halves are
+    averaged before it enters a parity block.
     """
-    N = prof.N
-    pot = potential_values(kind, wp, prof)
-    pot = 0.5 * (pot[:N // 2 + 1] + pot[-np.arange(N // 2 + 1)])
-    return [d2 + np.diag(v) for d2, v in
-            zip(_folded_d2(prof.L, N)[:1 + odd], (pot, pot[1:-1]))]
+    head = np.arange(pot.shape[-1] // 2 + 1)
+    return 0.5 * (pot[..., head] + pot[..., -head])
+
+
+def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
+    """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M."""
+    pot = _folded(potential_values(kind, wp, prof))
+    return [d2 + np.diag(v) for d2, v in zip(_folded_d2(prof.L, prof.N), (pot, pot[1:-1]))]
 
 
 def solve_even(kind: str, wp: WaveParams, prof: Profile, rhs) -> np.ndarray:
@@ -199,18 +210,36 @@ def solve_even(kind: str, wp: WaveParams, prof: Profile, rhs) -> np.ndarray:
     even functions (L1's kernel phi' is odd).  The residual is checked on
     the full grid through FFT differentiation.
     """
-    L, N = prof.L, prof.N
-    rhs = np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)[None]
+    u, (error,) = _solve_even_rows(kind, np.array([wp.omega]), prof.phi[None], prof.L, rhs)
+    if error is not None:
+        raise error
+    return u[0]
+
+
+def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
+                     rhs: np.ndarray) -> tuple[np.ndarray, list]:
+    """solve_even for each row: the operator of (omega[i], phi[i]), right side rhs[i].
+
+    Each row gets its own LU of the shared folded -D2 plus its potential,
+    never a stack of blocks; the residuals are checked in one pass.
+    Returns the solution rows and, per row, the residual's ContractError
+    or None.
+    """
+    N = phi.shape[-1]
     weight = _fold(N)
-    (even,) = _parity_blocks(kind, wp, prof, odd=False)
-    u = weight * np.linalg.solve(even, rhs[:N // 2 + 1] / weight)
-    u = u[np.minimum(np.arange(N), N - np.arange(N))]
-    resid = -spectral_derivative(u, L, order=2) + potential_values(kind, wp, prof) * u - rhs
-    worst = float(np.max(np.abs(resid)))
-    if worst > _SOLVE_TOL * float(np.max(np.abs(rhs))):
-        raise ContractError(f"even-block solve residual {worst:.3e} exceeds "
-                            f"{_SOLVE_TOL} * ||rhs||")
-    return u
+    pot = _potential(kind, omega[:, None], phi)
+    even = _folded_d2(L, N)[0]
+    half = np.empty((len(phi), N // 2 + 1))
+    for row, (v, b) in enumerate(zip(_folded(pot), rhs[:, :N // 2 + 1] / weight)):
+        half[row] = np.linalg.solve(even + np.diag(v), b)
+    u = (weight * half)[:, np.minimum(np.arange(N), N - np.arange(N))]
+    resid = -spectral_derivative(u, L, order=2) + pot * u - rhs
+    worst = np.max(np.abs(resid), axis=-1).tolist()
+    scale = np.max(np.abs(rhs), axis=-1).tolist()
+    return u, [ContractError(f"even-block solve residual {w:.3e} exceeds "
+                             f"{_SOLVE_TOL} * ||rhs||") if w > _SOLVE_TOL * r else None
+               for w, r in zip(worst, scale)]
 
 
 def _lift(even_vecs: np.ndarray, odd_vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:

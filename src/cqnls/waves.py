@@ -19,7 +19,9 @@ between sqrt(alpha2) and sqrt(alpha3):
 and its fundamental period is an explicit complete elliptic integral of
 the roots.  This module solves the inverse problem: given (L, omega),
 find the unique root triple whose period equals L, and sample the
-resulting profile with certified residuals.
+resulting profile with certified residuals.  build_wave samples one
+profile; a curve sweep samples the profiles of all its frequencies in
+one pass, as rows of one array, with build_wave's checks on each row.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _K_and_dK_dk, complete_K, jacobi_sn_cn_dn
+from .elliptic import _agm_sequence, _gauss_descent, _K_and_dK_dk
 from .errors import (
     ConfigError,
     ContractError,
+    CqnlsError,
     DegenerateError,
     DomainError,
     NoSolutionError,
@@ -238,9 +241,11 @@ def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
 
 def dk_domega(alpha3: float, omega: float) -> float:
     """Partial derivative of the modulus k in omega at fixed alpha3 (negative)."""
-    _, _, q, m = _level(alpha3, omega)
-    k = math.sqrt(m)
-    return -math.sqrt(3.0) * (2.0 * alpha3 + 8.0 * omega + 3.0) / (k * alpha3 * q**1.5)
+    return _dk_domega(alpha3, omega, *_level(alpha3, omega)[2:])
+
+
+def _dk_domega(a: float, omega: float, q: float, m: float) -> float:
+    return -math.sqrt(3.0) * (2.0 * a + 8.0 * omega + 3.0) / (math.sqrt(m) * a * q**1.5)
 
 
 def period_map_dalpha(alpha3: float, omega: float) -> float:
@@ -366,19 +371,34 @@ def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
     )
 
 
-def _profile_and_slope(wp: WaveParams, x: np.ndarray) -> tuple:
-    """Closed-form profile and its derivative at x, from one Jacobi pass."""
+def _profiles(wps: list, x: np.ndarray) -> tuple:
+    """Closed-form profiles and slopes of the waves wps at the points x.
+
+    One row per wave, each from one AGM sequence: the Jacobi pass runs on
+    its levels, and K = pi / (2 mean) is read from its mean.
+    """
+    agms = [_agm_sequence(wp.m) for wp in wps]
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+
     # elliptic argument scaled by 2K/L so the sampled function is exactly
     # L-periodic; equals 2/(sqrt(3) g) x up to the period-solve residual
-    c = 2.0 * complete_K(wp.m) / wp.L
-    sn, cn, dn = jacobi_sn_cn_dn(c * x, wp.m)
-    den = 1.0 + wp.beta_sq * np.square(sn)
-    phi = math.sqrt(wp.alpha3) * dn / np.sqrt(den)
-    dphi = (
-        -math.sqrt(wp.alpha3) * c * sn * cn
-        * (wp.m * den + wp.beta_sq * np.square(dn)) / den**1.5
-    )
+    c = column([2.0 * (math.pi / (2.0 * agm[3])) / wp.L for agm, wp in zip(agms, wps)])
+    m = column([wp.m for wp in wps])
+    beta_sq = column([wp.beta_sq for wp in wps])
+    amp = column([math.sqrt(wp.alpha3) for wp in wps])
+    sn, cn, dn = _gauss_descent(c * x, agms)
+    den = 1.0 + beta_sq * np.square(sn)
+    phi = amp * dn / np.sqrt(den)
+    dphi = -amp * c * sn * cn * (m * den + beta_sq * np.square(dn)) / den**1.5
     return phi, dphi
+
+
+def _profile_and_slope(wp: WaveParams, x) -> tuple:
+    """Closed-form profile and its derivative at x, as one row of _profiles."""
+    xa = np.asarray(x, dtype=float)
+    return tuple(f.reshape(xa.shape) for f in _profiles([wp], xa.reshape(-1)))
 
 
 def profile_value(wp: WaveParams, x):
@@ -401,15 +421,57 @@ def build_wave(L: float, omega: float, N: int) -> tuple[WaveParams, Profile]:
     spectral differentiation).  Construction invariants are enforced and a
     violation raises ContractError.
     """
+    (entry,), phi, dphi = _wave_rows(L, [omega], N)
+    if isinstance(entry, CqnlsError):
+        raise entry
+    return entry, Profile(L=L, N=int(N), phi=phi[0], dphi=dphi[0])
+
+
+def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """build_wave at each frequency, every grid profile sampled in one pass.
+
+    Returns (entries, phi, dphi): entries[i] is the WaveParams at omegas[i],
+    or the CqnlsError its construction raised, and phi and dphi hold one
+    row per WaveParams entry, in order.  A bad N raises ConfigError.  The
+    period solve and parameter checks run per frequency; the profiles, their
+    spectral derivatives and their checks run on all rows at once.
+    """
     check_grid_size(N)
-    alpha3 = solve_alpha3(L, omega)
-    wp = params_from_alpha3(L, omega, alpha3)
     N = int(N)
-    phi = profile_value(wp, grid(L, N))
-    prof = Profile(L=L, N=N, phi=phi, dphi=spectral_derivative(phi, L))
-    _validate_wave_params(wp)
-    _validate_profile(prof, wp)
-    return wp, prof
+    entries: list = []
+    for omega in omegas:
+        try:
+            wp = params_from_alpha3(L, omega, solve_alpha3(L, omega))
+            _validate_wave_params(wp)
+            entries.append(wp)
+        except CqnlsError as exc:
+            entries.append(exc)
+    wps = _live(entries)
+    if not wps:
+        # no grid: a period that no wave has need not be finite
+        return entries, np.empty((0, N)), np.empty((0, N))
+    phi = _profiles(wps, grid(L, N))[0]
+    (phi,) = _drop_failed(entries, _profile_errors(phi, wps), phi)
+    return entries, phi, spectral_derivative(phi, L)
+
+
+def _live(entries: list) -> list:
+    """The entries of a batch that have not failed."""
+    return [e for e in entries if not isinstance(e, CqnlsError)]
+
+
+def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
+    """Record a batch's new failures and drop their rows.
+
+    errors[j] is the error (or None) of the j-th live entry; it replaces
+    that entry.  Returns each array of rows without the failed ones.
+    """
+    live = [i for i, e in enumerate(entries) if not isinstance(e, CqnlsError)]
+    for i, error in zip(live, errors):
+        if error is not None:
+            entries[i] = error
+    keep = [error is None for error in errors]
+    return rows if all(keep) else tuple(r[keep] for r in rows)
 
 
 def _validate_wave_params(wp: WaveParams) -> None:
@@ -436,18 +498,30 @@ def _validate_wave_params(wp: WaveParams) -> None:
         raise ContractError(f"B={wp.B!r} outside ({b_threshold(w)!r}, 0)")
 
 
-def _validate_profile(prof: Profile, wp: WaveParams) -> None:
-    """Check positivity, evenness, and extreme values of sampled profiles."""
-    phi, N = prof.phi, prof.N
-    if not np.all(phi > 0.0):
-        raise ContractError("profile samples must be positive")
-    even_defect = float(np.max(np.abs(phi - phi[(-np.arange(N)) % N])))
-    if even_defect > 1e-10:
-        raise ContractError(f"profile evenness defect {even_defect!r}")
-    if np.argmax(phi) != 0 or abs(phi[0] ** 2 - wp.alpha3) > 1e-10:
-        raise ContractError("profile maximum must sit at x=0 with phi^2 = alpha3")
-    if np.argmin(phi) != N // 2 or abs(phi[N // 2] ** 2 - wp.alpha2) > 1e-8:
-        raise ContractError("profile minimum must sit at x=L/2 with phi^2 = alpha2")
+def _profile_errors(phi: np.ndarray, wps: list) -> list:
+    """Positivity, evenness and extreme values of each sampled profile row.
+
+    Returns the ContractError of each row's first failed check, or None.
+    """
+    N = phi.shape[-1]
+    stats = zip(np.all(phi > 0.0, axis=-1).tolist(),
+                np.max(np.abs(phi - phi[:, (-np.arange(N)) % N]), axis=-1).tolist(),
+                np.argmax(phi, axis=-1).tolist(), np.argmin(phi, axis=-1).tolist(),
+                phi[:, 0].tolist(), phi[:, N // 2].tolist())
+    errors = []
+    for wp, (positive, even_defect, top, bottom, crest, trough) in zip(wps, stats):
+        if not positive:
+            error = "profile samples must be positive"
+        elif even_defect > 1e-10:
+            error = f"profile evenness defect {even_defect!r}"
+        elif top != 0 or abs(crest**2 - wp.alpha3) > 1e-10:
+            error = "profile maximum must sit at x=0 with phi^2 = alpha3"
+        elif bottom != N // 2 or abs(trough**2 - wp.alpha2) > 1e-8:
+            error = "profile minimum must sit at x=L/2 with phi^2 = alpha2"
+        else:
+            error = None
+        errors.append(error and ContractError(error))
+    return errors
 
 
 def quadrature_residual(prof: Profile, wp: WaveParams) -> tuple[float, float]:

@@ -14,7 +14,9 @@ keep the former bisection solves that waves.solve_alpha3 and
 waves.period_of_B replaced by a bracketed Newton iteration, and
 spectrum_by_eager_lift keeps the former body of hill.spectrum_report,
 which lifted every block eigenvector to the grid and checked the full
-N x N Gram matrix.  The last five are small routines the library itself does not need: the dense
+N x N Gram matrix, and curve_sample_by_point keeps the former one-point
+curve.curve_sample, before sweeps were sampled as rows of one array
+(its checks left out).  The last five are small routines the library itself does not need: the dense
 second-derivative matrix and the full collocation matrix that the parity
 blocks of hill are checked against, an eigenvector sign-change counter for
 the oscillation counts, and the H^1 pairing and orbital phase that
@@ -29,7 +31,7 @@ import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cqnls import hill, waves
+from cqnls import curve, elliptic, hill, waves
 from cqnls.errors import DegenerateError, DomainError, NoSolutionError
 from cqnls.fourier import second_derivative_column, spectral_derivative, trapezoid
 
@@ -296,6 +298,54 @@ def period_of_B_by_bisection(B: float, omega0: float) -> float:
         lo, hi,
     )
     return waves.period_map(alpha, omega0)
+
+
+def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
+    """Former curve.curve_sample at one point, as a dict of its fields.
+
+    The one-point chain before sweeps became rows: K from complete_K and
+    a second AGM for the Gauss descent of sn, cn, dn on a 1-D grid, one
+    1-D FFT derivative, and one even-block LU for the tangent.  The
+    construction and integral checks are left out.
+    """
+    wp = waves.params_from_alpha3(L, omega, waves.solve_alpha3(L, omega))
+    a_seq, b_seq, _, mean = elliptic._agm_sequence(wp.m)
+    c = 2.0 * elliptic.complete_K(wp.m) / wp.L
+    v = mean * (c * waves.grid(L, N))
+    t = np.tan(v)
+    q = t / mean
+    d = np.ones_like(t)
+    for a, b in zip(reversed(a_seq), reversed(b_seq)):
+        t *= q
+        q /= d
+        d = (b * t + 1.0) / (a * t + 1.0)
+        t = a * q
+    sn = np.copysign(np.abs(q) * (1.0 / np.sqrt(1.0 + q * q)), np.sin(v))
+    phi = math.sqrt(wp.alpha3) * d / np.sqrt(1.0 + wp.beta_sq * np.square(sn))
+    dphi = spectral_derivative(phi, L)
+
+    phi2 = phi**2
+    pot = wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2
+    pot = 0.5 * (pot[:N // 2 + 1] + pot[-np.arange(N // 2 + 1)])
+    weight = hill._fold(N)
+    half = np.linalg.solve(hill._folded_d2(L, N)[0] + np.diag(pot),
+                           -phi[:N // 2 + 1] / weight)
+    tangent = (weight * half)[np.minimum(np.arange(N), N - np.arange(N))]
+
+    d2 = trapezoid(phi * tangent, L)
+    dalpha2 = 2.0 * phi[N // 2] * tangent[N // 2]
+    a2 = wp.alpha2
+    return {
+        "L": L, "omega": omega, "alpha3": wp.alpha3, "B": wp.B, "m": wp.m,
+        "mass": trapezoid(phi**2, L), "p4": trapezoid(phi**4, L),
+        "p6": trapezoid(phi**6, L), "inv2": curve.inv2_closed_form(wp),
+        "dphi2": trapezoid(dphi**2, L), "ratio2": trapezoid((dphi / phi) ** 2, L),
+        "dalpha3": 2.0 * phi[0] * tangent[0], "dalpha2": dalpha2,
+        "dB": (a2 * a2 + a2 - omega) * dalpha2 - a2, "dmass_domega": 2.0 * d2,
+        "dp4": 4.0 * trapezoid(phi**3 * tangent, L),
+        "dp6": 6.0 * trapezoid(phi**5 * tangent, L),
+        "dinv2": -2.0 * trapezoid(tangent / phi**3, L), "d2_dd": d2,
+    }
 
 
 def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:

@@ -269,6 +269,23 @@ def test_audit_single_omega(capsys):
     assert len(lines) == 2 and lines[1].endswith(",ok")
 
 
+@pytest.mark.parametrize("flags, sweep, first_failure, code", [
+    (("--N", "64"), "2:9:8", "5", 2),  # grid too coarse: identity residual
+    (("--L", "40"), "0.5:1:6", "0.8", 1),  # period out of numerical reach
+], ids=["contract", "degenerate"])
+def test_audit_sweep_fails_like_its_first_failing_omega(capsys, flags, sweep,
+                                                        first_failure, code):
+    # the sweep is sampled in one pass, yet it stops with the error of its
+    # first failing omega, as the one-omega audit of that point does; the
+    # sweep's first point is sampled, and its later points fail too, each with
+    # its own message
+    swept = _run(capsys, "audit", *flags, "--omega", sweep)
+    alone = _run(capsys, "audit", *flags, "--omega", first_failure)
+    assert swept == alone
+    assert alone[0] == code and alone[1] == "" and alone[2]
+    assert _run(capsys, "audit", *flags, "--omega", sweep.split(":")[0])[1] != ""
+
+
 @pytest.mark.parametrize("L, sweep", [(TWO_PI, "7.99:8.0:11"),
                                       (1.5 * TWO_PI, "1.9:2.1:11")])
 def test_audit_near_solitary_and_long_period_sweeps_pass(capsys, L, sweep):

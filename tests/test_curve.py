@@ -1,21 +1,23 @@
 """Curve integrals, derivative audits, and the d''(omega) routes."""
 
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from cqnls import curve, waves
+from cqnls import curve, elliptic, waves
 from cqnls.curve import CurveError, CurveSample
 from cqnls.errors import ConfigError, NoSolutionError
 
 from conftest import SWEEP, TWO_PI
+from oracles import curve_sample_by_point
 
 
 @pytest.fixture(scope="module")
 def sweep_samples():
-    return {w: curve.curve_sample(TWO_PI, w) for w in SWEEP}
+    return dict(zip(SWEEP, curve.sample_curve(TWO_PI, SWEEP)))
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +105,28 @@ def test_sweep_isolated_points_carry_exact_rates():
     for e in (entries[0], entries[2]):
         assert e == curve.curve_sample(TWO_PI, e.omega)
         assert math.isfinite(e.dmass_domega) and e.dmass_domega > 0.0
+    # a sweep from s = 0.76 to 7.99 mixes moduli of 6 and 7 AGM levels in
+    # one Gauss descent; each row keeps every bit of its one-point sample,
+    # and of the former one-point code
+    entries = curve.sample_curve(TWO_PI, np.linspace(0.76, 7.99, 32).tolist())
+    assert {len(elliptic._agm_sequence(e.m)[0]) for e in entries} == {6, 7}
+    for e in entries:
+        assert e == curve.curve_sample(TWO_PI, e.omega)
+        assert asdict(e) == curve_sample_by_point(TWO_PI, e.omega)
+
+
+def test_sweep_memory_peak():
+    # one pass holds a few (32, 256) arrays and one even block at a time;
+    # a stacked (32, 129, 129) array of blocks alone would take 4 MiB
+    omegas = np.linspace(0.76, 7.99, 32).tolist()
+    curve.sample_curve(TWO_PI, omegas)
+    tracemalloc.start()
+    try:
+        curve.sample_curve(TWO_PI, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_mass_increases_along_curve():

@@ -190,17 +190,19 @@ def test_period_slope_takes_one_modulus_and_one_agm(monkeypatch):
 
 def test_solve_and_curve_sample_agm_budget(monkeypatch):
     # one AGM per period evaluation of the solve (period and slope share
-    # it), one for the attained-period check; a curve sample adds K and the
-    # Jacobi scale of the profile and one K, E pair for inv2
+    # it), one for the attained-period check; a curve sample adds one for
+    # the profile (its Jacobi pass and its scale K) and one K, E pair for inv2
     from cqnls import curve, elliptic
 
     calls = {}
-    _count_calls(monkeypatch, elliptic, "_agm_sequence", calls)
+    # the profile reads its AGM through the waves binding
+    for module in (elliptic, waves):
+        _count_calls(monkeypatch, module, "_agm_sequence", calls)
     waves.solve_alpha3(TWO_PI, 2.0)
     assert calls["_agm_sequence"] <= 6
     calls.clear()
     curve.curve_sample(TWO_PI, 2.0)
-    assert calls["_agm_sequence"] <= 9
+    assert calls["_agm_sequence"] <= 8
 
 
 def _round_trip_tol(a3: float, omega: float, L: float) -> float:
@@ -322,7 +324,7 @@ def test_profile_extremes_and_symmetry(ref_wave):
     mirrored = prof.phi[(-np.arange(prof.N)) % prof.N]
     assert np.max(np.abs(prof.phi - mirrored)) <= 1e-12
     waves._validate_wave_params(wp)
-    waves._validate_profile(prof, wp)
+    assert waves._profile_errors(prof.phi[None], [wp]) == [None]
 
 
 def test_profile_closed_form_derivative(ref_wave):
