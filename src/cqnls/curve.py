@@ -156,7 +156,7 @@ def _sample_rows(L: float, omegas, N: int) -> list:
     each point's tangent comes from its own even-block LU.
     """
     entries, phi, dphi = _wave_rows(L, omegas, N)
-    wps = _live(entries)
+    wps = [wp for _, wp in _live(entries)]
     # per row: mass, p4, p6, inv2 by quadrature and in closed form, dphi2, ratio2
     ints = np.stack([
         *(trapezoid(f, L) for f in (phi**2, phi**4, phi**6, phi**-2.0)),
@@ -165,9 +165,12 @@ def _sample_rows(L: float, omegas, N: int) -> list:
     ], axis=-1)
     errors = [_integral_error(wp, *row[:5]) for wp, row in zip(wps, ints.tolist())]
     phi, ints = _drop_failed(entries, errors, phi, ints)
+    if not len(phi):
+        # no wave left: the grid operators need not exist at this period
+        return entries
 
     # the curve's tangent: L1 dphi/domega = -phi on the even block
-    omega = np.array([wp.omega for wp in _live(entries)])
+    omega = np.array([wp.omega for _, wp in _live(entries)])
     tangent, errors = _solve_even_rows("L1", omega, phi, L, -phi)
     phi, tangent, ints = _drop_failed(entries, errors, phi, tangent, ints)
     rates = np.stack([
@@ -179,9 +182,7 @@ def _sample_rows(L: float, omegas, N: int) -> list:
         -2.0 * trapezoid(tangent / phi**3, L),
     ], axis=-1)
 
-    live = [i for i, e in enumerate(entries) if isinstance(e, WaveParams)]
-    for i, row, rate in zip(live, ints.tolist(), rates.tolist()):
-        wp = entries[i]
+    for (i, wp), row, rate in zip(_live(entries), ints.tolist(), rates.tolist()):
         mass, p4, p6, _, inv2, dphi2, ratio2 = row
         d2, dalpha3, dalpha2, dp4, dp6, dinv2 = rate
         # B = b_from_alpha(alpha2, omega) differentiated at the trough; the

@@ -446,7 +446,7 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
             entries.append(wp)
         except CqnlsError as exc:
             entries.append(exc)
-    wps = _live(entries)
+    wps = [wp for _, wp in _live(entries)]
     if not wps:
         # no grid: a period that no wave has need not be finite
         return entries, np.empty((0, N)), np.empty((0, N))
@@ -456,8 +456,11 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
 
 
 def _live(entries: list) -> list:
-    """The entries of a batch that have not failed."""
-    return [e for e in entries if not isinstance(e, CqnlsError)]
+    """(index, entry) of each entry of a batch that has not failed, in order.
+
+    The j-th pair is the j-th row of the batch's arrays.
+    """
+    return [(i, e) for i, e in enumerate(entries) if not isinstance(e, CqnlsError)]
 
 
 def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
@@ -466,8 +469,7 @@ def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
     errors[j] is the error (or None) of the j-th live entry; it replaces
     that entry.  Returns each array of rows without the failed ones.
     """
-    live = [i for i, e in enumerate(entries) if not isinstance(e, CqnlsError)]
-    for i, error in zip(live, errors):
+    for (i, _), error in zip(_live(entries), errors):
         if error is not None:
             entries[i] = error
     keep = [error is None for error in errors]

@@ -286,6 +286,23 @@ def test_audit_sweep_fails_like_its_first_failing_omega(capsys, flags, sweep,
     assert _run(capsys, "audit", *flags, "--omega", sweep.split(":")[0])[1] != ""
 
 
+@pytest.mark.parametrize("L, omega, message", [
+    ("0", "2", "period must be positive, got L=0.0"),
+    ("-0.0", "1:3:4", "period must be positive, got L=-0.0"),
+    ("1e-160", "2:3:2", "no period-1e-160 wave at omega=2.0"),
+], ids=["zero", "negative_zero_sweep", "tiny"])
+def test_audit_period_without_waves_exits_1(capsys, L, omega, message):
+    code, out, err = _run(capsys, "audit", "--L", L, "--omega", omega)
+    assert code == 1 and out == ""
+    assert err.startswith(f"cqnls audit: {message}")
+
+
+def test_curve_period_without_waves_keeps_its_rows(capsys):
+    code, out, err = _run(capsys, "curve", "--L", "1e-160", "--omega", "2:3:2")
+    assert code == 0 and err == ""
+    assert [ln.split(",")[-2] for ln in _data_lines(out)[1:]] == ["error", "error"]
+
+
 @pytest.mark.parametrize("L, sweep", [(TWO_PI, "7.99:8.0:11"),
                                       (1.5 * TWO_PI, "1.9:2.1:11")])
 def test_audit_near_solitary_and_long_period_sweeps_pass(capsys, L, sweep):

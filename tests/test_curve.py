@@ -9,7 +9,7 @@ import pytest
 
 from cqnls import curve, elliptic, waves
 from cqnls.curve import CurveError, CurveSample
-from cqnls.errors import ConfigError, NoSolutionError
+from cqnls.errors import ConfigError, DomainError, NoSolutionError
 
 from conftest import SWEEP, TWO_PI
 from oracles import curve_sample_by_point
@@ -97,6 +97,21 @@ def test_sweep_rejects_bad_period(L):
     # a bad period fails the whole sweep, not each point
     with pytest.raises(ConfigError):
         curve.sample_curve(L, [0.5, 2.0])
+
+
+@pytest.mark.parametrize("L", [0.0, -0.0])
+def test_curve_sample_rejects_nonpositive_period(L):
+    with pytest.raises(DomainError, match="period must be positive"):
+        curve.curve_sample(L, 2.0)
+
+
+def test_sweep_at_a_period_without_waves_keeps_its_rows():
+    # a tiny period passes the sweep's check but has no wave at any
+    # frequency; each point fails alone and no grid is built at that period
+    entries = curve.sample_curve(1e-160, [2.0, 3.0])
+    assert all(isinstance(e, CurveError) for e in entries)
+    assert [e.omega for e in entries] == [2.0, 3.0]
+    assert all("no period-1e-160 wave" in e.message for e in entries)
 
 
 def test_sweep_isolated_points_carry_exact_rates():
