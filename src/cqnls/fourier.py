@@ -10,6 +10,8 @@ matrix it defines is exactly symmetric.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigError
@@ -42,16 +44,22 @@ def spectral_derivative(values, L: float, order: int = 1) -> np.ndarray:
     v = np.asarray(values)
     N = v.shape[-1]
     if np.isrealobj(v):
+        return np.fft.irfft(np.fft.rfft(v) * _multiplier(L, N, order, True), n=N)
+    return np.fft.ifft(np.fft.fft(v) * _multiplier(L, N, order, False))
+
+
+@functools.lru_cache(maxsize=8)
+def _multiplier(L: float, N: int, order: int, real: bool) -> np.ndarray:
+    """(i k)^order on the rfft (real) or fft wavenumbers, read-only."""
+    if real:
         k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
-        mult = (1j * k) ** order
-        if order % 2 == 1 and N % 2 == 0:
-            mult[-1] = 0.0
-        return np.fft.irfft(np.fft.rfft(v) * mult, n=N)
-    k = wavenumbers(L, N)
+    else:
+        k = wavenumbers(L, N)
     mult = (1j * k) ** order
     if order % 2 == 1 and N % 2 == 0:
-        mult[N // 2] = 0.0
-    return np.fft.ifft(np.fft.fft(v) * mult)
+        mult[N // 2] = 0.0  # the Nyquist mode, last of the rfft modes
+    mult.flags.writeable = False
+    return mult
 
 
 def second_derivative_column(L: float, N: int) -> np.ndarray:

@@ -235,8 +235,14 @@ def dk_dalpha(alpha3: float, omega: float) -> float:
 
 
 def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
-    r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
-    return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * q**1.5)
+    try:
+        r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
+        return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * q**1.5)
+    except OverflowError:
+        # omega^2 overflows a double beyond omega ~ 1.3e154
+        raise DomainError(
+            f"frequency omega={omega} is out of double-precision reach"
+        ) from None
 
 
 def dk_domega(alpha3: float, omega: float) -> float:

@@ -16,7 +16,12 @@ spectrum_by_eager_lift keeps the former body of hill.spectrum_report,
 which lifted every block eigenvector to the grid and checked the full
 N x N Gram matrix, and curve_sample_by_point keeps the former one-point
 curve.curve_sample, before sweeps were sampled as rows of one array
-(its checks left out).  The last five are small routines the library itself does not need: the dense
+(its checks left out).  advance_by_allocation keeps the former split-step
+loop of evolve._advance, which allocated every intermediate array, and
+derivative_by_fresh_multiplier the former fourier.spectral_derivative,
+which rebuilt (i k)^order on every call; the library's in-place loop and
+cached multiplier must match them bit for bit.  The last five are small
+routines the library itself does not need: the dense
 second-derivative matrix and the full collocation matrix that the parity
 blocks of hill are checked against, an eigenvector sign-change counter for
 the oscillation counts, and the H^1 pairing and orbital phase that
@@ -434,3 +439,35 @@ def orbital_phase(u: np.ndarray, prof) -> float:
     """
     du = spectral_derivative(u, prof.L)
     return float(np.angle(trapezoid(u * prof.phi + du * prof.dphi, prof.L)))
+
+
+def advance_by_allocation(u: np.ndarray, kernel: np.ndarray, dt: float,
+                          steps: int) -> np.ndarray:
+    """`steps` fused Strang steps, each intermediate a fresh array."""
+    if steps <= 0:
+        return u
+    a2 = u.real**2 + u.imag**2
+    u = u * np.exp((0.5j * dt) * (a2 + a2 * a2))
+    for step in range(steps):
+        u = np.fft.ifft(np.fft.fft(u) * kernel)
+        a2 = u.real**2 + u.imag**2
+        h = dt if step < steps - 1 else 0.5 * dt
+        u = u * np.exp((1j * h) * (a2 + a2 * a2))
+    return u
+
+
+def derivative_by_fresh_multiplier(values, L: float, order: int = 1) -> np.ndarray:
+    """Spectral derivative with (i k)^order built anew on every call."""
+    v = np.asarray(values)
+    N = v.shape[-1]
+    if np.isrealobj(v):
+        k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
+        mult = (1j * k) ** order
+        if order % 2 == 1 and N % 2 == 0:
+            mult[-1] = 0.0
+        return np.fft.irfft(np.fft.rfft(v) * mult, n=N)
+    k = 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
+    mult = (1j * k) ** order
+    if order % 2 == 1 and N % 2 == 0:
+        mult[N // 2] = 0.0
+    return np.fft.ifft(np.fft.fft(v) * mult)

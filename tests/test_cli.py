@@ -79,6 +79,19 @@ def test_construct_tiny_omega_or_period_exits_1(capsys, argv):
     assert err.startswith("cqnls construct: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("omega", ["1.4e154", "1e200", "1e300"])
+def test_frequency_beyond_double_reach_is_a_domain_error(capsys, omega):
+    # 48 omega^2 in the period slope overflows a double above omega ~ 1.3e154
+    code, out, err = _run(capsys, "construct", "--omega", omega)
+    assert code == 1 and out == ""
+    message = f"frequency omega={float(omega)} is out of double-precision reach"
+    assert err == f"cqnls construct: {message}\n"
+    code, out, err = _run(capsys, "curve", "--omega", omega)
+    assert code == 0 and err == ""
+    (row,) = _data_lines(out)[1:]
+    assert row.split(",")[-2:] == ["error", message]
+
+
 def test_construct_rejects_range(capsys):
     code, out, err = _run(capsys, "construct", "--omega", "1:2:5")
     assert code == 1
@@ -488,6 +501,15 @@ def test_stability_rejects_bad_seed_or_delta(capsys, flag, value, word):
                           flag, value)
     assert code == 1
     assert err.startswith("cqnls stability: ") and word in err
+
+
+def test_stability_overflow_reports_one_blowup_line(capsys):
+    # the field overflows in the first step; numpy stays silent and the
+    # record check alone reports it
+    code, out, err = _run(capsys, "stability", "--omega", "2", "--N", "64",
+                          "--t-end", "0.01", "--dt", "1e-3", "--delta", "1e300")
+    assert code == 2 and out == ""
+    assert err == "cqnls stability: numeric assertion failed: nonfinite field at t=0.001\n"
 
 
 def test_byte_determinism(capsys):

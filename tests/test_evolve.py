@@ -9,7 +9,7 @@ from cqnls import curve, evolve, fourier, waves
 from cqnls.errors import BlowupError, ConfigError, ContractError
 
 from conftest import TWO_PI
-from oracles import h1_inner, orbital_phase
+from oracles import advance_by_allocation, h1_inner, orbital_phase
 
 
 def test_trajectory_checks_the_initial_field(ref_wave):
@@ -98,6 +98,124 @@ def test_fused_advance_matches_unfused_steps(ref_wave):
             ref = _unfused_strang(u, kernel, dt, steps)
             assert np.max(np.abs(fused - ref)) <= 1e-12, (name, steps)
         assert np.array_equal(evolve._advance(u, kernel, dt, 0), u)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_in_place_advance_matches_allocating_oracle(ref_wave):
+    # the work buffers keep every rounding of the allocating loop, and the
+    # input field is read, never written
+    _, prof = ref_wave
+    rng = np.random.default_rng(31)
+    fields = {
+        "even": prof.phi.astype(complex)
+        + 1e-2 * evolve.perturbation_shape("bump", TWO_PI, prof.N),
+        "random": 0.5 * (rng.standard_normal(prof.N)
+                         + 1j * rng.standard_normal(prof.N)),
+        "rows": 0.5 * (rng.standard_normal((3, prof.N))
+                       + 1j * rng.standard_normal((3, prof.N))),
+    }
+    dt = 5e-4
+    kernel = np.exp(-1j * dt * fourier.wavenumbers(TWO_PI, prof.N) ** 2)
+    for name, u in fields.items():
+        before = u.copy()
+        for steps in (1, 2, 15, 40):
+            out = evolve._advance(u, kernel, dt, steps)
+            assert out is not u
+            ref = advance_by_allocation(u, kernel, dt, steps)
+            assert np.array_equal(_bits(out), _bits(ref)), (name, steps)
+            assert np.array_equal(_bits(u), _bits(before)), (name, steps)
+
+
+# (t_end, dt): 1234 steps over 200 intervals of 6 or 7; 50 steps, fewer
+# than the 200 records; 2000 steps at the CLI's default dt, 200 equal
+# intervals of 10
+_SCHEDULES = {"uneven": (1.234, 1e-3), "short": (0.05, 1e-3), "equal": (0.2, 1e-4)}
+
+
+@pytest.mark.parametrize("schedule", sorted(_SCHEDULES))
+def test_runs_match_the_allocating_oracle_bit_for_bit(monkeypatch, schedule):
+    t_end, dt = _SCHEDULES[schedule]
+    _, prof = waves.build_wave(TWO_PI, 2.0, 64)
+    u0 = (prof.phi + 1e-2 * evolve.perturbation_shape("bump", TWO_PI, 64)).astype(complex)
+
+    def outcome():
+        records = [(t, u.copy()) for t, u in evolve._trajectory(prof, u0, t_end, dt)]
+        fid = evolve.run_fidelity(TWO_PI, 2.0, t_end=t_end, dt=dt, N=64)
+        stab = evolve.run_stability(TWO_PI, 2.0, delta=1e-2, perturbation="bump",
+                                    t_end=t_end, dt=dt, N=64)
+        return records, fid, stab
+
+    records, fid, stab = outcome()
+    monkeypatch.setattr(evolve, "_advance", advance_by_allocation)
+    ref_records, ref_fid, ref_stab = outcome()
+    assert len(records) == len(ref_records) == min(200, round(t_end / dt)) + 1
+    for (t, u), (ref_t, ref_u) in zip(records, ref_records):
+        assert t == ref_t and np.array_equal(_bits(u), _bits(ref_u)), t
+    for rep, ref in ((fid, ref_fid), (stab, ref_stab)):
+        for name, value in vars(rep).items():
+            assert np.array_equal(_bits(value), _bits(getattr(ref, name))), name
+
+
+def test_yielded_fields_are_never_written(ref_wave):
+    # the runs read the first and the last record after the loop
+    _, prof = ref_wave
+    u0 = prof.phi.astype(complex)
+    seen = [(u, u.copy()) for _, u in evolve._trajectory(prof, u0, 0.05, 1e-3)]
+    assert seen[0][0] is u0
+    for u, snapshot in seen:
+        assert np.array_equal(_bits(u), _bits(snapshot))
+
+
+def _inject(monkeypatch, value, index=5):
+    # every record interval hands back the field with one sample replaced
+    def advance(u, kernel, dt, steps):
+        u = u.copy()
+        u[index] = value
+        return u
+
+    monkeypatch.setattr(evolve, "_advance", advance)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.inf),
+                                   complex(math.nan, 1.0)],
+                         ids=["nan", "inf", "minus_inf", "imag_inf", "real_nan"])
+def test_record_check_names_a_nonfinite_field(monkeypatch, ref_wave, value):
+    _, prof = ref_wave
+    _inject(monkeypatch, value)
+    with pytest.raises(BlowupError, match=r"^nonfinite field at t=0\.001$"):
+        list(evolve._trajectory(prof, prof.phi.astype(complex), 0.01, 1e-3))
+
+
+def test_record_check_names_a_finite_amplitude_above_the_cap(monkeypatch, ref_wave):
+    _, prof = ref_wave
+    # |u| overflows although both parts are finite: still an amplitude
+    _inject(monkeypatch, complex(1.5e308, 1.5e308))
+    with np.errstate(over="ignore"), pytest.raises(
+            BlowupError, match=r"^amplitude inf exceeds 1000 x wave amplitude at t=0\.001$"):
+        list(evolve._trajectory(prof, prof.phi.astype(complex), 0.01, 1e-3))
+    monkeypatch.undo()
+    monkeypatch.setattr(evolve, "_BLOWUP_FACTOR", 1.0)
+    with pytest.raises(BlowupError, match=r"^amplitude \S+ exceeds 1 x wave amplitude at t="):
+        evolve.run_stability(TWO_PI, 2.0, delta=1e-2, perturbation="bump",
+                             t_end=0.01, dt=1e-3, N=256)
+
+
+def test_overflowing_run_fails_only_as_a_blowup():
+    # the field overflows in the first step; no floating-point warning
+    # (errors under this suite's settings) comes before the record check
+    with pytest.raises(BlowupError, match=r"^nonfinite field at t=0\.001$"):
+        evolve.run_stability(TWO_PI, 2.0, 1e300, "bump", t_end=0.01, dt=1e-3, N=64)
+
+
+def test_parity_defect_pairs_each_sample_with_its_mirror():
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    mirror = (-np.arange(64)) % 64
+    assert evolve._parity_defect(u) == float(np.max(np.abs(u - u[mirror])))
+    assert evolve._parity_defect(u + u[mirror]) == 0.0
 
 
 def test_orbit_point_has_zero_distance(ref_wave):

@@ -8,7 +8,7 @@ import pytest
 from cqnls import fourier
 from cqnls.errors import ConfigError
 
-from oracles import second_derivative_matrix
+from oracles import derivative_by_fresh_multiplier, second_derivative_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +54,29 @@ def test_real_input_stays_real():
     f = rng.standard_normal(32)
     out = fourier.spectral_derivative(f, 1.0)
     assert out.dtype == np.float64
+
+
+@pytest.mark.parametrize("L, N", [(TWO_PI, 64), (7.3, 48), (3.0, 33)])
+def test_cached_multiplier_gives_bit_equal_derivatives(L, N):
+    rng = np.random.default_rng(N)
+    real = rng.standard_normal((2, N))
+    fields = (real[0], real, real[0] + 1j * real[1])
+    for order in (1, 2, 3):
+        for v in fields:
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                out = fourier.spectral_derivative(v, L, order)
+                ref = derivative_by_fresh_multiplier(v, L, order)
+                assert out.dtype == ref.dtype
+                assert out.tobytes() == ref.tobytes(), (order, v.shape, v.dtype)
+
+
+def test_cached_multiplier_is_read_only():
+    for real in (True, False):
+        mult = fourier._multiplier(TWO_PI, 64, 1, real)
+        assert fourier._multiplier(TWO_PI, 64, 1, real) is mult
+        assert not mult.flags.writeable
+        with pytest.raises(ValueError):
+            mult[1] = 0.0
 
 
 def test_matrix_matches_fft_route():

@@ -292,6 +292,15 @@ def test_nonfinite_period_or_frequency_is_a_domain_error(L, omega):
         waves.solve_alpha3(L, omega)
 
 
+@pytest.mark.parametrize("omega", [1.4e154, 1e200, 1e300])
+def test_frequency_beyond_double_reach_is_a_domain_error(omega):
+    # omega^2 overflows in the closed-form period slope; the solve reports it
+    # as a domain error, not as Python's OverflowError
+    with pytest.raises(DomainError, match="out of double-precision reach") as info:
+        waves.solve_alpha3(TWO_PI, omega)
+    assert type(info.value) is DomainError
+
+
 def test_build_wave_frozen_values():
     for omega, a3, m, B in FROZEN:
         wp, prof = waves.build_wave(TWO_PI, omega, 128)
