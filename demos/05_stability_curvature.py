@@ -18,7 +18,7 @@ from cqnls import curve
 
 L = 2.0 * math.pi
 # one pass over the sweep; each of these frequencies has a wave, so no
-# entry is a CurveError
+# entry is an error
 samples = curve.sample_curve(L, (0.5, 1.0, 2.0, 5.0, 10.0))
 
 print(f"{'omega':>6} {'curv direct':>12} {'curv identity':>13} {'rel gap':>10}")

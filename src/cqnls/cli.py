@@ -32,7 +32,6 @@ import numpy as np
 
 from . import __version__
 from .curve import (
-    CurveError,
     _sample_rows,
     d2d_direct,
     d2d_identity,
@@ -43,8 +42,8 @@ from .curve import (
 from .errors import ConfigError, ContractError, CqnlsError, NumericError
 from .evolve import _PERTURBATIONS, run_fidelity, run_stability
 from .hill import combined_counts, spectrum_report, theta_constant
-from .waves import (_validate_wave_params, build_wave, params_from_alpha3, period_map,
-                    period_map_dB, quadrature_residual, solve_alpha3)
+from .waves import (build_wave, params_from_alpha3, period_map, period_map_dB,
+                    quadrature_residual, solve_alpha3)
 
 _USAGE_EXIT = 64
 _IO_EXIT = 74
@@ -112,6 +111,8 @@ def _parse_omega(text: str):
             raise ConfigError(
                 f"omega range needs stop > start and count >= 2, got {text!r}"
             )
+        if count > np.iinfo(np.intp).max:
+            raise ConfigError(f"omega range count exceeds the largest array size: {text!r}")
         return np.linspace(start, stop, count).tolist()
     try:
         return float(text)
@@ -188,11 +189,7 @@ def _report(config: argparse.Namespace, report: _Report) -> None:
 def _run_construct(config: argparse.Namespace) -> _Report:
     wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
     r_quad, r_ode = quadrature_residual(prof, wp)
-    wave = {
-        "L": wp.L, "omega": wp.omega,
-        "alpha1": wp.alpha1, "alpha2": wp.alpha2, "alpha3": wp.alpha3,
-        "m": wp.m, "g": wp.g, "beta_sq": wp.beta_sq, "B": wp.B,
-    }
+    wave = asdict(wp)
     attained = period_map(wp.alpha3, wp.omega)
     residuals = {"r_quad": r_quad, "r_ode": r_ode,
                  "period_rel_residual": abs(attained - wp.L) / wp.L}
@@ -208,10 +205,10 @@ def _omega_list(config: argparse.Namespace) -> list[float]:
 def _run_curve(config: argparse.Namespace) -> _Report:
     fields = _CURVE_COLUMNS[:-2]  # CurveSample attributes, then status and message
     rows = []
-    for entry in sample_curve(config.L, _omega_list(config), config.N):
-        if isinstance(entry, CurveError):
-            rows.append([entry.omega] + [math.nan] * (len(fields) - 1)
-                        + ["error", entry.message])
+    omegas = _omega_list(config)
+    for omega, entry in zip(omegas, sample_curve(config.L, omegas, config.N)):
+        if isinstance(entry, CqnlsError):
+            rows.append([omega] + [math.nan] * (len(fields) - 1) + ["error", str(entry)])
         else:
             rows.append([getattr(entry, name) for name in fields] + ["ok", ""])
     return _Report(_CURVE_COLUMNS, rows)
@@ -241,7 +238,6 @@ def _run_theta(config: argparse.Namespace) -> _Report:
     omega = _scalar_omega(config)
     # theta and dT/dB read the wave parameters alone, so no grid is sampled
     wp = params_from_alpha3(config.L, omega, solve_alpha3(config.L, omega))
-    _validate_wave_params(wp)
     theta = theta_constant(wp)
     dT_dB = period_map_dB(wp.alpha3, omega)
     mismatch = abs(dT_dB + theta / 2.0) / abs(theta)

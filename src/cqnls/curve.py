@@ -23,7 +23,7 @@ tangent residuals and rates of every point are rows of one
 (points, N) array.  Each point's tangent comes from its own LU of the
 even block, never from a stack of all the blocks (4 MiB at 32 points
 and N = 256).  curve_sample is a sweep of one point, and a point that
-fails in a sweep fails with curve_sample's error.
+fails in a sweep is the error that curve_sample raises there.
 
 Every frequency derivative here is a total derivative along the fixed-L
 curve unless explicitly named partial.  The documented sign expectations
@@ -58,7 +58,6 @@ from .waves import (
 
 __all__ = [
     "CurveSample",
-    "CurveError",
     "DerivativeAudit",
     "IdentityAudit",
     "inv2_closed_form",
@@ -102,14 +101,6 @@ class CurveSample:
     d2_dd: float
 
 
-@dataclass(frozen=True)
-class CurveError:
-    """Per-frequency failure entry of a sweep (the sweep itself continues)."""
-
-    omega: float
-    message: str
-
-
 def inv2_closed_form(wp: WaveParams) -> float:
     """Elliptic closed form of int_0^L phi^-2 dx.
 
@@ -135,16 +126,15 @@ def curve_sample(L: float, omega: float, N: int = 256) -> CurveSample:
 def sample_curve(L: float, omegas, N: int = 256) -> list:
     """Sample the curve at each frequency, tolerating per-point failures.
 
-    Returns one entry per frequency, a CurveSample or a CurveError.  A
-    period that is not finite and positive, or a bad grid size, fails
-    every point alike, so it raises ConfigError instead.
+    Returns one entry per frequency: its CurveSample, or the CqnlsError
+    that curve_sample raises there.  A period that is not finite and
+    positive, or a bad grid size, fails every point alike, so it raises
+    ConfigError instead.
     """
     if not (math.isfinite(L) and L > 0.0):
         raise ConfigError(f"period must be finite and positive, got L={L}")
     check_grid_size(N)
-    omegas = list(omegas)
-    return [CurveError(omega=float(w), message=str(e)) if isinstance(e, CqnlsError) else e
-            for w, e in zip(omegas, _sample_rows(L, omegas, N))]
+    return _sample_rows(L, list(omegas), N)
 
 
 def _sample_rows(L: float, omegas, N: int) -> list:

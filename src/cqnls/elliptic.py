@@ -30,7 +30,6 @@ from .errors import DomainError
 
 __all__ = [
     "complete_K",
-    "complete_E",
     "jacobi_sn_cn_dn",
 ]
 
@@ -75,24 +74,11 @@ def complete_K(m: float) -> float:
     return math.pi / (2.0 * _agm_sequence(m)[3])
 
 
-def complete_E(m: float) -> float:
-    """Complete elliptic integral of the second kind, E(m).
-
-    E(m) = integral_0^{pi/2} (1 - m sin^2 t)^{1/2} dt
-         = K(m) * (1 - sum_{n>=0} 2^{n-1} c_n^2)          (A&S 17.6.4)
-
-    Requires 0 <= m <= 1; E(0) = pi/2, E(1) = 1.
-    """
-    m = float(m)
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"complete_E requires 0 <= m <= 1, got m={m}")
-    if m == 1.0:
-        return 1.0
-    return _complete_K_E(m)[1]
-
-
 def _complete_K_E(m: float) -> tuple[float, float]:
-    """K(m) and E(m) from one AGM sequence; 0 <= m < 1."""
+    """K(m) and E(m) from one AGM sequence; 0 <= m < 1.
+
+    E(m) = K(m) (1 - sum_{n>=0} 2^{n-1} c_n^2)          (A&S 17.6.4)
+    """
     _, _, c_seq, mean = _agm_sequence(m)
     acc = 0.0
     for n, c in enumerate(c_seq):

@@ -17,11 +17,10 @@ its even and odd blocks separately: every eigenvector is
 reflection-symmetric or antisymmetric by construction.  The blocks are
 assembled from the circulant second-derivative column, never from the
 N x N matrix, and the eigenpairs stay in block form: a report lifts its
-N x N eigenvector matrix only when first read.  solve_even inverts an
-operator on the even block alone, which is how the curve module gets
-its tangent from L1; a curve sweep solves all its points as rows, one
-LU per row of the shared folded -D2, with the residuals of all rows
-checked in one pass.  Oscillation
+N x N eigenvector matrix only when first read.  The curve module gets
+its tangent from L1 inverted on the even block alone: a sweep solves
+all its points as rows, one LU per row of the shared folded -D2, with
+the residuals of all rows checked in one pass.  Oscillation
 theory pins the structure the stability argument needs: L1 has exactly
 one negative eigenvalue (even, nodeless ground state) with zero next,
 spanned by the odd function phi'; L2 is nonnegative with zero at the
@@ -54,9 +53,7 @@ from .waves import Profile, WaveParams, _profile_and_slope
 __all__ = [
     "SpectrumReport",
     "CombinedCounts",
-    "potential_values",
     "sym_eig",
-    "solve_even",
     "spectrum_report",
     "combined_counts",
     "theta_constant",
@@ -114,11 +111,6 @@ class CombinedCounts:
     zero_multiplicity: int
     n_negative_even: int
     zero_multiplicity_even: int
-
-
-def potential_values(kind: str, wp: WaveParams, prof: Profile) -> np.ndarray:
-    """Grid samples of the potential of operator kind, "L1" or "L2"."""
-    return _potential(kind, wp.omega, prof.phi)
 
 
 def _potential(kind: str, omega, phi: np.ndarray) -> np.ndarray:
@@ -199,32 +191,20 @@ def _folded(pot: np.ndarray) -> np.ndarray:
 
 def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
     """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M."""
-    pot = _folded(potential_values(kind, wp, prof))
+    pot = _folded(_potential(kind, wp.omega, prof.phi))
     return [d2 + np.diag(v) for d2, v in zip(_folded_d2(prof.L, prof.N), (pot, pot[1:-1]))]
-
-
-def solve_even(kind: str, wp: WaveParams, prof: Profile, rhs) -> np.ndarray:
-    """Grid solution u of (-D2 + V) u = rhs for an even right side.
-
-    Solved on the even block, so the operator need only be invertible on
-    even functions (L1's kernel phi' is odd).  The residual is checked on
-    the full grid through FFT differentiation.
-    """
-    rhs = np.asarray(rhs, dtype=float)[None]
-    u, (error,) = _solve_even_rows(kind, np.array([wp.omega]), prof.phi[None], prof.L, rhs)
-    if error is not None:
-        raise error
-    return u[0]
 
 
 def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
                      rhs: np.ndarray) -> tuple[np.ndarray, list]:
-    """solve_even for each row: the operator of (omega[i], phi[i]), right side rhs[i].
+    """Grid solutions u[i] of (-D2 + V) u = rhs[i], V the potential at (omega[i], phi[i]).
 
-    Each row gets its own LU of the shared folded -D2 plus its potential,
-    never a stack of blocks; the residuals are checked in one pass.
-    Returns the solution rows and, per row, the residual's ContractError
-    or None.
+    Solved on the even block, so the operator need only be invertible on
+    even functions (L1's kernel phi' is odd).  Each row gets its own LU of
+    the shared folded -D2 plus its potential, never a stack of blocks; the
+    residuals are checked on the full grid by FFT differentiation in one
+    pass.  Returns the solution rows and, per row, the residual's
+    ContractError or None.
     """
     N = phi.shape[-1]
     weight = _fold(N)

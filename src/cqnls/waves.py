@@ -51,12 +51,9 @@ __all__ = [
     "b_threshold",
     "b_from_alpha",
     "roots_from_alpha3",
-    "modulus_from",
     "period_map",
     "period_map_dalpha",
     "period_map_dB",
-    "dk_dalpha",
-    "dk_domega",
     "solve_alpha3",
     "params_from_alpha3",
     "check_grid_size",
@@ -194,16 +191,6 @@ def _level(alpha3: float, omega: float) -> tuple[float, float, float, float]:
     return alpha1, alpha2, q, m
 
 
-def modulus_from(alpha3: float, omega: float) -> float:
-    """Squared elliptic modulus of the wave with squared amplitude alpha3.
-
-    Evaluates the closed form in (alpha3, omega) and cross-checks the
-    equivalent root-ratio form; moduli within 1e-14 of 0 or 1 raise
-    DegenerateError.
-    """
-    return _level(alpha3, omega)[3]
-
-
 def _period_and_slope(alpha3: float, omega: float) -> tuple[float, float]:
     """Period and its alpha3 partial from one level set and one AGM sequence."""
     alpha1, alpha2, q, m = _level(alpha3, omega)
@@ -229,12 +216,8 @@ def period_map(alpha3: float, omega: float) -> float:
     return _period_and_slope(alpha3, omega)[0]
 
 
-def dk_dalpha(alpha3: float, omega: float) -> float:
-    """Partial derivative of the modulus k in alpha3 at fixed omega (positive)."""
-    return _dk_dalpha(alpha3, omega, *_level(alpha3, omega)[2:])
-
-
 def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
+    """Partial derivative of the modulus k in alpha3 at fixed omega (positive)."""
     try:
         r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
         return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * q**1.5)
@@ -245,12 +228,8 @@ def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
         ) from None
 
 
-def dk_domega(alpha3: float, omega: float) -> float:
-    """Partial derivative of the modulus k in omega at fixed alpha3 (negative)."""
-    return _dk_domega(alpha3, omega, *_level(alpha3, omega)[2:])
-
-
 def _dk_domega(a: float, omega: float, q: float, m: float) -> float:
+    """Partial derivative of the modulus k in omega at fixed alpha3 (negative)."""
     return -math.sqrt(3.0) * (2.0 * a + 8.0 * omega + 3.0) / (math.sqrt(m) * a * q**1.5)
 
 
@@ -361,7 +340,7 @@ def solve_alpha3(L: float, omega: float) -> float:
 
 
 def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
-    """Assemble the full parameter set from a solved squared amplitude."""
+    """Checked parameter set of a solved squared amplitude; ContractError on failure."""
     alpha1, alpha2, _, m = _level(alpha3, omega)
     beta_sq = -(alpha3 / alpha1) * m
     g = 2.0 / math.sqrt(alpha3 * (alpha2 - alpha1))
@@ -371,10 +350,12 @@ def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
         raise ContractError(
             f"integration constant disagrees between roots: {B!r} vs {B_alt!r}"
         )
-    return WaveParams(
+    wp = WaveParams(
         L=L, omega=omega, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3,
         m=m, g=g, beta_sq=beta_sq, B=B,
     )
+    _validate_wave_params(wp)
+    return wp
 
 
 def _profiles(wps: list, x: np.ndarray) -> tuple:
@@ -415,9 +396,11 @@ def profile_value(wp: WaveParams, x):
 
 
 def check_grid_size(N) -> None:
-    """Raise ConfigError unless N is a power of two >= 64."""
+    """Raise ConfigError unless N is a power of two >= 64 that numpy can index."""
     if not isinstance(N, (int, np.integer)) or N < 64 or N & (N - 1):
         raise ConfigError(f"N must be a power of two >= 64, got {N!r}")
+    if N > np.iinfo(np.intp).max:
+        raise ConfigError(f"N={N!r} exceeds the largest array size {np.iinfo(np.intp).max}")
 
 
 def build_wave(L: float, omega: float, N: int) -> tuple[WaveParams, Profile]:
@@ -447,9 +430,7 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
     entries: list = []
     for omega in omegas:
         try:
-            wp = params_from_alpha3(L, omega, solve_alpha3(L, omega))
-            _validate_wave_params(wp)
-            entries.append(wp)
+            entries.append(params_from_alpha3(L, omega, solve_alpha3(L, omega)))
         except CqnlsError as exc:
             entries.append(exc)
     wps = [wp for _, wp in _live(entries)]

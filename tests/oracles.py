@@ -406,9 +406,16 @@ def second_derivative_matrix(L: float, N: int) -> np.ndarray:
 
 
 def collocation_matrix(kind: str, wp, prof) -> np.ndarray:
-    """Dense symmetric discretization -D2 + diag(V) on the wave's grid."""
+    """Dense symmetric discretization -D2 + diag(V) on the wave's grid.
+
+    V is written out here from the profile, apart from the library's
+    potential: omega - 3 phi^2 - 5 phi^4 for L1, omega - phi^2 - phi^4 for L2.
+    """
+    phi2 = prof.phi ** 2
+    pot = {"L1": wp.omega - 3.0 * phi2 - 5.0 * phi2 ** 2,
+           "L2": wp.omega - phi2 - phi2 ** 2}[kind]
     mat = -second_derivative_matrix(prof.L, prof.N)
-    mat[np.diag_indices_from(mat)] += hill.potential_values(kind, wp, prof)
+    mat[np.diag_indices_from(mat)] += pot
     return mat
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import ast
 import json
 import math
 import re
@@ -451,21 +452,41 @@ def test_public_names_are_pinned():
     # a change that adds or drops a public name must update this list
     assert sorted(cqnls.__all__) == [
         "BlowupError", "CombinedCounts", "ConfigError", "ContractError", "CqnlsError",
-        "CurveError", "CurveSample", "DegenerateError", "DerivativeAudit", "DomainError",
+        "CurveSample", "DegenerateError", "DerivativeAudit", "DomainError",
         "FidelityReport", "IdentityAudit", "NoSolutionError", "NumericError", "Profile",
         "SpectrumReport", "StabilityReport", "WaveParams", "__version__", "alpha_bounds",
         "b_from_alpha", "b_threshold", "build_wave", "check_grid_size", "combined_counts",
-        "complete_E", "complete_K", "curve_sample", "d2d_direct", "d2d_identity",
-        "derivative_audit", "dk_dalpha", "dk_domega", "energy", "grid", "h1_norm",
+        "complete_K", "curve_sample", "d2d_direct", "d2d_identity",
+        "derivative_audit", "energy", "grid", "h1_norm",
         "identity_audit", "inv2_closed_form", "jacobi_sn_cn_dn", "mass", "min_period",
-        "modulus_from", "omega_threshold", "orbital_distance", "params_from_alpha3",
+        "omega_threshold", "orbital_distance", "params_from_alpha3",
         "period_map", "period_map_dB", "period_map_dalpha", "period_of_B",
-        "perturbation_shape", "potential_values", "profile_value", "quadrature_residual",
+        "perturbation_shape", "profile_value", "quadrature_residual",
         "roots_from_alpha3", "run_fidelity", "run_stability", "sample_curve",
-        "second_derivative_column", "solitary_profile", "solve_alpha3", "solve_even",
+        "second_derivative_column", "solitary_profile", "solve_alpha3",
         "spectral_derivative", "spectrum_report", "sym_eig", "theta_constant",
         "trapezoid", "wavenumbers",
     ]
+
+
+def test_every_public_name_has_a_production_reader():
+    # a public name that only the tests read is a twin of the private code
+    # behind it; reading it (a Name or an Attribute) in the library, the
+    # demos or the benchmark counts, as do the benchmark's strings (the
+    # tracer's LAYERS), while its definition and its __all__ entry do not
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for folder in ("src/cqnls", "demos", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif (folder == "perfbench" and isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    read.add(node.value)
+    assert sorted(set(cqnls.__all__) - read) == []
 
 
 def test_malformed_omega_exits_1(capsys):
@@ -474,6 +495,20 @@ def test_malformed_omega_exits_1(capsys):
     assert "stop > start" in err
     code, out, err = _run(capsys, "construct", "--omega", "abc")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "--omega", "2:3:100000000000000000000"),
+    ("curve", "--omega", "2:3:9223372036854775808"),
+    ("construct", "--omega", "2", "--N", "9223372036854775808"),
+], ids=["count_1e20", "count_2_63", "N_2_63"])
+def test_count_or_grid_beyond_array_size_exits_1(capsys, argv):
+    # each is rejected before anything is allocated; numpy itself would
+    # raise ValueError or IndexError, or build an empty grid for N = 2^63
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert "exceeds the largest array size" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cqnls import curve, elliptic, waves
-from cqnls.curve import CurveError, CurveSample
+from cqnls.curve import CurveSample
 from cqnls.errors import ConfigError, DomainError, NoSolutionError
 
 from conftest import SWEEP, TWO_PI
@@ -80,9 +80,8 @@ def test_curve_sample_propagates_no_solution():
 
 def test_sweep_tolerates_bad_points():
     entries = curve.sample_curve(TWO_PI, [0.3, 0.5, 1.0, 2.0])
-    assert isinstance(entries[0], CurveError)
-    assert entries[0].omega == 0.3
-    assert "period" in entries[0].message
+    assert isinstance(entries[0], NoSolutionError)
+    assert "period" in str(entries[0])
     assert all(isinstance(e, CurveSample) for e in entries[1:])
     # every success carries its exact rates
     for e in entries[1:]:
@@ -109,14 +108,14 @@ def test_sweep_at_a_period_without_waves_keeps_its_rows():
     # a tiny period passes the sweep's check but has no wave at any
     # frequency; each point fails alone and no grid is built at that period
     entries = curve.sample_curve(1e-160, [2.0, 3.0])
-    assert all(isinstance(e, CurveError) for e in entries)
-    assert [e.omega for e in entries] == [2.0, 3.0]
-    assert all("no period-1e-160 wave" in e.message for e in entries)
+    assert all(isinstance(e, NoSolutionError) for e in entries)
+    assert [str(e).split(":")[0] for e in entries] == [
+        "no period-1e-160 wave at omega=2.0", "no period-1e-160 wave at omega=3.0"]
 
 
 def test_sweep_isolated_points_carry_exact_rates():
     entries = curve.sample_curve(TWO_PI, [0.5, 0.3, 1.0])
-    assert isinstance(entries[1], CurveError)
+    assert isinstance(entries[1], NoSolutionError)
     for e in (entries[0], entries[2]):
         assert e == curve.curve_sample(TWO_PI, e.omega)
         assert math.isfinite(e.dmass_domega) and e.dmass_domega > 0.0
@@ -256,9 +255,9 @@ def test_modulus_partial_matches_frozen_amplitude_difference(sweep_samples,
         # alpha3 (2 alpha3 + 3)/6; keep the frozen-alpha3 difference inside
         h = min(1e-4 * max(1.0, w),
                 0.3 * (w - alpha3 * (2.0 * alpha3 + 3.0) / 6.0))
-        fd = (math.sqrt(waves.modulus_from(alpha3, w + h))
-              - math.sqrt(waves.modulus_from(alpha3, w - h))) / (2.0 * h)
-        closed = waves.dk_domega(alpha3, w)
+        fd = (math.sqrt(waves._level(alpha3, w + h)[3])
+              - math.sqrt(waves._level(alpha3, w - h)[3])) / (2.0 * h)
+        closed = waves._dk_domega(alpha3, w, *waves._level(alpha3, w)[2:])
         assert abs(fd - closed) <= 1e-5 * abs(closed)
         assert sweep_audits[w].dk_partial == pytest.approx(closed, rel=1e-8)
 
@@ -274,12 +273,11 @@ def test_second_derivative_converged_in_grid(L, omega):
 def test_modulus_ratio_quantities_decrease():
     # E/K falls along the curve (m rises with omega), and the trough-
     # weighted ratio E/(K alpha2) rises
-    from cqnls.elliptic import complete_E, complete_K
-
     def ratio_and_weighted(w):
         s = curve.curve_sample(TWO_PI, w)
         wp = waves.params_from_alpha3(TWO_PI, w, s.alpha3)
-        r = complete_E(s.m) / complete_K(s.m)
+        K, E = elliptic._complete_K_E(s.m)
+        r = E / K
         return r, r / wp.alpha2
 
     for w in (0.5, 1.0, 2.0, 5.0):
@@ -293,10 +291,9 @@ def test_modulus_ratio_quantities_decrease():
 def test_frozen_amplitude_ratio_slope_term(sweep_samples, sweep_audits):
     # (1/alpha1) d/dk[(K-E)/K] dk/domega at frozen alpha3 is positive:
     # the middle factor grows in k while the frozen-amplitude modulus falls
-    from cqnls.elliptic import complete_E, complete_K
-
     def shortfall(k):
-        return 1.0 - complete_E(k * k) / complete_K(k * k)
+        K, E = elliptic._complete_K_E(k * k)
+        return 1.0 - E / K
 
     for w in SWEEP:
         s, aud = sweep_samples[w], sweep_audits[w]

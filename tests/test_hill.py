@@ -55,13 +55,13 @@ def test_sym_eig_rejects_bad_input():
 def test_potential_values(ref_wave):
     wp, prof = ref_wave
     phi2 = prof.phi ** 2
-    v1 = hill.potential_values("L1", wp, prof)
-    v2 = hill.potential_values("L2", wp, prof)
+    v1 = hill._potential("L1", wp.omega, prof.phi)
+    v2 = hill._potential("L2", wp.omega, prof.phi)
     assert np.allclose(v1, wp.omega - 3.0 * phi2 - 5.0 * phi2 ** 2,
                        rtol=0, atol=1e-13)
     assert np.allclose(v2, wp.omega - phi2 - phi2 ** 2, rtol=0, atol=1e-13)
     with pytest.raises(ConfigError):
-        hill.potential_values("L3", wp, prof)
+        hill._potential("L3", wp.omega, prof.phi)
 
 
 def test_collocation_matrix_structure(ref_wave):
@@ -69,7 +69,7 @@ def test_collocation_matrix_structure(ref_wave):
     mat = collocation_matrix("L2", wp, prof)
     assert np.array_equal(mat, mat.T)
     ref = -second_derivative_matrix(prof.L, prof.N)
-    off = mat - np.diag(hill.potential_values("L2", wp, prof))
+    off = mat - np.diag(hill._potential("L2", wp.omega, prof.phi))
     assert np.array_equal(off, ref)
 
 
@@ -158,15 +158,19 @@ def test_even_solve_matches_full_collocation_solve(omega, N):
     bordered[:N, :N] = collocation_matrix("L1", wp, prof)
     bordered[:N, N] = bordered[N, :N] = prof.dphi
     full = np.linalg.solve(bordered, np.append(-prof.phi, 0.0))[:N]
-    u = hill.solve_even("L1", wp, prof, -prof.phi)
+    (u,), (error,) = hill._solve_even_rows("L1", np.array([wp.omega]), prof.phi[None],
+                                           prof.L, -prof.phi[None])
+    assert error is None
     assert np.max(np.abs(u - full)) <= 1e-10 * np.max(np.abs(full))
     assert np.array_equal(u, u[(-np.arange(N)) % N])
 
 
 def test_even_solve_rejects_an_odd_right_side(ref_wave):
     # the even block cannot represent an odd part, and the residual says so
-    with pytest.raises(ContractError):
-        hill.solve_even("L1", *ref_wave, ref_wave[1].dphi)
+    wp, prof = ref_wave
+    _, (error,) = hill._solve_even_rows("L1", np.array([wp.omega]), prof.phi[None],
+                                        prof.L, prof.dphi[None])
+    assert isinstance(error, ContractError)
 
 
 def _flat(wp, prof):
