@@ -16,8 +16,10 @@ from cqnls import build_wave, hill
 L = 2.0 * math.pi
 wp, prof = build_wave(L, 2.0, 256)
 
+reports = []
 for kind in ("L1", "L2"):
     rep = hill.spectrum_report(kind, wp, prof)
+    reports.append(rep)
     print(f"{kind}: lowest eigenvalues")
     for j in range(5):
         lam = rep.eigenvalues[j]
@@ -28,8 +30,7 @@ for kind in ("L1", "L2"):
     print(f"  negative count = {rep.n_negative}, "
           f"kernel matches analytic element to {rep.zero_match_error:.2e}\n")
 
-counts = hill.combined_counts(
-    hill.spectrum_report("L1", wp, prof), hill.spectrum_report("L2", wp, prof))
+counts = hill.combined_counts(*reports)
 print("combined linearization diag(L1, L2):")
 print(f"  full space:      {counts.n_negative} negative, "
       f"kernel multiplicity {counts.zero_multiplicity}")

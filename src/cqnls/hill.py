@@ -13,11 +13,13 @@ explicit kernel element.  The operator routines take an operator as
 its kind ("L1" or "L2") followed by the wave's parameters and grid
 profile.  Both potentials are even, so the operators commute with the
 grid reflection j -> (N - j) mod N and the eigenproblem is solved on
-its even and odd blocks separately: every eigenvector is
-reflection-symmetric or antisymmetric by construction.  The blocks are
-assembled from the circulant second-derivative column, never from the
-N x N matrix, and the eigenpairs stay in block form: a report lifts its
-N x N eigenvector matrix only when first read.  The curve module gets
+its even and odd blocks separately: every eigenvalue carries its parity
+by construction.  The blocks are assembled from the circulant
+second-derivative column, never from the N x N matrix.  A report reads
+eigenvalues only, checked per block against the trace and the Frobenius
+norm, plus the one kernel vector, found by inverse iteration on its
+block; the block eigenvectors, and the N x N eigenvector matrix lifted
+from them, are solved for only when first read.  The curve module gets
 its tangent from L1 inverted on the even block alone: a sweep solves
 all its points as rows, one LU per row of the shared folded -D2, with
 the residuals of all rows checked in one pass.  Oscillation
@@ -62,41 +64,78 @@ __all__ = [
 _KINDS = ("L1", "L2")
 _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
+_IDENTITY_TOL = 1e-12  # trace and Frobenius identity bound (rounding reads <= 4e-16)
+_GRAM_TOL = 1e-10  # block eigenvector orthonormality bound
 _SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
 _THETA_STEPS = 20_000  # theta's RK4 steps per period; 1e4 misses 1e-12 at (2 pi, 9.9)
 
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Full eigendecomposition of one operator with parity bookkeeping.
+    """Spectrum of one operator with parity and kernel bookkeeping.
 
-    The spectrum is solved on the even and odd blocks of the operator and
-    merged, so parity[i] ("even" or "odd") is the block eigenpair i came
-    from and holds by construction.  eigenvalues are ascending; order[i]
-    is its column among the (even, odd) block_vectors, and eigenvectors,
-    lifted from them when first read, are orthonormal under sum_j f_j g_j
-    (L/N).  orthonormality_defect is the largest |V^T V - I| entry over
-    both blocks, the grid Gram defect up to rounding.  zero_match_error
-    compares the unit-normalized zero eigenvector against the analytic
-    kernel element (phi' for L1, phi for L2), ignoring overall sign; it is
-    NaN when no eigenvalue falls inside the zero tolerance.
+    The eigenvalues are solved on the even and odd blocks of the operator
+    and merged, so parity[i] ("even" or "odd") is the block eigenvalue i
+    came from and holds by construction.  eigenvalues are ascending and
+    order[i] is the merged (even, odd) block index of eigenvalue i.
+    trace_defect and frobenius_defect are the larger of the two blocks'
+    |sum lambda - tr B| / sum |lambda| and |sum lambda^2 - ||B||_F^2| /
+    ||B||_F^2.  zero_match_error compares the unit-normalized zero
+    eigenvector against the analytic kernel element (phi' for L1, phi for
+    L2), ignoring overall sign, and kernel_residual is that eigenpair's
+    ||B v - lambda v|| / ||B||; both are NaN when no eigenvalue falls
+    inside the zero tolerance.
+
+    The eigenvectors are solved for on first read: block_vectors holds the
+    (even, odd) block columns, in block order, with orthonormality_defect
+    the largest |V^T V - I| entry over both blocks, and eigenvectors lifts
+    them to the grid in the report's own order, orthonormal under
+    sum_j f_j g_j (L/N).
     """
 
     kind: str
     wp: WaveParams
+    prof: Profile
     eigenvalues: np.ndarray
     parity: tuple
     n_negative: int
     zero_index: int | None
     zero_match_error: float
+    kernel_residual: float
     tol_zero: float
-    orthonormality_defect: float
-    block_vectors: tuple
+    trace_defect: float
+    frobenius_defect: float
     order: np.ndarray
 
     @functools.cached_property
+    def _eigenpairs(self) -> tuple:
+        merged = np.empty_like(self.eigenvalues)
+        merged[self.order] = self.eigenvalues
+        vecs = tuple(_block_vectors(block, vals) for block, vals in zip(
+            _parity_blocks(self.kind, self.wp, self.prof),
+            np.split(merged, [self.prof.N // 2 + 1])))
+        ortho = max(float(np.max(np.abs(v.T @ v - np.eye(len(v))))) for v in vecs)
+        if ortho > _GRAM_TOL:
+            raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
+        return vecs, ortho
+
+    @property
+    def block_vectors(self) -> tuple:
+        return self._eigenpairs[0]
+
+    @property
+    def orthonormality_defect(self) -> float:
+        return self._eigenpairs[1]
+
+    @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        return _lift(*self.block_vectors, self.order) * math.sqrt(self.order.size / self.wp.L)
+        even_vecs, odd_vecs = self.block_vectors
+        half = self.prof.N // 2
+        even = self.order <= half
+        coef = np.zeros((half + 1, self.order.size))
+        coef[:, even] = even_vecs[:, self.order[even]]
+        coef[1:half, ~even] = odd_vecs[:, self.order[~even] - half - 1]
+        return _lift(coef, even) * math.sqrt(self.order.size / self.wp.L)
 
 
 @dataclass(frozen=True)
@@ -124,10 +163,12 @@ def _potential(kind: str, omega, phi: np.ndarray) -> np.ndarray:
 
 
 def sym_eig(matrix):
-    """Full spectrum of a real symmetric matrix.
+    """Eigenvalues of a real symmetric matrix, checked against two identities.
 
-    Returns (eigenvalues ascending, orthonormal eigenvector columns) and
-    enforces a per-pair residual ||M v - lambda v|| <= 1e-9 ||M||.
+    Returns (eigenvalues ascending, trace_defect, frobenius_defect).  The
+    whole spectrum must reproduce the trace and the Frobenius norm:
+    |sum lambda - tr M| / sum |lambda| and |sum lambda^2 - ||M||_F^2| /
+    ||M||_F^2 each at most 1e-12, both O(n^2) to check.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -137,15 +178,59 @@ def sym_eig(matrix):
         raise ContractError(
             f"matrix symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL}"
         )
-    evals, evecs = np.linalg.eigh(0.5 * (mat + mat.T))
-    scale = max(float(np.max(np.abs(evals))), np.finfo(float).tiny)
-    resid = mat @ evecs - evecs * evals
-    worst = float(np.max(np.sqrt(np.sum(resid * resid, axis=0))))
+    sym = 0.5 * (mat + mat.T)
+    evals = np.linalg.eigvalsh(sym)
+    tiny = np.finfo(float).tiny
+    frob2 = float(np.vdot(sym, sym))
+    trace_defect = abs(float(np.sum(evals)) - float(np.trace(sym))) / max(
+        float(np.sum(np.abs(evals))), tiny)
+    frob_defect = abs(float(evals @ evals) - frob2) / max(frob2, tiny)
+    if max(trace_defect, frob_defect) > _IDENTITY_TOL:
+        raise NumericError(
+            f"eigenvalue identity defects (trace {trace_defect:.3e}, Frobenius "
+            f"{frob_defect:.3e}) exceed {_IDENTITY_TOL}"
+        )
+    return evals, trace_defect, frob_defect
+
+
+def _check_residual(worst: float, scale: float) -> None:
     if worst > _RESIDUAL_TOL * scale:
         raise NumericError(
             f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL} * ||M||"
         )
-    return evals, evecs
+
+
+def _block_vectors(block: np.ndarray, evals: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvector columns of a symmetric block, paired with evals.
+
+    evals are the block's eigenvalues, ascending, as sym_eig found them;
+    each column must satisfy ||B v - lambda v|| <= 1e-9 ||B||.
+    """
+    evecs = np.linalg.eigh(0.5 * (block + block.T))[1]
+    resid = block @ evecs - evecs * evals
+    _check_residual(float(np.max(np.sqrt(np.sum(resid * resid, axis=0)))),
+                    float(np.max(np.abs(evals))))
+    return evecs
+
+
+def _kernel_vector(block: np.ndarray, lam: float, scale: float) -> tuple[np.ndarray, float]:
+    """Unit eigenvector of block for its eigenvalue lam, and its residual / scale.
+
+    Two inverse-iteration solves of (B - lam I) from the all-ones vector;
+    the kernel elements phi and phi' keep one sign on the half grid, so
+    that start is far from orthogonal to them.  scale is ||B||.
+    """
+    shifted = block - lam * np.eye(len(block))
+    vec = np.ones(len(block))
+    for _ in range(2):
+        try:
+            vec = np.linalg.solve(shifted, vec)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"inverse iteration at {lam:.3e}: {exc}") from exc
+        vec /= np.linalg.norm(vec)
+    worst = float(np.linalg.norm(block @ vec - lam * vec))
+    _check_residual(worst, scale)
+    return vec, worst / scale
 
 
 def _fold(N: int) -> np.ndarray:
@@ -222,63 +307,67 @@ def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
                for w, r in zip(worst, scale)]
 
 
-def _lift(even_vecs: np.ndarray, odd_vecs: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Grid columns P v, unit in sum_j v_j^2, of the merged block columns cols.
+def _lift(coef: np.ndarray, even: np.ndarray) -> np.ndarray:
+    """Grid columns P v, unit in sum_j v_j^2, of parity-basis columns.
 
-    Row j > N/2 repeats row N - j, negated in the odd columns (cols > N/2).
+    coef holds each column's coefficients on indices 0 .. N/2, an odd
+    column with zeros at 0 and N/2; row j > N/2 repeats row N - j,
+    negated in the columns that are not even.
     """
-    half = even_vecs.shape[0] - 1
-    weight = _fold(2 * half)[:, None]
-    even = cols <= half
-    coef = np.zeros((half + 1, cols.size))
-    coef[:, even] = weight * even_vecs[:, cols[even]]
-    coef[1:half, ~even] = weight[1:-1] * odd_vecs[:, cols[~even] - half - 1]
-    vecs = coef[np.minimum(np.arange(2 * half), np.arange(2 * half, 0, -1))]
+    half = coef.shape[0] - 1
+    vecs = (_fold(2 * half)[:, None] * coef)[
+        np.minimum(np.arange(2 * half), np.arange(2 * half, 0, -1))]
     vecs[half + 1:] *= np.where(even, 1.0, -1.0)
     return vecs
 
 
 def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
-    """Eigendecomposition with parity labels and zero-eigenvalue bookkeeping.
+    """Eigenvalues with parity labels and zero-eigenvalue bookkeeping.
 
     Eigenvalues inside (-tol_zero, tol_zero) count as zero; the tolerance
     tol_zero = 1e-6 max(1, omega) separates spectral discretization error
-    from genuine negative modes.
+    from genuine negative modes.  Eigenvectors are left to the report's
+    first read, bar the kernel vector.
     """
     tol_zero = 1e-6 * max(1.0, wp.omega)
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(sym_eig, _parity_blocks(kind, wp, prof))
-    ortho = max(float(np.max(np.abs(v.T @ v - np.eye(len(v))))) for v in (even_vecs, odd_vecs))
-    if ortho > 1e-10:
-        raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
+    half = prof.N // 2
+    blocks = _parity_blocks(kind, wp, prof)
+    (even_vals, even_trace, even_frob), (odd_vals, odd_trace, odd_frob) = map(sym_eig, blocks)
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
-    parity = tuple("even" if i <= prof.N // 2 else "odd" for i in order)
+    parity = tuple("even" if i <= half else "odd" for i in order)
 
     n_negative = int(np.sum(evals < -tol_zero))
     near = np.flatnonzero(np.abs(evals) <= tol_zero)
+    zero_index, zero_match, kernel_residual = None, math.nan, math.nan
     if near.size:
         zero_index = int(near[np.argmin(np.abs(evals[near]))])
+        even = bool(order[zero_index] <= half)
+        block, block_vals = (blocks[0], even_vals) if even else (blocks[1], odd_vals)
+        vec, kernel_residual = _kernel_vector(block, float(evals[zero_index]),
+                                              float(np.max(np.abs(block_vals))))
+        coef = np.zeros((half + 1, 1))
+        coef[slice(None) if even else slice(1, half), 0] = vec
+        vec = _lift(coef, np.array([even]))[:, 0]
         kernel = prof.dphi if kind == "L1" else prof.phi
         khat = kernel / np.linalg.norm(kernel)
-        vec = _lift(even_vecs, odd_vecs, order[[zero_index]])[:, 0]
         zero_match = float(min(np.linalg.norm(vec - khat),
                                np.linalg.norm(vec + khat)))
-    else:
-        zero_index = None
-        zero_match = math.nan
 
     return SpectrumReport(
         kind=kind,
         wp=wp,
+        prof=prof,
         eigenvalues=evals,
         parity=parity,
         n_negative=n_negative,
         zero_index=zero_index,
         zero_match_error=zero_match,
+        kernel_residual=kernel_residual,
         tol_zero=tol_zero,
-        orthonormality_defect=ortho,
-        block_vectors=(even_vecs, odd_vecs),
+        trace_defect=max(even_trace, odd_trace),
+        frobenius_defect=max(even_frob, odd_frob),
         order=order,
     )
 

@@ -13,11 +13,12 @@ bound its step error, and alpha3_by_bisection and period_of_B_by_bisection
 keep the former bisection solves that waves.solve_alpha3 and
 waves.period_of_B replaced by a bracketed Newton iteration, and
 spectrum_by_eager_lift keeps the former body of hill.spectrum_report,
-which lifted every block eigenvector to the grid and checked the full
-N x N Gram matrix, and curve_sample_by_point keeps the former one-point
-curve.curve_sample, before sweeps were sampled as rows of one array
-(its checks left out).  advance_by_allocation keeps the former split-step
-loop of evolve._advance, which allocated every intermediate array, and
+which solved every block eigenpair with eigh, lifted every eigenvector
+to the grid and checked the full N x N Gram matrix, and
+curve_sample_by_point keeps the former one-point curve.curve_sample,
+before sweeps were sampled as rows of one array (its checks left out).
+advance_by_allocation keeps the former split-step loop of
+evolve._advance, which allocated every intermediate array, and
 derivative_by_fresh_multiplier the former fourier.spectral_derivative,
 which rebuilt (i k)^order on every call; the library's in-place loop and
 cached multiplier must match them bit for bit.  The last five are small
@@ -354,15 +355,16 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
 
 
 def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
-    """Former hill.spectrum_report: every eigenvector lifted, full Gram check.
+    """Former hill.spectrum_report: eigh per block, every eigenvector lifted.
 
-    Returns the eigenvalues, the scaled grid eigenvectors, the parity
-    labels, the zero index, the zero match error and the largest
-    |V^T V - I| entry of the N x N Gram matrix of the unit grid columns.
+    Returns the eigenvalues, the merged (even, odd) block index of each,
+    the scaled grid eigenvectors, the parity labels, the zero index, the
+    zero match error and the largest |V^T V - I| entry of the N x N Gram
+    matrix of the unit grid columns.
     """
     tol_zero = 1e-6 * max(1.0, wp.omega)
-    (even_vals, even_vecs), (odd_vals, odd_vecs) = map(
-        hill.sym_eig, hill._parity_blocks(kind, wp, prof))
+    (even_vals, even_vecs), (odd_vals, odd_vecs) = (
+        np.linalg.eigh(0.5 * (b + b.T)) for b in hill._parity_blocks(kind, wp, prof))
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
@@ -387,6 +389,7 @@ def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
                                np.linalg.norm(vec + khat)))
     return {
         "eigenvalues": evals,
+        "order": order,
         "eigenvectors": evecs * math.sqrt(prof.N / prof.L),
         "parity": tuple("even" if i <= half else "odd" for i in order),
         "zero_index": zero_index,

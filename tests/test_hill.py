@@ -1,5 +1,6 @@
 """Spectra of the linearized operators and the companion-solution constant."""
 
+import dataclasses
 import math
 import tracemalloc
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqnls import fourier, hill, waves
+from cqnls import cli, fourier, hill, waves
 from cqnls.errors import (
     ConfigError,
     ContractError,
@@ -31,8 +32,10 @@ L2_LOW = [0.0, 2.4159414434692192, 2.692481, 5.265804]
 
 
 def test_sym_eig_known_matrix():
-    evals, evecs = hill.sym_eig([[2.0, 1.0], [1.0, 2.0]])
+    evals, trace_defect, frob_defect = hill.sym_eig([[2.0, 1.0], [1.0, 2.0]])
     assert evals == pytest.approx([1.0, 3.0], abs=1e-14)
+    assert trace_defect <= 1e-15 and frob_defect <= 1e-15
+    evecs = hill._block_vectors(np.array([[2.0, 1.0], [1.0, 2.0]]), evals)
     assert np.allclose(np.abs(evecs[:, 0]), [math.sqrt(0.5)] * 2, atol=1e-14)
 
 
@@ -40,9 +43,26 @@ def test_sym_eig_random_matrix():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((40, 40))
     mat = 0.5 * (a + a.T)
-    evals, evecs = hill.sym_eig(mat)
+    evals, trace_defect, frob_defect = hill.sym_eig(mat)
     assert np.all(np.diff(evals) >= 0)
+    assert max(trace_defect, frob_defect) <= 1e-12
+    evecs = hill._block_vectors(mat, evals)
     assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.T - mat)) <= 1e-12 * 40
+
+
+def test_sym_eig_identity_check_fires(ref_wave, monkeypatch):
+    # one eigenvalue of a parity block off by 1e-9 ||M|| moves the trace by
+    # 2e-11 of sum |lambda|, against a bound of 1e-12
+    exact = np.linalg.eigvalsh
+
+    def skewed(matrix):
+        evals = exact(matrix).copy()
+        evals[0] += 1e-9 * np.max(np.abs(evals))
+        return evals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", skewed)
+    with pytest.raises(NumericError, match="identity defects"):
+        hill.spectrum_report("L1", *ref_wave)
 
 
 def test_sym_eig_rejects_bad_input():
@@ -76,8 +96,8 @@ def test_collocation_matrix_structure(ref_wave):
 def test_constant_potential_shifts_spectrum():
     N, L, c = 32, TWO_PI, 1.7
     base = -second_derivative_matrix(L, N)
-    shifted, _ = hill.sym_eig(base + c * np.eye(N))
-    plain, _ = hill.sym_eig(base)
+    shifted = hill.sym_eig(base + c * np.eye(N))[0]
+    plain = hill.sym_eig(base)[0]
     assert np.max(np.abs(shifted - (plain + c))) <= 1e-10
 
 
@@ -199,19 +219,33 @@ def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
     (2.0, 256, False), (8.0, 512, False), (2.0, 256, True)])
 @pytest.mark.parametrize("kind", ["L1", "L2"])
 def test_block_form_matches_eager_lift(kind, omega, N, flat):
-    # the report keeps the eigenpairs in block form and lifts them on first
-    # read; every field equals the former eager lift bit for bit
+    # the report solves eigenvalues alone and its eigenpairs on first read;
+    # each lifted column equals eigh's block column under the report's own
+    # order bit for bit
     wave = waves.build_wave(TWO_PI, omega, N)
     wp, prof = _flat(*wave) if flat else wave
     rep = hill.spectrum_report(kind, wp, prof)
     ref = spectrum_by_eager_lift(kind, wp, prof)
-    assert "eigenvectors" not in vars(rep)
-    assert np.array_equal(rep.eigenvectors, ref["eigenvectors"])
+    assert "eigenvectors" not in vars(rep) and "_eigenpairs" not in vars(rep)
+    columns = np.argsort(ref["order"])[rep.order]
+    assert np.array_equal(rep.eigenvectors, ref["eigenvectors"][:, columns])
     assert rep.eigenvectors is rep.eigenvectors
-    assert np.array_equal(rep.eigenvalues, ref["eigenvalues"])
-    assert rep.parity == ref["parity"]
+    # eigvalsh and eigh agree to rounding, measured <= 2.6e-15 ||M||
+    scale = np.max(np.abs(ref["eigenvalues"]))
+    assert np.max(np.abs(rep.eigenvalues - ref["eigenvalues"])) <= 1e-14 * scale
+    # the two routes may order a near-degenerate cos/sin pair differently,
+    # and only such a pair
+    assert rep.parity[:10] == ref["parity"][:10]
+    for i in np.flatnonzero(np.array(rep.parity) != np.array(ref["parity"])):
+        gap = np.min(np.abs(np.delete(rep.eigenvalues, i) - rep.eigenvalues[i]))
+        assert gap <= 1e-14 * scale
     assert rep.zero_index == ref["zero_index"]
-    assert np.array_equal(rep.zero_match_error, ref["zero_match_error"], equal_nan=True)
+    if math.isnan(ref["zero_match_error"]):
+        assert math.isnan(rep.zero_match_error) and math.isnan(rep.kernel_residual)
+    else:
+        assert rep.zero_match_error <= ref["zero_match_error"] + 1e-12
+        assert rep.kernel_residual <= 1e-14
+    assert max(rep.trace_defect, rep.frobenius_defect) <= 1e-14
     assert ref["gram_defect"] <= 1e-10
     # the block check sees the full Gram defect up to rounding
     assert rep.orthonormality_defect <= 1e-10
@@ -225,23 +259,74 @@ def test_orthonormality_defect_is_the_block_maximum(ref_spectra):
 
 
 def test_block_orthonormality_check_fires(ref_wave, monkeypatch):
-    # odd block eigenvectors off unit length by 1e-9 give a defect of 2e-9
-    exact = hill.sym_eig
+    # odd block eigenvectors off unit length by 1e-9 give a defect of 2e-9;
+    # the report itself reads no eigenvector, so the first read raises
+    exact = np.linalg.eigh
 
     def skewed(matrix):
         evals, evecs = exact(matrix)
         odd = len(evals) < ref_wave[1].N // 2
         return evals, (evecs * (1.0 + 1e-9) if odd else evecs)
 
-    monkeypatch.setattr(hill, "sym_eig", skewed)
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+    rep = hill.spectrum_report("L1", *ref_wave)
     with pytest.raises(NumericError, match="orthonormality defect"):
-        hill.spectrum_report("L1", *ref_wave)
+        rep.eigenvectors
+
+
+def test_kernel_residual_check_fires(ref_wave):
+    # inverse iteration shifted 1e-3 off the zero eigenvalue still finds
+    # its vector, but the pair residual 1e-3 exceeds 1e-9 ||M|| = 1.6e-5
+    wp, prof = ref_wave
+    odd = hill._parity_blocks("L1", wp, prof)[1]
+    evals = hill.sym_eig(odd)[0]
+    scale = float(np.max(np.abs(evals)))
+    resid = hill._kernel_vector(odd, float(evals[0]), scale)[1]
+    assert resid <= 1e-14
+    with pytest.raises(NumericError, match="eigenpair residual"):
+        hill._kernel_vector(odd, float(evals[0]) + 1e-3, scale)
+
+
+def test_spectrum_reads_no_eigenvector(capsys, monkeypatch):
+    # a spectrum run solves eigenvalues alone; eigenvectors cost one eigh
+    # per parity block, on first read only
+    calls = []
+    exact = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return exact(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert cli.main(["spectrum", "--omega", "2", "--N", "128"]) == 0
+    capsys.readouterr()
+    assert calls == []
+    rep = hill.spectrum_report("L1", *waves.build_wave(TWO_PI, 2.0, 128))
+    assert calls == []
+    assert rep.eigenvectors.shape == (128, 128)
+    assert rep.orthonormality_defect <= 1e-10 and len(rep.block_vectors) == 2
+    assert calls == [65, 63]
+
+
+@pytest.mark.parametrize("L", [TWO_PI, 2.0 * TWO_PI])
+@pytest.mark.parametrize("s", [0.75, 8.0])
+def test_spectral_corners_match_eager_route(L, s):
+    # the corners of the benchmark's spectral domain, s = omega (L / 2 pi)^2
+    wave = waves.build_wave(L, s * (TWO_PI / L) ** 2, 512)
+    reports = {kind: hill.spectrum_report(kind, *wave) for kind in ("L1", "L2")}
+    for kind, rep in reports.items():
+        ref = spectrum_by_eager_lift(kind, *wave)
+        assert rep.parity[:10] == ref["parity"][:10]
+        assert rep.zero_index == ref["zero_index"]
+        assert rep.n_negative == int(np.sum(ref["eigenvalues"] < -rep.tol_zero))
+    counts = hill.combined_counts(reports["L1"], reports["L2"])
+    assert dataclasses.astuple(counts) == (1, 2, 1, 1)
 
 
 def test_spectrum_report_memory_peak():
-    # block form: no N x N matrix until eigenvectors is read.  Measured at
-    # N = 512: 3.06 MiB; 4.1 MiB with an eager lift, 8.0 MiB with the lift
-    # and the full N x N Gram check
+    # eigenvalues and one kernel vector: no eigenvector matrix at all.
+    # Measured at N = 512: 2.01 MiB; 3.06 MiB with eigh's block vectors
+    # and a block Gram check, 4.1 MiB with an eager lift as well
     wp, prof = waves.build_wave(TWO_PI, 8.0, 512)
     hill.spectrum_report("L2", wp, prof)  # caches -D2 on the blocks
     tracemalloc.start()
@@ -251,7 +336,7 @@ def test_spectrum_report_memory_peak():
     finally:
         tracemalloc.stop()
     assert rep.n_negative == 1
-    assert peak <= 3.5 * 2**20
+    assert peak <= 2.5 * 2**20
 
 
 def test_oscillation_counts_phase_channel(ref_spectra):
