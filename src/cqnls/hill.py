@@ -15,11 +15,10 @@ profile.  Both potentials are even, so the operators commute with the
 grid reflection j -> (N - j) mod N and the eigenproblem is solved on
 its even and odd blocks separately: every eigenvalue carries its parity
 by construction.  The blocks are assembled from the circulant
-second-derivative column, never from the N x N matrix.  A report reads
+second-derivative column, never from the N x N matrix.  A report solves
 eigenvalues only, checked per block against the trace and the Frobenius
 norm, plus the one kernel vector, found by inverse iteration on its
-block; the block eigenvectors, and the N x N eigenvector matrix lifted
-from them, are solved for only when first read.  The curve module gets
+block; no other eigenvector is ever solved for.  The curve module gets
 its tangent from L1 inverted on the even block alone: a sweep solves
 all its points as rows, one LU per row of the shared folded -D2, with
 the residuals of all rows checked in one pass.  Oscillation
@@ -65,7 +64,6 @@ _KINDS = ("L1", "L2")
 _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
 _IDENTITY_TOL = 1e-12  # trace and Frobenius identity bound (rounding reads <= 4e-16)
-_GRAM_TOL = 1e-10  # block eigenvector orthonormality bound
 _SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
 _THETA_STEPS = 20_000  # theta's RK4 steps per period; 1e4 misses 1e-12 at (2 pi, 9.9)
 
@@ -76,26 +74,19 @@ class SpectrumReport:
 
     The eigenvalues are solved on the even and odd blocks of the operator
     and merged, so parity[i] ("even" or "odd") is the block eigenvalue i
-    came from and holds by construction.  eigenvalues are ascending and
-    order[i] is the merged (even, odd) block index of eigenvalue i.
+    came from and holds by construction; eigenvalues are ascending.
     trace_defect and frobenius_defect are the larger of the two blocks'
     |sum lambda - tr B| / sum |lambda| and |sum lambda^2 - ||B||_F^2| /
     ||B||_F^2.  zero_match_error compares the unit-normalized zero
-    eigenvector against the analytic kernel element (phi' for L1, phi for
-    L2), ignoring overall sign, and kernel_residual is that eigenpair's
-    ||B v - lambda v|| / ||B||; both are NaN when no eigenvalue falls
-    inside the zero tolerance.
-
-    The eigenvectors are solved for on first read: block_vectors holds the
-    (even, odd) block columns, in block order, with orthonormality_defect
-    the largest |V^T V - I| entry over both blocks, and eigenvectors lifts
-    them to the grid in the report's own order, orthonormal under
-    sum_j f_j g_j (L/N).
+    eigenvector, the one eigenvector a report solves for, against the
+    analytic kernel element (phi' for L1, phi for L2), ignoring overall
+    sign, and kernel_residual is that eigenpair's ||B v - lambda v|| /
+    ||B||; both are NaN when no eigenvalue falls inside the zero
+    tolerance.
     """
 
     kind: str
     wp: WaveParams
-    prof: Profile
     eigenvalues: np.ndarray
     parity: tuple
     n_negative: int
@@ -105,37 +96,6 @@ class SpectrumReport:
     tol_zero: float
     trace_defect: float
     frobenius_defect: float
-    order: np.ndarray
-
-    @functools.cached_property
-    def _eigenpairs(self) -> tuple:
-        merged = np.empty_like(self.eigenvalues)
-        merged[self.order] = self.eigenvalues
-        vecs = tuple(_block_vectors(block, vals) for block, vals in zip(
-            _parity_blocks(self.kind, self.wp, self.prof),
-            np.split(merged, [self.prof.N // 2 + 1])))
-        ortho = max(float(np.max(np.abs(v.T @ v - np.eye(len(v))))) for v in vecs)
-        if ortho > _GRAM_TOL:
-            raise NumericError(f"eigenvector orthonormality defect {ortho:.3e}")
-        return vecs, ortho
-
-    @property
-    def block_vectors(self) -> tuple:
-        return self._eigenpairs[0]
-
-    @property
-    def orthonormality_defect(self) -> float:
-        return self._eigenpairs[1]
-
-    @functools.cached_property
-    def eigenvectors(self) -> np.ndarray:
-        even_vecs, odd_vecs = self.block_vectors
-        half = self.prof.N // 2
-        even = self.order <= half
-        coef = np.zeros((half + 1, self.order.size))
-        coef[:, even] = even_vecs[:, self.order[even]]
-        coef[1:half, ~even] = odd_vecs[:, self.order[~even] - half - 1]
-        return _lift(coef, even) * math.sqrt(self.order.size / self.wp.L)
 
 
 @dataclass(frozen=True)
@@ -193,32 +153,13 @@ def sym_eig(matrix):
     return evals, trace_defect, frob_defect
 
 
-def _check_residual(worst: float, scale: float) -> None:
-    if worst > _RESIDUAL_TOL * scale:
-        raise NumericError(
-            f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL} * ||M||"
-        )
-
-
-def _block_vectors(block: np.ndarray, evals: np.ndarray) -> np.ndarray:
-    """Orthonormal eigenvector columns of a symmetric block, paired with evals.
-
-    evals are the block's eigenvalues, ascending, as sym_eig found them;
-    each column must satisfy ||B v - lambda v|| <= 1e-9 ||B||.
-    """
-    evecs = np.linalg.eigh(0.5 * (block + block.T))[1]
-    resid = block @ evecs - evecs * evals
-    _check_residual(float(np.max(np.sqrt(np.sum(resid * resid, axis=0)))),
-                    float(np.max(np.abs(evals))))
-    return evecs
-
-
 def _kernel_vector(block: np.ndarray, lam: float, scale: float) -> tuple[np.ndarray, float]:
     """Unit eigenvector of block for its eigenvalue lam, and its residual / scale.
 
     Two inverse-iteration solves of (B - lam I) from the all-ones vector;
     the kernel elements phi and phi' keep one sign on the half grid, so
-    that start is far from orthogonal to them.  scale is ||B||.
+    that start is far from orthogonal to them.  scale is ||B||, and the
+    pair must satisfy ||B v - lam v|| <= 1e-9 ||B||.
     """
     shifted = block - lam * np.eye(len(block))
     vec = np.ones(len(block))
@@ -229,7 +170,10 @@ def _kernel_vector(block: np.ndarray, lam: float, scale: float) -> tuple[np.ndar
             raise NumericError(f"inverse iteration at {lam:.3e}: {exc}") from exc
         vec /= np.linalg.norm(vec)
     worst = float(np.linalg.norm(block @ vec - lam * vec))
-    _check_residual(worst, scale)
+    if worst > _RESIDUAL_TOL * scale:
+        raise NumericError(
+            f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL} * ||M||"
+        )
     return vec, worst / scale
 
 
@@ -274,6 +218,21 @@ def _folded(pot: np.ndarray) -> np.ndarray:
     return 0.5 * (pot[..., head] + pot[..., -head])
 
 
+def _unfold(half: np.ndarray, even: bool) -> np.ndarray:
+    """Grid values P v of parity-basis coefficients, along the last axis.
+
+    half holds the coefficients on indices 0 .. N/2, an odd vector with
+    zeros at 0 and N/2; value j > N/2 repeats value N - j, negated when
+    the vector is odd.
+    """
+    N = 2 * (half.shape[-1] - 1)
+    j = np.arange(N)
+    grid = (_fold(N) * half)[..., np.minimum(j, N - j)]
+    if not even:
+        grid[..., N // 2 + 1:] *= -1.0
+    return grid
+
+
 def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
     """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M."""
     pot = _folded(_potential(kind, wp.omega, prof.phi))
@@ -298,7 +257,7 @@ def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
     half = np.empty((len(phi), N // 2 + 1))
     for row, (v, b) in enumerate(zip(_folded(pot), rhs[:, :N // 2 + 1] / weight)):
         half[row] = np.linalg.solve(even + np.diag(v), b)
-    u = (weight * half)[:, np.minimum(np.arange(N), N - np.arange(N))]
+    u = _unfold(half, True)
     resid = -spectral_derivative(u, L, order=2) + pot * u - rhs
     worst = np.max(np.abs(resid), axis=-1).tolist()
     scale = np.max(np.abs(rhs), axis=-1).tolist()
@@ -307,27 +266,13 @@ def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
                for w, r in zip(worst, scale)]
 
 
-def _lift(coef: np.ndarray, even: np.ndarray) -> np.ndarray:
-    """Grid columns P v, unit in sum_j v_j^2, of parity-basis columns.
-
-    coef holds each column's coefficients on indices 0 .. N/2, an odd
-    column with zeros at 0 and N/2; row j > N/2 repeats row N - j,
-    negated in the columns that are not even.
-    """
-    half = coef.shape[0] - 1
-    vecs = (_fold(2 * half)[:, None] * coef)[
-        np.minimum(np.arange(2 * half), np.arange(2 * half, 0, -1))]
-    vecs[half + 1:] *= np.where(even, 1.0, -1.0)
-    return vecs
-
-
 def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     """Eigenvalues with parity labels and zero-eigenvalue bookkeeping.
 
     Eigenvalues inside (-tol_zero, tol_zero) count as zero; the tolerance
     tol_zero = 1e-6 max(1, omega) separates spectral discretization error
-    from genuine negative modes.  Eigenvectors are left to the report's
-    first read, bar the kernel vector.
+    from genuine negative modes.  The kernel vector is the one
+    eigenvector solved for.
     """
     tol_zero = 1e-6 * max(1.0, wp.omega)
     half = prof.N // 2
@@ -347,9 +292,9 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
         block, block_vals = (blocks[0], even_vals) if even else (blocks[1], odd_vals)
         vec, kernel_residual = _kernel_vector(block, float(evals[zero_index]),
                                               float(np.max(np.abs(block_vals))))
-        coef = np.zeros((half + 1, 1))
-        coef[slice(None) if even else slice(1, half), 0] = vec
-        vec = _lift(coef, np.array([even]))[:, 0]
+        coef = np.zeros(half + 1)
+        coef[slice(None) if even else slice(1, half)] = vec
+        vec = _unfold(coef, even)
         kernel = prof.dphi if kind == "L1" else prof.phi
         khat = kernel / np.linalg.norm(kernel)
         zero_match = float(min(np.linalg.norm(vec - khat),
@@ -358,7 +303,6 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     return SpectrumReport(
         kind=kind,
         wp=wp,
-        prof=prof,
         eigenvalues=evals,
         parity=parity,
         n_negative=n_negative,
@@ -368,7 +312,6 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
         tol_zero=tol_zero,
         trace_defect=max(even_trace, odd_trace),
         frobenius_defect=max(even_frob, odd_frob),
-        order=order,
     )
 
 
@@ -388,14 +331,9 @@ def combined_counts(r1: SpectrumReport, r2: SpectrumReport) -> CombinedCounts:
     n_neg_even = 0
     zero_even = 0
     for rep in (r1, r2):
-        for idx, label in enumerate(rep.parity):
-            if label != "even":
-                continue
-            lam = rep.eigenvalues[idx]
-            if lam < -rep.tol_zero:
-                n_neg_even += 1
-            elif abs(lam) <= rep.tol_zero:
-                zero_even += 1
+        even = rep.eigenvalues[np.array(rep.parity, dtype=object) == "even"]
+        n_neg_even += int(np.sum(even < -rep.tol_zero))
+        zero_even += int(np.sum(np.abs(even) <= rep.tol_zero))
     return CombinedCounts(int(n_negative), zero_mult, n_neg_even, zero_even)
 
 
@@ -426,8 +364,7 @@ def theta_constant(wp: WaveParams) -> float:
     h = wp.L / n
     # profile on the 2n + 1 half-step points of [0, L]
     phi, dphi = _profile_and_slope(wp, np.arange(2 * n + 1) * (0.5 * h))
-    phi2 = np.square(phi)
-    pot = wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2
+    pot = _potential("L1", wp.omega, phi)
     v0, vh, v1 = pot[:-1:2], pot[1::2], pot[2::2]
 
     # RK4 step of (y, z)' = (z, V y), with V = v0, vh, v1 at x, x + h/2,
@@ -457,7 +394,7 @@ def theta_constant(wp: WaveParams) -> float:
     # values before returning, so the drift is measured against the
     # largest flow magnitude rather than against W itself
     term_a = dphi[::2] * zs
-    term_b = (phi * (wp.omega - phi2 - phi2 * phi2))[::2] * ys
+    term_b = (phi * _potential("L2", wp.omega, phi))[::2] * ys
     scale = max(1.0, float(np.max(np.abs(term_a))), float(np.max(np.abs(term_b))))
     drift = float(np.max(np.abs(term_a - term_b - 1.0)))
     if drift > 1e-6 * scale:

@@ -103,15 +103,20 @@ class Profile:
 
 
 def omega_threshold(L: float) -> float:
-    """Closed-form frequency floor reported for period-L waves.
+    """Exact existence threshold: the frequency whose minimal period is L.
 
-    Solvability of a concrete (L, omega) pair is decided by the sharper
-    minimal-period bound enforced in solve_alpha3.
+    The inverse of min_period: a period-L wave exists precisely when
+    omega > omega_threshold(L).  With s = sqrt(4 omega + 1), min_period
+    is 2 pi / sqrt(s (s - 1)), so s (s - 1) = r = (2 pi / L)^2 and the
+    threshold is (s - 1)(s + 1)/4 with s - 1 = 2 r / (1 + sqrt(1 + 4 r)).
     """
     if L <= 0:
         raise DomainError(f"period must be positive, got L={L}")
-    # dividing by L twice keeps a tiny L from underflowing L**2 to zero
-    return (math.sqrt(L * L + 16 * math.pi) / L + 8 * math.pi / L / L - 1) / 8
+    # s - 1 divided through by sqrt(r) = 1 / y: no cancellation, and no
+    # square of y or 1 / y to overflow or underflow at either end of L
+    y = L / (2.0 * math.pi)
+    s_minus_1 = 2.0 / y / (y + math.hypot(y, 2.0))
+    return s_minus_1 * (s_minus_1 + 2.0) / 4.0
 
 
 def min_period(omega: float) -> float:
@@ -304,16 +309,10 @@ def solve_alpha3(L: float, omega: float) -> float:
         raise DomainError(f"period and frequency must be finite, got L={L}, omega={omega}")
     tl = min_period(omega)
     if tl >= L:
-        thr = omega_threshold(L)
-        if omega <= thr:
-            hint = f"below the admissibility threshold omega_threshold(L)={thr:.6g}"
-        else:
-            # frequency where the minimal attainable period equals L
-            s = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * (2.0 * math.pi / L) ** 2))
-            hint = f"waves of this period require omega > {(s * s - 1.0) / 4.0:.6g}"
         raise NoSolutionError(
             f"no period-{L} wave at omega={omega}: the minimal attainable period "
-            f"is {tl:.6g}; {hint}"
+            f"is {tl:.6g}; waves of this period require omega > "
+            f"omega_threshold(L)={omega_threshold(L):.6g}"
         )
     lo, hi = alpha_bounds(omega)
 

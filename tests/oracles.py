@@ -14,7 +14,10 @@ keep the former bisection solves that waves.solve_alpha3 and
 waves.period_of_B replaced by a bracketed Newton iteration, and
 spectrum_by_eager_lift keeps the former body of hill.spectrum_report,
 which solved every block eigenpair with eigh, lifted every eigenvector
-to the grid and checked the full N x N Gram matrix, and
+to the grid and checked the full N x N Gram matrix; the library solves
+no eigenvector but the kernel one, so this is the suite's only source of
+eigenvectors (sign changes, reflection parity, orthonormality), taken
+from eigh on the library's own hill._parity_blocks, and
 curve_sample_by_point keeps the former one-point curve.curve_sample,
 before sweeps were sampled as rows of one array (its checks left out).
 advance_by_allocation keeps the former split-step loop of
@@ -357,10 +360,9 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
 def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
     """Former hill.spectrum_report: eigh per block, every eigenvector lifted.
 
-    Returns the eigenvalues, the merged (even, odd) block index of each,
-    the scaled grid eigenvectors, the parity labels, the zero index, the
-    zero match error and the largest |V^T V - I| entry of the N x N Gram
-    matrix of the unit grid columns.
+    Returns the eigenvalues, the scaled grid eigenvectors, the parity
+    labels, the zero index, the zero match error and the largest
+    |V^T V - I| entry of the N x N Gram matrix of the unit grid columns.
     """
     tol_zero = 1e-6 * max(1.0, wp.omega)
     (even_vals, even_vecs), (odd_vals, odd_vecs) = (
@@ -389,7 +391,6 @@ def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
                                np.linalg.norm(vec + khat)))
     return {
         "eigenvalues": evals,
-        "order": order,
         "eigenvectors": evecs * math.sqrt(prof.N / prof.L),
         "parity": tuple("even" if i <= half else "odd" for i in order),
         "zero_index": zero_index,

@@ -35,8 +35,6 @@ def test_sym_eig_known_matrix():
     evals, trace_defect, frob_defect = hill.sym_eig([[2.0, 1.0], [1.0, 2.0]])
     assert evals == pytest.approx([1.0, 3.0], abs=1e-14)
     assert trace_defect <= 1e-15 and frob_defect <= 1e-15
-    evecs = hill._block_vectors(np.array([[2.0, 1.0], [1.0, 2.0]]), evals)
-    assert np.allclose(np.abs(evecs[:, 0]), [math.sqrt(0.5)] * 2, atol=1e-14)
 
 
 def test_sym_eig_random_matrix():
@@ -46,7 +44,8 @@ def test_sym_eig_random_matrix():
     evals, trace_defect, frob_defect = hill.sym_eig(mat)
     assert np.all(np.diff(evals) >= 0)
     assert max(trace_defect, frob_defect) <= 1e-12
-    evecs = hill._block_vectors(mat, evals)
+    # the eigenvalues rebuild the matrix on an independent eigenvector basis
+    evecs = np.linalg.eigh(mat)[1]
     assert np.max(np.abs(evecs @ np.diag(evals) @ evecs.T - mat)) <= 1e-12 * 40
 
 
@@ -101,7 +100,7 @@ def test_constant_potential_shifts_spectrum():
     assert np.max(np.abs(shifted - (plain + c))) <= 1e-10
 
 
-def test_amplitude_channel_structure(ref_spectra):
+def test_amplitude_channel_structure(ref_wave, ref_spectra):
     r1, _ = ref_spectra
     assert r1.kind == "L1"
     assert r1.n_negative == 1
@@ -114,11 +113,13 @@ def test_amplitude_channel_structure(ref_spectra):
     # even nodeless ground state; odd kernel with exactly two sign changes
     assert r1.parity[0] == "even"
     assert r1.parity[1] == "odd"
-    assert sign_changes(r1.eigenvectors[:, 0]) == 0
-    assert sign_changes(r1.eigenvectors[:, 1]) == 2
+    ref = spectrum_by_eager_lift("L1", *ref_wave)
+    assert ref["parity"][:2] == r1.parity[:2]
+    assert sign_changes(ref["eigenvectors"][:, 0]) == 0
+    assert sign_changes(ref["eigenvectors"][:, 1]) == 2
 
 
-def test_phase_channel_structure(ref_spectra):
+def test_phase_channel_structure(ref_wave, ref_spectra):
     _, r2 = ref_spectra
     assert r2.kind == "L2"
     assert r2.n_negative == 0
@@ -129,7 +130,9 @@ def test_phase_channel_structure(ref_spectra):
     assert r2.eigenvalues[1] == pytest.approx(L2_LOW[1], rel=1e-11)
     # ground state is the positive profile itself
     assert r2.parity[0] == "even"
-    vec = r2.eigenvectors[:, 0]
+    ref = spectrum_by_eager_lift("L2", *ref_wave)
+    assert ref["parity"][0] == "even"
+    vec = ref["eigenvectors"][:, 0]
     assert np.all(vec > 0) or np.all(vec < 0)
     # the rest of the spectrum stays bounded away from zero
     assert r2.eigenvalues[1] > 1e-3 * r2.wp.omega
@@ -140,15 +143,14 @@ def test_spectra_parity_is_pure(ref_spectra):
         assert set(rep.parity) <= {"even", "odd"}
         # the reflection splits N grid points into N/2 + 1 even and
         # N/2 - 1 odd basis functions
-        N = rep.eigenvectors.shape[0]
+        N = rep.eigenvalues.size
         assert rep.parity.count("even") == N // 2 + 1
         assert rep.parity.count("odd") == N // 2 - 1
 
 
-def _reflection_signs(rep):
+def _reflection_signs(vecs):
     # +1 for columns that are exactly reflection-symmetric, -1 for exactly
     # antisymmetric ones, 0 for anything else
-    vecs = rep.eigenvectors
     mirror = (-np.arange(vecs.shape[0])) % vecs.shape[0]
     signs = []
     for col in range(vecs.shape[1]):
@@ -156,6 +158,16 @@ def _reflection_signs(rep):
         signs.append(1 if np.array_equal(v[mirror], v)
                      else -1 if np.array_equal(v[mirror], -v) else 0)
     return signs
+
+
+def _assert_same_parity(rep, ref):
+    # eigvalsh and eigh may order a near-degenerate cos/sin pair
+    # differently, and only such a pair
+    scale = np.max(np.abs(ref["eigenvalues"]))
+    assert rep.parity[:10] == ref["parity"][:10]
+    for i in np.flatnonzero(np.array(rep.parity) != np.array(ref["parity"])):
+        gap = np.min(np.abs(np.delete(rep.eigenvalues, i) - rep.eigenvalues[i]))
+        assert gap <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("omega, N", [(2.0, 256), (8.0, 512)])
@@ -166,8 +178,11 @@ def test_parity_blocks_match_full_solve(kind, omega, N):
     full = np.linalg.eigh(collocation_matrix(*op))[0]
     scale = np.max(np.abs(full))
     assert np.max(np.abs(rep.eigenvalues - full)) <= 1e-12 * scale
-    expected = [1 if label == "even" else -1 for label in rep.parity]
-    assert _reflection_signs(rep) == expected
+    # the labels are the reflection parities of the block eigenvectors
+    ref = spectrum_by_eager_lift(*op)
+    _assert_same_parity(rep, ref)
+    expected = [1 if label == "even" else -1 for label in ref["parity"]]
+    assert _reflection_signs(ref["eigenvectors"]) == expected
 
 
 @pytest.mark.parametrize("omega, N", [(2.0, 128), (10.0, 256)])
@@ -208,8 +223,10 @@ def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
         rep = hill.spectrum_report(kind, wp, flat)
         assert rep.parity.count("even") == N // 2 + 1
         assert rep.parity.count("odd") == N // 2 - 1
-        expected = [1 if label == "even" else -1 for label in rep.parity]
-        assert _reflection_signs(rep) == expected
+        ref = spectrum_by_eager_lift(kind, wp, flat)
+        _assert_same_parity(rep, ref)
+        expected = [1 if label == "even" else -1 for label in ref["parity"]]
+        assert _reflection_signs(ref["eigenvectors"]) == expected
         modes = np.concatenate([np.arange(N // 2 + 1), np.arange(1, N // 2)])
         exact = np.sort(wp.omega + (2.0 * math.pi * modes / L) ** 2)
         assert np.max(np.abs(rep.eigenvalues - exact)) <= 1e-12 * exact[-1]
@@ -219,26 +236,16 @@ def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
     (2.0, 256, False), (8.0, 512, False), (2.0, 256, True)])
 @pytest.mark.parametrize("kind", ["L1", "L2"])
 def test_block_form_matches_eager_lift(kind, omega, N, flat):
-    # the report solves eigenvalues alone and its eigenpairs on first read;
-    # each lifted column equals eigh's block column under the report's own
-    # order bit for bit
+    # the report solves eigenvalues and one kernel vector; eigh on the same
+    # blocks, with every eigenvector lifted, gives the same spectrum
     wave = waves.build_wave(TWO_PI, omega, N)
     wp, prof = _flat(*wave) if flat else wave
     rep = hill.spectrum_report(kind, wp, prof)
     ref = spectrum_by_eager_lift(kind, wp, prof)
-    assert "eigenvectors" not in vars(rep) and "_eigenpairs" not in vars(rep)
-    columns = np.argsort(ref["order"])[rep.order]
-    assert np.array_equal(rep.eigenvectors, ref["eigenvectors"][:, columns])
-    assert rep.eigenvectors is rep.eigenvectors
     # eigvalsh and eigh agree to rounding, measured <= 2.6e-15 ||M||
     scale = np.max(np.abs(ref["eigenvalues"]))
     assert np.max(np.abs(rep.eigenvalues - ref["eigenvalues"])) <= 1e-14 * scale
-    # the two routes may order a near-degenerate cos/sin pair differently,
-    # and only such a pair
-    assert rep.parity[:10] == ref["parity"][:10]
-    for i in np.flatnonzero(np.array(rep.parity) != np.array(ref["parity"])):
-        gap = np.min(np.abs(np.delete(rep.eigenvalues, i) - rep.eigenvalues[i]))
-        assert gap <= 1e-14 * scale
+    _assert_same_parity(rep, ref)
     assert rep.zero_index == ref["zero_index"]
     if math.isnan(ref["zero_match_error"]):
         assert math.isnan(rep.zero_match_error) and math.isnan(rep.kernel_residual)
@@ -247,31 +254,6 @@ def test_block_form_matches_eager_lift(kind, omega, N, flat):
         assert rep.kernel_residual <= 1e-14
     assert max(rep.trace_defect, rep.frobenius_defect) <= 1e-14
     assert ref["gram_defect"] <= 1e-10
-    # the block check sees the full Gram defect up to rounding
-    assert rep.orthonormality_defect <= 1e-10
-    assert abs(rep.orthonormality_defect - ref["gram_defect"]) <= 4.0 * np.finfo(float).eps
-
-
-def test_orthonormality_defect_is_the_block_maximum(ref_spectra):
-    for rep in ref_spectra:
-        defects = [np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) for v in rep.block_vectors]
-        assert rep.orthonormality_defect == max(defects)
-
-
-def test_block_orthonormality_check_fires(ref_wave, monkeypatch):
-    # odd block eigenvectors off unit length by 1e-9 give a defect of 2e-9;
-    # the report itself reads no eigenvector, so the first read raises
-    exact = np.linalg.eigh
-
-    def skewed(matrix):
-        evals, evecs = exact(matrix)
-        odd = len(evals) < ref_wave[1].N // 2
-        return evals, (evecs * (1.0 + 1e-9) if odd else evecs)
-
-    monkeypatch.setattr(np.linalg, "eigh", skewed)
-    rep = hill.spectrum_report("L1", *ref_wave)
-    with pytest.raises(NumericError, match="orthonormality defect"):
-        rep.eigenvectors
 
 
 def test_kernel_residual_check_fires(ref_wave):
@@ -288,8 +270,7 @@ def test_kernel_residual_check_fires(ref_wave):
 
 
 def test_spectrum_reads_no_eigenvector(capsys, monkeypatch):
-    # a spectrum run solves eigenvalues alone; eigenvectors cost one eigh
-    # per parity block, on first read only
+    # a spectrum run solves eigenvalues and one kernel vector, never eigh
     calls = []
     exact = np.linalg.eigh
 
@@ -301,11 +282,8 @@ def test_spectrum_reads_no_eigenvector(capsys, monkeypatch):
     assert cli.main(["spectrum", "--omega", "2", "--N", "128"]) == 0
     capsys.readouterr()
     assert calls == []
-    rep = hill.spectrum_report("L1", *waves.build_wave(TWO_PI, 2.0, 128))
+    hill.spectrum_report("L1", *waves.build_wave(TWO_PI, 2.0, 128))
     assert calls == []
-    assert rep.eigenvectors.shape == (128, 128)
-    assert rep.orthonormality_defect <= 1e-10 and len(rep.block_vectors) == 2
-    assert calls == [65, 63]
 
 
 @pytest.mark.parametrize("L", [TWO_PI, 2.0 * TWO_PI])
@@ -339,17 +317,16 @@ def test_spectrum_report_memory_peak():
     assert peak <= 2.5 * 2**20
 
 
-def test_oscillation_counts_phase_channel(ref_spectra):
-    _, r2 = ref_spectra
+def test_oscillation_counts_phase_channel(ref_wave):
+    vecs = spectrum_by_eager_lift("L2", *ref_wave)["eigenvectors"]
     for j in range(7):
         expected = 2 * ((j + 1) // 2)
-        assert sign_changes(r2.eigenvectors[:, j]) == expected
+        assert sign_changes(vecs[:, j]) == expected
 
 
-def test_eigenvectors_orthonormal_under_trapezoid(ref_spectra):
-    r1, _ = ref_spectra
-    L = r1.wp.L
-    v = r1.eigenvectors
+def test_eigenvectors_orthonormal_under_trapezoid(ref_wave):
+    L = ref_wave[0].L
+    v = spectrum_by_eager_lift("L1", *ref_wave)["eigenvectors"]
     for i, j in ((0, 0), (3, 3), (0, 2), (1, 4)):
         inner = fourier.trapezoid(v[:, i] * v[:, j], L)
         assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)

@@ -40,8 +40,9 @@ FROZEN = [
 
 
 def test_threshold_value():
+    # the frequency whose minimal period is 2 pi
     assert waves.omega_threshold(TWO_PI) == pytest.approx(
-        0.1430432983859531, rel=1e-14)
+        (1.0 + math.sqrt(5.0)) / 8.0, rel=1e-14)
     with pytest.raises(DomainError):
         waves.omega_threshold(0.0)
 
@@ -66,8 +67,17 @@ def test_min_period_tiny_frequency():
 
 
 def test_threshold_tiny_period():
-    # L**2 underflows to zero here; the floor grows without bound instead
+    # (2 pi / L)^2 overflows here; the threshold grows without bound instead
     assert waves.omega_threshold(1e-300) == math.inf
+
+
+def test_threshold_inverts_min_period():
+    for L in np.logspace(-3, 100, 207):
+        assert waves.min_period(waves.omega_threshold(L)) == pytest.approx(L, rel=1e-13)
+    # a huge period has a subnormal threshold, not one that overflows to inf
+    with pytest.raises(NoSolutionError,
+                       match=r"require omega > omega_threshold\(L\)=1\.97389e-319$"):
+        waves.solve_alpha3(1e160, 1e-320)
 
 
 def test_alpha_bounds_are_the_right_roots():
@@ -276,10 +286,9 @@ def test_period_of_level_set_matches_bisection():
 
 
 def test_no_solution_messages():
-    # below the documented frequency floor
+    # below the existence threshold, which the message names and states
     with pytest.raises(NoSolutionError, match="omega_threshold"):
         waves.solve_alpha3(TWO_PI, 0.1)
-    # above the floor but the minimal period still exceeds L
     with pytest.raises(NoSolutionError, match="0.404508"):
         waves.solve_alpha3(TWO_PI, 0.3)
     with pytest.raises(DomainError):
