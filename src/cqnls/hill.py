@@ -15,10 +15,12 @@ profile.  Both potentials are even, so the operators commute with the
 grid reflection j -> (N - j) mod N and the eigenproblem is solved on
 its even and odd blocks separately: every eigenvalue carries its parity
 by construction.  The blocks are assembled from the circulant
-second-derivative column, never from the N x N matrix.  A report solves
-eigenvalues only, checked per block against the trace and the Frobenius
-norm, plus the one kernel vector, found by inverse iteration on its
-block; no other eigenvector is ever solved for.  The curve module gets
+second-derivative column, read as sliding windows, never from the N x N
+matrix.  A report solves eigenvalues only, checked per block against
+the trace and the Frobenius norm, plus the one kernel vector, found by
+one inverse-iteration solve on its block started from the analytic
+kernel element; no other eigenvector is ever solved for.  Every
+tolerance check fails on NaN.  The curve module gets
 its tangent from L1 inverted on the even block alone: a sweep solves
 all its points as rows, one LU per row of the shared folded -D2, with
 the residuals of all rows checked in one pass.  Oscillation
@@ -31,7 +33,8 @@ Discretization is Fourier collocation (exact for trigonometric
 polynomials below the Nyquist degree), which makes "zero is an
 eigenvalue" sharp to near machine precision.  theta_constant integrates
 the companion, linearly growing solution of the amplitude-channel Hill
-equation over one period; its growth coefficient theta satisfies
+equation over half a period, which fixes the whole period's monodromy
+because the potential is even; its growth coefficient theta satisfies
 dT/dB = -theta/2, tying the spectrum's zero position to the period's
 dependence on the quadrature constant.  The equation is linear, so each
 RK4 step is a 2 x 2 matrix, built for all steps at once from the
@@ -46,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateError, NumericError
 from .fourier import second_derivative_column, spectral_derivative
@@ -65,7 +69,9 @@ _SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
 _IDENTITY_TOL = 1e-12  # trace and Frobenius identity bound (rounding reads <= 4e-16)
 _SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
-_THETA_STEPS = 20_000  # theta's RK4 steps per period; 1e4 misses 1e-12 at (2 pi, 9.9)
+# theta's RK4 step is L / _THETA_STEPS, taken over half a period;
+# L / 1e4 misses 1e-12 at (2 pi, 9.9)
+_THETA_STEPS = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,27 +131,35 @@ def _potential(kind: str, omega, phi: np.ndarray) -> np.ndarray:
 def sym_eig(matrix):
     """Eigenvalues of a real symmetric matrix, checked against two identities.
 
-    Returns (eigenvalues ascending, trace_defect, frobenius_defect).  The
-    whole spectrum must reproduce the trace and the Frobenius norm:
-    |sum lambda - tr M| / sum |lambda| and |sum lambda^2 - ||M||_F^2| /
-    ||M||_F^2 each at most 1e-12, both O(n^2) to check.
+    Returns (eigenvalues ascending, trace_defect, frobenius_defect).  A
+    nonfinite entry is a NumericError.  An exactly symmetric matrix (the
+    parity blocks are, by construction) is solved as it is; any other is
+    rejected above a 1e-10 symmetry defect and symmetrized, which leaves
+    an exactly symmetric one unchanged.  The whole spectrum must
+    reproduce the trace and the Frobenius norm: |sum lambda - tr M| /
+    sum |lambda| and |sum lambda^2 - ||M||_F^2| / ||M||_F^2 each at most
+    1e-12, both O(n^2) to check.
     """
     mat = np.asarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {mat.shape}")
-    defect = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    if defect > _SYMMETRY_TOL:
-        raise ContractError(
-            f"matrix symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL}"
-        )
-    sym = 0.5 * (mat + mat.T)
+    if not np.isfinite(mat).all():
+        raise NumericError("matrix has a nonfinite entry")
+    sym = mat
+    if not np.array_equal(mat, mat.T):
+        defect = float(np.max(np.abs(mat - mat.T)))
+        if not defect <= _SYMMETRY_TOL:
+            raise ContractError(
+                f"matrix symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL}"
+            )
+        sym = 0.5 * (mat + mat.T)
     evals = np.linalg.eigvalsh(sym)
     tiny = np.finfo(float).tiny
     frob2 = float(np.vdot(sym, sym))
     trace_defect = abs(float(np.sum(evals)) - float(np.trace(sym))) / max(
         float(np.sum(np.abs(evals))), tiny)
     frob_defect = abs(float(evals @ evals) - frob2) / max(frob2, tiny)
-    if max(trace_defect, frob_defect) > _IDENTITY_TOL:
+    if not (trace_defect <= _IDENTITY_TOL and frob_defect <= _IDENTITY_TOL):
         raise NumericError(
             f"eigenvalue identity defects (trace {trace_defect:.3e}, Frobenius "
             f"{frob_defect:.3e}) exceed {_IDENTITY_TOL}"
@@ -153,24 +167,30 @@ def sym_eig(matrix):
     return evals, trace_defect, frob_defect
 
 
-def _kernel_vector(block: np.ndarray, lam: float, scale: float) -> tuple[np.ndarray, float]:
+def _plus_diagonal(base: np.ndarray, diag) -> np.ndarray:
+    """A copy of the square matrix base with diag added to its diagonal."""
+    out = base.copy()
+    out.flat[::len(out) + 1] += diag
+    return out
+
+
+def _kernel_vector(block: np.ndarray, lam: float, scale: float,
+                   start: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit eigenvector of block for its eigenvalue lam, and its residual / scale.
 
-    Two inverse-iteration solves of (B - lam I) from the all-ones vector;
-    the kernel elements phi and phi' keep one sign on the half grid, so
-    that start is far from orthogonal to them.  scale is ||B||, and the
+    One inverse-iteration solve of (B - lam I) from start, the analytic
+    kernel element in the block's coordinates: lam comes from eigvalsh,
+    accurate to about eps ||B||, and start is already close to the
+    eigenvector, so one step lands at rounding.  scale is ||B||, and the
     pair must satisfy ||B v - lam v|| <= 1e-9 ||B||.
     """
-    shifted = block - lam * np.eye(len(block))
-    vec = np.ones(len(block))
-    for _ in range(2):
-        try:
-            vec = np.linalg.solve(shifted, vec)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"inverse iteration at {lam:.3e}: {exc}") from exc
-        vec /= np.linalg.norm(vec)
+    try:
+        vec = np.linalg.solve(_plus_diagonal(block, -lam), start)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"inverse iteration at {lam:.3e}: {exc}") from exc
+    vec /= np.linalg.norm(vec)
     worst = float(np.linalg.norm(block @ vec - lam * vec))
-    if worst > _RESIDUAL_TOL * scale:
+    if not worst <= _RESIDUAL_TOL * scale:
         raise NumericError(
             f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL} * ||M||"
         )
@@ -194,16 +214,18 @@ def _folded_d2(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
     The column c is even, so on indices 0 .. N/2 the mirror sums of D2
     are the Toeplitz part c[|i - k|] plus (even) or minus (odd) the
-    Hankel part c[i + k].
+    Hankel part c[i + k], both read as sliding windows of the column.
     """
     col = second_derivative_column(L, N)
-    head = np.arange(N // 2 + 1)
-    toeplitz = col[np.abs(head[:, None] - head)]
-    hankel = col[(head[:, None] + head) % N]
+    n = N // 2 + 1
+    # window s of [c[N/2] .. c[1], c[0] .. c[N/2]] holds c[|s + k - N/2|]
+    toeplitz = sliding_window_view(np.concatenate((col[n - 1:0:-1], col[:n])), n)[::-1]
+    hankel = sliding_window_view(np.append(col, col[0]), n)
     # a self-mirror point enters the Toeplitz and the Hankel part alike
     scale = math.sqrt(0.5) / _fold(N)
-    even = -(toeplitz + hankel) * np.outer(scale, scale)
-    odd = (hankel - toeplitz)[1:-1, 1:-1]
+    even = toeplitz + hankel
+    even *= np.outer(-scale, scale)
+    odd = hankel[1:-1, 1:-1] - toeplitz[1:-1, 1:-1]
     even.flags.writeable = odd.flags.writeable = False
     return even, odd
 
@@ -236,7 +258,8 @@ def _unfold(half: np.ndarray, even: bool) -> np.ndarray:
 def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
     """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M."""
     pot = _folded(_potential(kind, wp.omega, prof.phi))
-    return [d2 + np.diag(v) for d2, v in zip(_folded_d2(prof.L, prof.N), (pot, pot[1:-1]))]
+    d2_even, d2_odd = _folded_d2(prof.L, prof.N)
+    return [_plus_diagonal(d2_even, pot), _plus_diagonal(d2_odd, pot[1:-1])]
 
 
 def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
@@ -256,13 +279,13 @@ def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
     even = _folded_d2(L, N)[0]
     half = np.empty((len(phi), N // 2 + 1))
     for row, (v, b) in enumerate(zip(_folded(pot), rhs[:, :N // 2 + 1] / weight)):
-        half[row] = np.linalg.solve(even + np.diag(v), b)
+        half[row] = np.linalg.solve(_plus_diagonal(even, v), b)
     u = _unfold(half, True)
     resid = -spectral_derivative(u, L, order=2) + pot * u - rhs
     worst = np.max(np.abs(resid), axis=-1).tolist()
     scale = np.max(np.abs(rhs), axis=-1).tolist()
     return u, [ContractError(f"even-block solve residual {w:.3e} exceeds "
-                             f"{_SOLVE_TOL} * ||rhs||") if w > _SOLVE_TOL * r else None
+                             f"{_SOLVE_TOL} * ||rhs||") if not w <= _SOLVE_TOL * r else None
                for w, r in zip(worst, scale)]
 
 
@@ -281,7 +304,7 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     evals = np.concatenate([even_vals, odd_vals])
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
-    parity = tuple("even" if i <= half else "odd" for i in order)
+    parity = tuple(np.where(order <= half, "even", "odd").tolist())
 
     n_negative = int(np.sum(evals < -tol_zero))
     near = np.flatnonzero(np.abs(evals) <= tol_zero)
@@ -290,12 +313,14 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
         zero_index = int(near[np.argmin(np.abs(evals[near]))])
         even = bool(order[zero_index] <= half)
         block, block_vals = (blocks[0], even_vals) if even else (blocks[1], odd_vals)
-        vec, kernel_residual = _kernel_vector(block, float(evals[zero_index]),
-                                              float(np.max(np.abs(block_vals))))
-        coef = np.zeros(half + 1)
-        coef[slice(None) if even else slice(1, half)] = vec
-        vec = _unfold(coef, even)
+        rows = slice(None) if even else slice(1, half)
         kernel = prof.dphi if kind == "L1" else prof.phi
+        vec, kernel_residual = _kernel_vector(
+            block, float(evals[zero_index]), float(np.max(np.abs(block_vals))),
+            (kernel[:half + 1] / _fold(prof.N))[rows])
+        coef = np.zeros(half + 1)
+        coef[rows] = vec
+        vec = _unfold(coef, even)
         khat = kernel / np.linalg.norm(kernel)
         zero_match = float(min(np.linalg.norm(vec - khat),
                                np.linalg.norm(vec + khat)))
@@ -344,14 +369,15 @@ def theta_constant(wp: WaveParams) -> float:
     solution phi'.  The companion solution fixed by y(0) = -1/phi''(0),
     y'(0) = 0 has unit Wronskian against phi' and returns after one
     period with its slope shifted by a multiple of phi''(0); that
-    multiple is theta = y'(L)/phi''(0).  Since phi'(0) = 0 the value
-    y(L) equals y(0), so the slope alone carries the growth.
+    multiple is theta = y'(L)/phi''(0).  The potential is even, so the
+    monodromy follows from the half period (Magnus-Winkler 1966, 2.2):
+    y'(L) = 2 y(L/2) y'(L/2) / y(0), which makes theta = -2 y(L/2) y'(L/2).
 
-    Classical 4th-order Runge-Kutta with _THETA_STEPS steps over one
-    period, the potential evaluated off-grid through the closed-form
-    profile (no interpolation).  Each step is the RK4 step matrix of
-    (y, y')' = (y', V y), applied by a plain recurrence; the unit
-    Wronskian is monitored at every one of the _THETA_STEPS + 1 points.
+    Classical 4th-order Runge-Kutta with _THETA_STEPS // 2 steps of
+    length L / _THETA_STEPS over [0, L/2], the potential evaluated
+    off-grid through the closed-form profile (no interpolation).  Each
+    step is the RK4 step matrix of (y, y')' = (y', V y), applied by a
+    plain recurrence; the unit Wronskian is monitored at every step.
     """
     phi0 = math.sqrt(wp.alpha3)
     ddphi0 = wp.omega * phi0 - phi0**3 - phi0**5
@@ -360,9 +386,9 @@ def theta_constant(wp: WaveParams) -> float:
             "wave is an equilibrium: |phi''(0)| below 1e-12, no growth direction"
         )
 
-    n = _THETA_STEPS
-    h = wp.L / n
-    # profile on the 2n + 1 half-step points of [0, L]
+    n = _THETA_STEPS // 2
+    h = wp.L / _THETA_STEPS
+    # profile on the 2n + 1 half-step points of [0, L/2]
     phi, dphi = _profile_and_slope(wp, np.arange(2 * n + 1) * (0.5 * h))
     pot = _potential("L1", wp.omega, phi)
     v0, vh, v1 = pot[:-1:2], pot[1::2], pot[2::2]
@@ -397,8 +423,8 @@ def theta_constant(wp: WaveParams) -> float:
     term_b = (phi * _potential("L2", wp.omega, phi))[::2] * ys
     scale = max(1.0, float(np.max(np.abs(term_a))), float(np.max(np.abs(term_b))))
     drift = float(np.max(np.abs(term_a - term_b - 1.0)))
-    if drift > 1e-6 * scale:
+    if not drift <= 1e-6 * scale:
         raise NumericError(
             f"Wronskian drift {drift:.3e} exceeds 1e-6 of the flow scale {scale:.3e}"
         )
-    return z / ddphi0
+    return -2.0 * y * z

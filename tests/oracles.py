@@ -24,7 +24,10 @@ advance_by_allocation keeps the former split-step loop of
 evolve._advance, which allocated every intermediate array, and
 derivative_by_fresh_multiplier the former fourier.spectral_derivative,
 which rebuilt (i k)^order on every call; the library's in-place loop and
-cached multiplier must match them bit for bit.  The last five are small
+cached multiplier must match them bit for bit, as hill._folded_d2, which
+reads the Toeplitz and Hankel parts of -D2 as sliding windows of the
+circulant column, must match folded_d2_by_fancy_index, its former body
+that gathered them through square index arrays.  The last five are small
 routines the library itself does not need: the dense
 second-derivative matrix and the full collocation matrix that the parity
 blocks of hill are checked against, an eigenvector sign-change counter for
@@ -397,6 +400,16 @@ def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
         "zero_match_error": zero_match,
         "gram_defect": float(np.max(np.abs(gram))),
     }
+
+
+def folded_d2_by_fancy_index(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Former hill._folded_d2: -D2 on the even and odd bases by index arrays."""
+    col = second_derivative_column(L, N)
+    head = np.arange(N // 2 + 1)
+    toeplitz = col[np.abs(head[:, None] - head)]
+    hankel = col[(head[:, None] + head) % N]
+    scale = math.sqrt(0.5) / hill._fold(N)
+    return -(toeplitz + hankel) * np.outer(scale, scale), (hankel - toeplitz)[1:-1, 1:-1]
 
 
 def second_derivative_matrix(L: float, N: int) -> np.ndarray:

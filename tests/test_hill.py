@@ -20,6 +20,7 @@ from conftest import TWO_PI
 from oracles import (
     collocation_matrix,
     companion_by_ivp,
+    folded_d2_by_fancy_index,
     second_derivative_matrix,
     sign_changes,
     spectrum_by_eager_lift,
@@ -69,6 +70,56 @@ def test_sym_eig_rejects_bad_input():
         hill.sym_eig([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ConfigError):
         hill.sym_eig(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sym_eig_rejects_nonfinite_input(bad):
+    # rejected before the symmetry defect, where inf - inf would warn
+    with pytest.raises(NumericError, match="nonfinite"):
+        hill.sym_eig([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericError, match="nonfinite"):
+        hill.sym_eig([[0.0, bad], [bad, 1.0]])
+
+
+def test_sym_eig_identity_check_fires_on_nan(monkeypatch):
+    exact = np.linalg.eigvalsh
+
+    def poisoned(matrix):
+        evals = exact(matrix).copy()
+        evals[-1] = math.nan
+        return evals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", poisoned)
+    with pytest.raises(NumericError, match="identity defects"):
+        hill.sym_eig([[2.0, 1.0], [1.0, 2.0]])
+
+
+def test_sym_eig_exact_symmetry_matches_perturbed_route():
+    # an exactly symmetric matrix is solved as it is, a 1e-13 asymmetry is
+    # symmetrized first; both agree, and the exact one matches the
+    # symmetrized route bit for bit
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((60, 60))
+    mat = a + a.T
+    assert np.array_equal(mat, mat.T)
+    skew = mat.copy()
+    skew[3, 17] += 1e-13
+    evals, trace_defect, frob_defect = hill.sym_eig(mat)
+    skew_vals = hill.sym_eig(skew)[0]
+    assert np.array_equal(evals, np.linalg.eigvalsh(0.5 * (mat + mat.T)))
+    assert np.max(np.abs(evals - skew_vals)) <= 1e-12
+    assert max(trace_defect, frob_defect) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [64, 256, 512])
+@pytest.mark.parametrize("L", [1e-3, TWO_PI, 1.5 * TWO_PI, 1e3])
+def test_folded_d2_matches_fancy_index(L, N):
+    # sliding windows of the column gather the same entries as index arrays
+    blocks = hill._folded_d2(L, N)
+    for block, ref in zip(blocks, folded_d2_by_fancy_index(L, N)):
+        assert np.array_equal(block, ref)
+        assert block.shape == ref.shape
+        assert not block.flags.writeable
 
 
 def test_potential_values(ref_wave):
@@ -208,6 +259,18 @@ def test_even_solve_rejects_an_odd_right_side(ref_wave):
     assert isinstance(error, ContractError)
 
 
+def test_even_solve_rejects_a_nan_row(ref_wave):
+    # a NaN right side gives a NaN residual, which fails its bound; the
+    # other row is solved as before
+    wp, prof = ref_wave
+    rhs = np.stack([-prof.phi, -prof.phi])
+    rhs[1, 5] = math.nan
+    _, (good, bad) = hill._solve_even_rows("L1", np.full(2, wp.omega),
+                                           np.stack([prof.phi, prof.phi]), prof.L, rhs)
+    assert good is None
+    assert isinstance(bad, ContractError)
+
+
 def _flat(wp, prof):
     # zero profile: the potential is the constant omega
     return wp, waves.Profile(L=prof.L, N=prof.N, phi=np.zeros(prof.N),
@@ -256,6 +319,11 @@ def test_block_form_matches_eager_lift(kind, omega, N, flat):
     assert ref["gram_defect"] <= 1e-10
 
 
+def _odd_kernel_start(prof):
+    # phi' on indices 1 .. N/2 - 1, in the odd block's coordinates
+    return prof.dphi[1:prof.N // 2] / hill._fold(prof.N)[1:-1]
+
+
 def test_kernel_residual_check_fires(ref_wave):
     # inverse iteration shifted 1e-3 off the zero eigenvalue still finds
     # its vector, but the pair residual 1e-3 exceeds 1e-9 ||M|| = 1.6e-5
@@ -263,10 +331,21 @@ def test_kernel_residual_check_fires(ref_wave):
     odd = hill._parity_blocks("L1", wp, prof)[1]
     evals = hill.sym_eig(odd)[0]
     scale = float(np.max(np.abs(evals)))
-    resid = hill._kernel_vector(odd, float(evals[0]), scale)[1]
+    start = _odd_kernel_start(prof)
+    resid = hill._kernel_vector(odd, float(evals[0]), scale, start)[1]
     assert resid <= 1e-14
     with pytest.raises(NumericError, match="eigenpair residual"):
-        hill._kernel_vector(odd, float(evals[0]) + 1e-3, scale)
+        hill._kernel_vector(odd, float(evals[0]) + 1e-3, scale, start)
+
+
+def test_kernel_vector_rejects_a_nan_block(ref_wave):
+    wp, prof = ref_wave
+    odd = hill._parity_blocks("L1", wp, prof)[1]
+    evals = hill.sym_eig(odd)[0]
+    odd[4, 4] = math.nan
+    with pytest.raises(NumericError, match="eigenpair residual nan"):
+        hill._kernel_vector(odd, float(evals[0]), float(np.max(np.abs(evals))),
+                            _odd_kernel_start(prof))
 
 
 def test_spectrum_reads_no_eigenvector(capsys, monkeypatch):
@@ -284,6 +363,22 @@ def test_spectrum_reads_no_eigenvector(capsys, monkeypatch):
     assert calls == []
     hill.spectrum_report("L1", *waves.build_wave(TWO_PI, 2.0, 128))
     assert calls == []
+
+
+def test_spectrum_makes_one_solve_per_kernel_vector(capsys, monkeypatch):
+    # one inverse-iteration LU for the kernel vector of each operator
+    calls = []
+    exact = np.linalg.solve
+
+    def counted(matrix, rhs):
+        calls.append(len(matrix))
+        return exact(matrix, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    assert cli.main(["spectrum", "--omega", "2", "--N", "128"]) == 0
+    capsys.readouterr()
+    # L1's kernel phi' is odd (63 rows), L2's kernel phi even (65 rows)
+    assert calls == [63, 65]
 
 
 @pytest.mark.parametrize("L", [TWO_PI, 2.0 * TWO_PI])
@@ -406,13 +501,43 @@ def test_theta_slope_identity(ref_wave):
     (TWO_PI, 9.9, 100_000),
     (2.0 * TWO_PI, 2.0, 100_001),
     (1.5 * TWO_PI, 8.0 / 2.25, 100_489),
+    # near the solitary limit, 1 - m from 3.3e-8 down to 1.9e-10
+    (20.0, 1.0, 100_000),
+    (25.0, 1.0, 100_000),
+    (16.0, 2.0, 100_000),
+    (TWO_PI, 16.0, 100_000),
 ])
 def test_theta_matches_sequential_loop(L, omega, steps):
-    # the sequential loop at five times theta's steps or more has a step
-    # error far below theta's own, so it bounds theta's RK4 error
+    # the sequential loop over the full period, with a step five times
+    # shorter than theta's or less, has a step error far below theta's
+    # own, so it bounds theta's RK4 error and its half-period identity
     wp, _ = waves.build_wave(L, omega, 64)
     ref = theta_by_rk4_loop(wp, steps)
     assert abs(hill.theta_constant(wp) - ref) <= 1e-12 * abs(ref)
+
+
+def test_theta_integrates_half_a_period(ref_wave, monkeypatch):
+    # the profile is read on the half-step points of [0, L/2] alone
+    wp, _ = ref_wave
+    points = []
+    exact = hill._profile_and_slope
+
+    def counted(wave, x):
+        points.append(x)
+        return exact(wave, x)
+
+    monkeypatch.setattr(hill, "_profile_and_slope", counted)
+    hill.theta_constant(wp)
+    (x,) = points
+    assert x.size == hill._THETA_STEPS + 1
+    assert x[0] == 0.0 and x[-1] == pytest.approx(0.5 * wp.L, rel=1e-15)
+
+
+def test_theta_wronskian_check_fires_on_nan(ref_wave):
+    # a NaN frequency makes a NaN drift, which fails its bound
+    wp, _ = ref_wave
+    with pytest.raises(NumericError, match="Wronskian drift nan"):
+        hill.theta_constant(replace(wp, omega=math.nan))
 
 
 def test_theta_wronskian_check_fires(ref_wave):
