@@ -12,8 +12,10 @@ because the rotation leaves |u|, and hence its own rate, unchanged.
 Between two records the steps run in place: the field, its spectrum,
 |u|^2, the rotation angle and the rotation each live in one work buffer
 allocated per record interval.  The buffered operations round exactly
-as the array expression u exp(i h (|u|^2 + |u|^4)) does, so working in
-place changes no computed double.
+as the array expression u exp(i h (|u|^2 + |u|^4)) does, and the
+transforms call pocketfft's gufuncs directly, with the roundings of
+np.fft.fft and np.fft.ifft (see `cqnls.fourier`), so working in place
+changes no computed double.
 
 A standing wave evolves as a pure phase rotation e^{i omega t} phi, so
 stability is measured against the orbit {e^{i theta} phi}: the discrete
@@ -47,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, ConfigError, ContractError, NumericError
-from .fourier import grid, spectral_derivative, trapezoid, wavenumbers
+from .fourier import (_pocket_fft, _pocket_ifft, grid, spectral_derivative, trapezoid,
+                      wavenumbers)
 from .waves import Profile, build_wave
 
 __all__ = [
@@ -126,11 +129,14 @@ def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.nda
     # so the half closing one step and the half opening the next are exactly
     # one full rotation by the same |u|^2 + |u|^4.  The opening rotation
     # writes a fresh array; every later substep works in place on it and on
-    # buffers allocated once per call, so the input is never written
+    # buffers allocated once per call, so the input is never written.  The
+    # transforms take np.fft's scale factors: 1 forward, 1/N inverse
     if steps <= 0:
         return u
     a2, theta = np.empty(u.shape), np.empty(u.shape)
     rot, spec = np.empty(u.shape, dtype=complex), np.empty(u.shape, dtype=complex)
+    rot_re, rot_im = rot.real, rot.imag
+    fft, ifft, inv_n = _pocket_fft, _pocket_ifft, 1.0 / u.shape[-1]
 
     def rotation(v: np.ndarray, h: float) -> np.ndarray:
         # exp(i h (a2 + a2 a2)) with a2 = |v|^2, as cos + i sin of the angle,
@@ -141,15 +147,15 @@ def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.nda
         np.multiply(a2, a2, out=theta)
         np.add(theta, a2, out=theta)
         np.multiply(theta, h, out=theta)
-        np.cos(theta, out=rot.real)
-        np.sin(theta, out=rot.imag)
+        np.cos(theta, out=rot_re)
+        np.sin(theta, out=rot_im)
         return rot
 
     u = u * rotation(u, 0.5 * dt)
     for step in range(steps):
-        np.fft.fft(u, out=spec)
+        fft(u, 1.0, out=spec)
         spec *= kernel
-        np.fft.ifft(spec, out=u)
+        ifft(spec, inv_n, out=u)
         u *= rotation(u, dt if step < steps - 1 else 0.5 * dt)
     return u
 

@@ -6,6 +6,14 @@ Fourier coefficients by (i k)^order; the circulant second-derivative
 column holds the closed-form entries of trigonometric interpolation
 (Trefethen, Spectral Methods in MATLAB, ch. 3), mirrored so that the
 matrix it defines is exactly symmetric.
+
+The split-step loop of `cqnls.evolve` transforms through `_pocket_fft`
+and `_pocket_ifft`, pocketfft's complex transforms as numpy's gufuncs,
+called as f(a, fct, out=buffer) along the last axis.  `np.fft.fft` and
+`np.fft.ifft` reach the same gufuncs after their per-call argument
+handling, with fct = 1 forward and fct = 1/N (one rounded division)
+inverse, so direct calls with those factors round exactly as the public
+functions do.  Everything else here calls the public functions.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.fft._pocketfft_umath import fft as _pocket_fft, ifft as _pocket_ifft
 
 from .errors import ConfigError
 

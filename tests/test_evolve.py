@@ -129,6 +129,31 @@ def test_in_place_advance_matches_allocating_oracle(ref_wave):
             assert np.array_equal(_bits(u), _bits(before)), (name, steps)
 
 
+def test_split_steps_bypass_the_public_fft(monkeypatch, ref_wave):
+    # the step loop calls pocketfft's gufuncs itself: with np.fft.fft and
+    # np.fft.ifft made to raise, it still runs and matches the oracle
+    _, prof = ref_wave
+    rng = np.random.default_rng(37)
+    fields = {
+        "even": prof.phi.astype(complex)
+        + 1e-2 * evolve.perturbation_shape("bump", TWO_PI, prof.N),
+        "rows": 0.5 * (rng.standard_normal((3, prof.N))
+                       + 1j * rng.standard_normal((3, prof.N))),
+    }
+    dt = 5e-4
+    kernel = np.exp(-1j * dt * fourier.wavenumbers(TWO_PI, prof.N) ** 2)
+    refs = {name: advance_by_allocation(u, kernel, dt, 15) for name, u in fields.items()}
+
+    def public_transform(*args, **kwargs):
+        raise AssertionError("np.fft called inside the split-step loop")
+
+    monkeypatch.setattr(np.fft, "fft", public_transform)
+    monkeypatch.setattr(np.fft, "ifft", public_transform)
+    for name, u in fields.items():
+        out = evolve._advance(u, kernel, dt, 15)
+        assert np.array_equal(_bits(out), _bits(refs[name])), name
+
+
 # (t_end, dt): 1234 steps over 200 intervals of 6 or 7; 50 steps, fewer
 # than the 200 records; 2000 steps at the CLI's default dt, 200 equal
 # intervals of 10

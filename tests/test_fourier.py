@@ -79,6 +79,28 @@ def test_cached_multiplier_is_read_only():
             mult[1] = 0.0
 
 
+@pytest.mark.parametrize("N", [64, 256, 512, 250])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["field", "rows"])
+def test_pocketfft_gufuncs_match_the_public_transforms(N, shape):
+    # evolve's split-step loop calls the gufuncs directly, into its work
+    # buffers (the gufuncs need out=: their signature leaves the output
+    # length free) and with the scale factors np.fft passes them; a numpy
+    # that changes their signature or scaling must fail here rather than
+    # shift every evolved field
+    rng = np.random.default_rng(N)
+    a = rng.standard_normal(shape + (N,)) + 1j * rng.standard_normal(shape + (N,))
+    assert 1.0 / N == np.reciprocal(N, dtype=float)
+    for gufunc, public, fct in ((fourier._pocket_fft, np.fft.fft, 1.0),
+                                (fourier._pocket_ifft, np.fft.ifft, 1.0 / N)):
+        ref = public(a)
+        direct, public_out = np.empty_like(a), np.empty_like(a)
+        assert gufunc(a, fct, out=direct) is direct
+        assert public(a, out=public_out) is public_out
+        for got in (direct, public_out):
+            assert got.shape == ref.shape and got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), (public.__name__, shape, N)
+
+
 def test_matrix_matches_fft_route():
     L, N = 7.3, 64
     x = fourier.grid(L, N)
