@@ -109,14 +109,20 @@ def omega_threshold(L: float) -> float:
     omega > omega_threshold(L).  With s = sqrt(4 omega + 1), min_period
     is 2 pi / sqrt(s (s - 1)), so s (s - 1) = r = (2 pi / L)^2 and the
     threshold is (s - 1)(s + 1)/4 with s - 1 = 2 r / (1 + sqrt(1 + 4 r)).
+    DomainError unless L is positive and finite, and where the threshold,
+    about (pi / L)^2, leaves double range (L below about 4.7e-154, where
+    (s - 1)(s + 1) overflows).
     """
-    if L <= 0:
-        raise DomainError(f"period must be positive, got L={L}")
+    if not 0.0 < L < math.inf:
+        raise DomainError(f"period must be positive and finite, got L={L}")
     # s - 1 divided through by sqrt(r) = 1 / y: no cancellation, and no
     # square of y or 1 / y to overflow or underflow at either end of L
     y = L / (2.0 * math.pi)
-    s_minus_1 = 2.0 / y / (y + math.hypot(y, 2.0))
-    return s_minus_1 * (s_minus_1 + 2.0) / 4.0
+    s_minus_1 = 2.0 / y / (y + math.hypot(y, 2.0)) if y > 0.0 else math.inf
+    threshold = s_minus_1 * (s_minus_1 + 2.0) / 4.0
+    if threshold == math.inf:
+        raise DomainError(f"the threshold frequency of period L={L} exceeds double range")
+    return threshold
 
 
 def min_period(omega: float) -> float:
@@ -127,8 +133,8 @@ def min_period(omega: float) -> float:
     the opposite (solitary) end, so a period-L wave exists precisely when
     L exceeds this value.
     """
-    if omega <= 0:
-        raise DomainError(f"frequency must be positive, got omega={omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got omega={omega}")
     # s (s - 1) with s - 1 = 4 omega / (s + 1), which stays positive (and
     # accurate) where s rounds to 1
     s = math.sqrt(4.0 * omega + 1.0)
@@ -137,8 +143,8 @@ def min_period(omega: float) -> float:
 
 def alpha_bounds(omega: float) -> tuple[float, float]:
     """Open interval of admissible squared amplitudes at frequency omega."""
-    if omega <= 0:
-        raise DomainError(f"frequency must be positive, got omega={omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got omega={omega}")
     lo = 2.0 * omega / (math.sqrt(1.0 + 4.0 * omega) + 1.0)  # (sqrt(1 + 4 omega) - 1)/2
     hi = 12.0 * omega / (math.sqrt(48.0 * omega + 9.0) + 3.0)  # (sqrt(48 omega + 9) - 3)/4
     return lo, hi
@@ -150,19 +156,31 @@ def _q_poly(alpha: float, omega: float) -> float:
 
 
 def b_threshold(omega: float) -> float:
-    """Lower end of the admissible window (b_threshold, 0) of the constant B."""
-    if omega <= 0:
-        raise DomainError(f"frequency must be positive, got omega={omega}")
-    return (1.0 - (4.0 * omega + 1.0) ** 1.5 + 6.0 * omega) / 12.0
+    """Lower end of the admissible window (b_threshold, 0) of the constant B.
+
+    b_from_alpha at the equilibrium root alpha_bounds(omega)[0], where the
+    two upper roots merge; accurate also at small omega, where the closed
+    form (1 - (4 omega + 1)^(3/2) + 6 omega)/12 cancels.
+    """
+    return b_from_alpha(alpha_bounds(omega)[0], omega)
 
 
 def b_from_alpha(alpha: float, omega: float) -> float:
     """Integration constant pinned by one root alpha of the quadrature cubic."""
-    return -alpha * omega + alpha**3 / 3.0 + alpha**2 / 2.0
+    try:
+        return -alpha * omega + alpha**3 / 3.0 + alpha**2 / 2.0
+    except OverflowError:  # alpha^3 overflows a double beyond omega ~ 3e205
+        raise DomainError(f"frequency omega={omega} is out of double-precision reach") from None
 
 
 def roots_from_alpha3(alpha3: float, omega: float) -> tuple[float, float]:
-    """Remaining cubic roots (alpha1 < 0, alpha2 in (0, alpha3)) for a given alpha3."""
+    """Remaining cubic roots (alpha1 < 0, alpha2 in (0, alpha3)) for a given alpha3.
+
+    DomainError outside the open interval alpha_bounds(omega).  Inside it,
+    where rounding breaks alpha1 < 0 < alpha2 < alpha3, the level set sits
+    at a degenerate limit (alpha2 -> 0 at the solitary end, alpha2 ->
+    alpha3 at the equilibrium end) and DegenerateError is raised.
+    """
     lo, hi = alpha_bounds(omega)
     if not lo < alpha3 < hi:
         raise DomainError(
@@ -173,7 +191,7 @@ def roots_from_alpha3(alpha3: float, omega: float) -> tuple[float, float]:
     alpha1 = -(root + 2.0 * alpha3 + 3.0) / 4.0
     alpha2 = (root - 2.0 * alpha3 - 3.0) / 4.0
     if not alpha1 < 0.0 < alpha2 < alpha3:
-        raise DomainError(
+        raise DegenerateError(
             f"root ordering failed at alpha3={alpha3!r}, omega={omega}: "
             f"{alpha1!r}, {alpha2!r}"
         )
@@ -255,8 +273,8 @@ def _log_gap_newton(fdf, lo, hi):
     log 1/(hi - x), so it is almost linear in t = log(hi - x) and Newton in
     t converges in a few steps from the midpoint.  Each evaluated point
     shrinks the bracket [a, b] in which f changes sign.  A trial that
-    leaves the bracket, is not finite, or fails in the domain (DomainError,
-    DegenerateError) is replaced by the bracket's midpoint.  Stops when a
+    leaves the bracket or is not finite is replaced by the bracket's
+    midpoint; an exception raised by fdf propagates.  Stops when a
     Newton step is at most 4 ulp (and returns that last Newton point) or
     when the bracket is at most 1e-14 wide (and returns the last evaluated
     point).  Endpoints are never evaluated (callers guarantee f < 0 near lo
@@ -282,14 +300,7 @@ def _log_gap_newton(fdf, lo, hi):
             return trial if inside else x
         if b - a <= 1e-14:
             return x
-        if inside:
-            try:
-                fx, dfx = fdf(trial)
-                x = trial
-                continue
-            except (DomainError, DegenerateError):
-                pass
-        x = 0.5 * (a + b)
+        x = trial if inside else 0.5 * (a + b)
         fx, dfx = fdf(x)
     return x
 
@@ -300,8 +311,10 @@ def solve_alpha3(L: float, omega: float) -> float:
     The period map is strictly increasing on the admissible interval, so
     a bracketed Newton iteration in log(hi - alpha3) with the closed-form
     slope is safe; it takes about five period evaluations.  A trial point
-    outside the bracket or outside the numerical domain becomes a
-    bisection step.
+    outside the bracket becomes a bisection step.  A point whose level set
+    is degenerate (DegenerateError from the roots or the modulus cut) is
+    classified by its nearer bound, below L at the equilibrium end and
+    above it at the solitary end, and shrinks the bracket like any other.
     """
     if L <= 0:
         raise DomainError(f"period must be positive, got L={L}")
@@ -309,10 +322,13 @@ def solve_alpha3(L: float, omega: float) -> float:
         raise DomainError(f"period and frequency must be finite, got L={L}, omega={omega}")
     tl = min_period(omega)
     if tl >= L:
+        try:
+            need = f"omega > omega_threshold(L)={omega_threshold(L):.6g}"
+        except DomainError:  # at tiny L the threshold leaves double range
+            need = "a frequency beyond double range"
         raise NoSolutionError(
             f"no period-{L} wave at omega={omega}: the minimal attainable period "
-            f"is {tl:.6g}; waves of this period require omega > "
-            f"omega_threshold(L)={omega_threshold(L):.6g}"
+            f"is {tl:.6g}; waves of this period require {need}"
         )
     lo, hi = alpha_bounds(omega)
 
@@ -463,7 +479,12 @@ def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
 
 
 def _validate_wave_params(wp: WaveParams) -> None:
-    """Check root identities and admissibility bounds; ContractError on failure."""
+    """Check the root identities, beta_sq > 0 and the B window; ContractError on failure.
+
+    The other admissibility bounds are checked where the parameters are
+    made: alpha3 in alpha_bounds by roots_from_alpha3, m in (0, 1) by the
+    degeneracy cut of _level, and g > 0 wherever its square root exists.
+    """
     a1, a2, a3, w = wp.alpha1, wp.alpha2, wp.alpha3, wp.omega
     residuals = [
         ("root sum", abs(a1 + a2 + a3 + 1.5), 1e-12),
@@ -473,15 +494,8 @@ def _validate_wave_params(wp: WaveParams) -> None:
     for name, err, tol in residuals:
         if not err <= tol:
             raise ContractError(f"{name} residual {err!r} exceeds {tol}")
-    lo, hi = alpha_bounds(w)
-    if not lo < a3 < hi:
-        raise ContractError(f"alpha3={a3!r} escaped the admissible interval")
-    if not 0.0 < wp.m < 1.0:
-        raise ContractError(f"modulus m={wp.m!r} outside (0, 1)")
     if not wp.beta_sq > 0.0:
         raise ContractError(f"beta_sq={wp.beta_sq!r} must be positive")
-    if not wp.g > 0.0:
-        raise ContractError(f"width parameter g={wp.g!r} must be positive")
     if not b_threshold(w) < wp.B < 0.0:
         raise ContractError(f"B={wp.B!r} outside ({b_threshold(w)!r}, 0)")
 
@@ -529,8 +543,8 @@ def quadrature_residual(prof: Profile, wp: WaveParams) -> tuple[float, float]:
 
 def solitary_profile(omega: float, x):
     """Solitary profile on the line, the infinite-period limit of the family."""
-    if omega <= 0:
-        raise DomainError(f"frequency must be positive, got omega={omega}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(f"frequency must be positive and finite, got omega={omega}")
     xa = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         # cosh overflow gives den = inf and a correct zero tail

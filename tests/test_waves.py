@@ -67,8 +67,12 @@ def test_min_period_tiny_frequency():
 
 
 def test_threshold_tiny_period():
-    # (2 pi / L)^2 overflows here; the threshold grows without bound instead
-    assert waves.omega_threshold(1e-300) == math.inf
+    # the threshold is about (pi / L)^2; its product (s - 1)(s + 1) leaves
+    # double range below L ~ 4.7e-154
+    assert waves.omega_threshold(4.7e-154) == pytest.approx((math.pi / 4.7e-154) ** 2)
+    for L in (4.6e-154, 1e-300, 5e-324):
+        with pytest.raises(DomainError, match="exceeds double range"):
+            waves.omega_threshold(L)
 
 
 def test_threshold_inverts_min_period():
@@ -110,6 +114,24 @@ def test_b_threshold_matches_lower_bound():
         assert waves.b_threshold(omega) == pytest.approx(
             waves.b_from_alpha(lo, omega), rel=1e-13)
         assert waves.b_threshold(omega) < 0.0
+    # the closed form (1 - (4 omega + 1)^(3/2) + 6 omega)/12 at 50 digits:
+    # about -omega^2/2 at small omega, where evaluating it in doubles cancels
+    with mpmath.workdps(50):
+        for omega in (1e-10, 1e-8, 1e-6, 1e-2, 2.0, 10.0, 1e100, 1e200):
+            w = mpmath.mpf(omega)
+            exact = (1 - (4 * w + 1) ** mpmath.mpf(1.5) + 6 * w) / 12
+            assert abs(waves.b_threshold(omega) - exact) <= 1e-15 * abs(exact), omega
+
+
+@pytest.mark.parametrize("call", [
+    lambda: waves.b_threshold(1e206),
+    # in range at its threshold, alpha^3 overflows inside the level-set solve
+    lambda: waves.period_of_B(-1.0, 2.6e205),
+], ids=["b_threshold", "period_of_B"])
+def test_level_constant_beyond_double_reach_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="out of double-precision reach") as info:
+        call()
+    assert type(info.value) is DomainError
 
 
 def test_roots_vieta_identities():
@@ -134,6 +156,10 @@ def test_roots_domain_errors():
     for bad in (lo, hi, lo - 0.1, hi + 0.1, 0.0):
         with pytest.raises(DomainError):
             waves.roots_from_alpha3(bad, 2.0)
+    # inside the interval, a point of the (182.5, 0.04319) solve just below
+    # the solitary bound 0.08190744677518064, where alpha2 rounds to 0
+    with pytest.raises(DegenerateError, match="root ordering failed"):
+        waves.roots_from_alpha3(0.08190744677518062, 0.04319)
 
 
 def test_modulus_range_and_degenerate_cut():
@@ -261,6 +287,17 @@ def test_solve_matches_bisection_with_few_period_evaluations(monkeypatch):
         assert calls["_period_and_slope"] <= 10, (L, omega, calls)
 
 
+def test_small_frequency_solve_beyond_reach_stays_in_the_bracket(monkeypatch):
+    # near the solitary bound at small omega the level set's root order breaks
+    # before the modulus cut; those points are classified like the cut and
+    # shrink the bracket, so the solve ends in the attained-period check
+    calls = {}
+    _count_calls(monkeypatch, waves, "_period_and_slope", calls)
+    with pytest.raises(DegenerateError, match="out of numerical reach"):
+        waves.solve_alpha3(182.50, 0.04319)
+    assert calls["_period_and_slope"] <= 50, calls
+
+
 @pytest.mark.parametrize("L, omega", [(200.0, 2.0), (1000.0, 0.5), (TWO_PI, 0.1)])
 def test_solve_fails_like_bisection(L, omega):
     with pytest.raises(CqnlsError) as ref:
@@ -333,6 +370,34 @@ def test_build_wave_degenerate_limits():
         waves.build_wave(200.0, 2.0, 64)
     with pytest.raises(DegenerateError):
         waves.solve_alpha3(1000.0, 0.5)
+
+
+def _reach_cell(L, omega):
+    # what build_wave gives at (L, omega): how close to the solitary end the
+    # wave sits, or the class of the error that stops it
+    try:
+        wp, _ = waves.build_wave(L, omega, 64)
+    except CqnlsError as exc:
+        return type(exc).__name__
+    return f"1 − m = {1.0 - wp.m:.1e}"
+
+
+def _reach_tables():
+    factors = (1.01, 1.5, 3.0, 10.0)
+    lines = ["| ω | " + " | ".join(f"L = {f:g} min_period" for f in factors) + " |",
+             "|---" * (len(factors) + 1) + "|"]
+    for omega in (1e-6, 1e-5, 5.6e-5, 1e-4, 1e-2, 1.0, 10.0):
+        cells = [_reach_cell(f * waves.min_period(omega), omega) for f in factors]
+        lines.append(f"| {omega:g} | " + " | ".join(cells) + " |")
+    lines += ["", "| L | ω | build_wave |", "|---|---|---|"]
+    for L, omega in ((40.0, 1.0), (200.0, 2.0), (1000.0, 0.5)):
+        lines.append(f"| {L:g} | {omega:g} | {_reach_cell(L, omega)} |")
+    return "\n".join(lines)
+
+
+def test_readme_reach_table_matches_build_wave():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert _reach_tables() in readme, _reach_tables()
 
 
 def test_profile_extremes_and_symmetry(ref_wave):
