@@ -23,7 +23,7 @@ for kind in ("L1", "L2"):
     print(f"{kind}: lowest eigenvalues")
     for j in range(5):
         lam = rep.eigenvalues[j]
-        marks = [rep.parity[j]]
+        marks = ["even" if rep.even[j] else "odd"]
         if j == rep.zero_index:
             marks.append("kernel")
         print(f"  lambda_{j} = {lam:+14.9f}   {', '.join(marks)}")

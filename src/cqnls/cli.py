@@ -217,10 +217,12 @@ def _run_curve(config: argparse.Namespace) -> _Report:
 def _run_spectrum(config: argparse.Namespace) -> _Report:
     wp, prof = build_wave(config.L, _scalar_omega(config), config.N)
     reports = {kind: spectrum_report(kind, wp, prof) for kind in ("L1", "L2")}
+    labels = {kind: np.where(rep.even[:10], "even", "odd").tolist()
+              for kind, rep in reports.items()}
     fields = {
         kind: {
             "eigenvalues_low": rep.eigenvalues[:10].tolist(),
-            "parity_low": list(rep.parity[:10]),
+            "parity_low": labels[kind],
             "n_negative": rep.n_negative,
             "zero_index": rep.zero_index,
             "zero_match_error": rep.zero_match_error,
@@ -229,7 +231,7 @@ def _run_spectrum(config: argparse.Namespace) -> _Report:
         for kind, rep in reports.items()
     }
     fields["combined"] = asdict(combined_counts(reports["L1"], reports["L2"]))
-    rows = [[kind, idx, float(rep.eigenvalues[idx]), rep.parity[idx]]
+    rows = [[kind, idx, float(rep.eigenvalues[idx]), labels[kind][idx]]
             for kind, rep in reports.items() for idx in range(10)]
     return _Report(_SPECTRUM_COLUMNS, rows, fields=fields)
 

@@ -192,11 +192,9 @@ def perturbation_shape(kind: str, L: float, N: int, seed: int = 0) -> np.ndarray
     mode_cos1 is the lowest cosine mode; bump is a smooth even bump
     centered on the wave crest; random_even draws uniform coefficients
     for cosine modes 1..10 from a seeded generator.  ConfigError unless L
-    is positive and the grid's top wavenumber pi N / L squares to a double.
+    is positive and 2 pi L and the grid's top wavenumber pi N / L squared
+    are finite doubles (fourier.grid's check).
     """
-    top = math.pi * N / L if 0.0 < L < math.inf else math.inf
-    if not top * top < math.inf:
-        raise ConfigError(f"period must be positive with (pi N / L)^2 finite, got L={L}")
     x = grid(L, N)
     if kind == "mode_cos1":
         p = np.cos(2.0 * math.pi * x / L)

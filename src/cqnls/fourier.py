@@ -1,7 +1,9 @@
 """Fourier pseudospectral utilities on uniform periodic grids.
 
 All routines assume N equispaced samples x_j = j L / N of an L-periodic
-function (right endpoint excluded).  Differentiation acts by multiplying
+function (right endpoint excluded); every routine that takes L raises
+ConfigError unless L is positive and 2 pi L and the top wavenumber
+pi N / L squared are finite doubles.  Differentiation acts by multiplying
 Fourier coefficients by (i k)^order; the circulant second-derivative
 column holds the closed-form entries of trigonometric interpolation
 (Trefethen, Spectral Methods in MATLAB, ch. 3), mirrored so that the
@@ -19,6 +21,7 @@ functions do.  Everything else here calls the public functions.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.fft._pocketfft_umath import fft as _pocket_fft, ifft as _pocket_ifft
@@ -34,13 +37,29 @@ __all__ = [
 ]
 
 
+def _check_period(L: float, N: int) -> None:
+    """ConfigError unless L > 0 and 2 pi L and (pi N / L)^2 are finite doubles.
+
+    A finite 2 pi L keeps every phase 2 pi x / L with x < L finite;
+    pi N / L is the grid's top wavenumber.
+    """
+    # Python floats: an overflow is inf, never a numpy warning
+    L = float(L)
+    top = math.pi * float(N) / L if 0.0 < L and 2.0 * math.pi * L < math.inf else math.inf
+    if not top * top < math.inf:
+        raise ConfigError(
+            f"period must be positive with 2 pi L and (pi N / L)^2 finite, got L={L}")
+
+
 def grid(L: float, N: int) -> np.ndarray:
     """Uniform periodic grid x_j = j L / N, j = 0 .. N-1."""
+    _check_period(L, N)
     return (L / N) * np.arange(N)
 
 
 def wavenumbers(L: float, N: int) -> np.ndarray:
     """Signed wavenumbers 2 pi j / L in FFT ordering."""
+    _check_period(L, N)
     return 2.0 * np.pi * np.fft.fftfreq(N, d=L / N)
 
 
@@ -60,6 +79,7 @@ def spectral_derivative(values, L: float, order: int = 1) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _multiplier(L: float, N: int, order: int, real: bool) -> np.ndarray:
     """(i k)^order on the rfft (real) or fft wavenumbers, read-only."""
+    _check_period(L, N)
     if real:
         k = 2.0 * np.pi * np.fft.rfftfreq(N, d=L / N)
     else:
@@ -75,6 +95,7 @@ def second_derivative_column(L: float, N: int) -> np.ndarray:
     """Even first column c of the circulant matrix D2[i, j] = c[(i - j) mod N]."""
     if N % 2 != 0 or N <= 0:
         raise ConfigError(f"differentiation matrix needs even positive N, got {N}")
+    _check_period(L, N)
     h = 2.0 * np.pi / N
     # evaluate d = 1 .. N/2 once and mirror, col[N - d] = col[d], so the
     # matrix is exactly symmetric, circulant and reflection invariant

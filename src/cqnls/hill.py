@@ -19,8 +19,10 @@ second-derivative column, read as sliding windows, never from the N x N
 matrix.  A report solves eigenvalues only, checked per block against
 the trace and the Frobenius norm, plus the one kernel vector, found by
 one inverse-iteration solve on its block started from the analytic
-kernel element; no other eigenvector is ever solved for.  Every
-tolerance check fails on NaN.  The curve module gets
+kernel element, and matched against that element in the block's
+coordinates; no other eigenvector is ever solved for and no report
+leaves the blocks.  Parity is a boolean mask on the merged spectrum.
+Every tolerance check fails on NaN.  The curve module gets
 its tangent from L1 inverted on the even block alone: a sweep solves
 all its points as rows, one LU per row of the shared folded -D2, with
 the residuals of all rows checked in one pass.  Oscillation
@@ -65,7 +67,6 @@ __all__ = [
 ]
 
 _KINDS = ("L1", "L2")
-_SYMMETRY_TOL = 1e-10  # sym_eig rejects matrices less symmetric than this
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
 _IDENTITY_TOL = 1e-12  # trace and Frobenius identity bound (rounding reads <= 4e-16)
 _SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
@@ -79,22 +80,24 @@ class SpectrumReport:
     """Spectrum of one operator with parity and kernel bookkeeping.
 
     The eigenvalues are solved on the even and odd blocks of the operator
-    and merged, so parity[i] ("even" or "odd") is the block eigenvalue i
-    came from and holds by construction; eigenvalues are ascending.
-    trace_defect and frobenius_defect are the larger of the two blocks'
-    |sum lambda - tr B| / sum |lambda| and |sum lambda^2 - ||B||_F^2| /
-    ||B||_F^2.  zero_match_error compares the unit-normalized zero
-    eigenvector, the one eigenvector a report solves for, against the
-    analytic kernel element (phi' for L1, phi for L2), ignoring overall
-    sign, and kernel_residual is that eigenpair's ||B v - lambda v|| /
-    ||B||; both are NaN when no eigenvalue falls inside the zero
-    tolerance.
+    and merged, so even[i] (a boolean array) says whether eigenvalue i came
+    from the even block, and holds by construction; eigenvalues are
+    ascending.  trace_defect and frobenius_defect are the larger of the
+    two blocks' |sum lambda - tr B| / sum |lambda| and |sum lambda^2 -
+    ||B||_F^2| / ||B||_F^2.  zero_match_error is min ||v -+ s|| in the
+    block's own coordinates, v the unit zero eigenvector (the one
+    eigenvector a report solves for) and s the analytic kernel element
+    (phi' for L1, phi for L2) folded onto that block and normalized; the
+    fold is orthonormal, so this is the grid comparison up to the
+    element's wrong-parity rounding part.  kernel_residual is that
+    eigenpair's ||B v - lambda v|| / ||B||; both are NaN when no
+    eigenvalue falls inside the zero tolerance.
     """
 
     kind: str
     wp: WaveParams
     eigenvalues: np.ndarray
-    parity: tuple
+    even: np.ndarray
     n_negative: int
     zero_index: int | None
     zero_match_error: float
@@ -132,10 +135,10 @@ def sym_eig(matrix):
     """Eigenvalues of a real symmetric matrix, checked against two identities.
 
     Returns (eigenvalues ascending, trace_defect, frobenius_defect).  A
-    nonfinite entry is a NumericError.  An exactly symmetric matrix (the
-    parity blocks are, by construction) is solved as it is; any other is
-    rejected above a 1e-10 symmetry defect and symmetrized, which leaves
-    an exactly symmetric one unchanged.  The whole spectrum must
+    nonfinite entry is a NumericError.  The matrix must be exactly
+    symmetric or it is a ContractError naming its largest defect; the
+    parity blocks are, by construction, and are solved as they are, so
+    no eigenvalue passes through a symmetrization.  The whole spectrum must
     reproduce the trace and the Frobenius norm: |sum lambda - tr M| /
     sum |lambda| and |sum lambda^2 - ||M||_F^2| / ||M||_F^2 each at most
     1e-12, both O(n^2) to check.
@@ -145,18 +148,13 @@ def sym_eig(matrix):
         raise ConfigError(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise NumericError("matrix has a nonfinite entry")
-    sym = mat
     if not np.array_equal(mat, mat.T):
-        defect = float(np.max(np.abs(mat - mat.T)))
-        if not defect <= _SYMMETRY_TOL:
-            raise ContractError(
-                f"matrix symmetry defect {defect:.3e} exceeds {_SYMMETRY_TOL}"
-            )
-        sym = 0.5 * (mat + mat.T)
-    evals = np.linalg.eigvalsh(sym)
+        raise ContractError(
+            f"matrix is not symmetric: defect {np.max(np.abs(mat - mat.T)):.3e}")
+    evals = np.linalg.eigvalsh(mat)
     tiny = np.finfo(float).tiny
-    frob2 = float(np.vdot(sym, sym))
-    trace_defect = abs(float(np.sum(evals)) - float(np.trace(sym))) / max(
+    frob2 = float(np.vdot(mat, mat))
+    trace_defect = abs(float(np.sum(evals)) - float(np.trace(mat))) / max(
         float(np.sum(np.abs(evals))), tiny)
     frob_defect = abs(float(evals @ evals) - frob2) / max(frob2, tiny)
     if not (trace_defect <= _IDENTITY_TOL and frob_defect <= _IDENTITY_TOL):
@@ -240,19 +238,15 @@ def _folded(pot: np.ndarray) -> np.ndarray:
     return 0.5 * (pot[..., head] + pot[..., -head])
 
 
-def _unfold(half: np.ndarray, even: bool) -> np.ndarray:
-    """Grid values P v of parity-basis coefficients, along the last axis.
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """Grid values P v of even-basis coefficients, along the last axis.
 
-    half holds the coefficients on indices 0 .. N/2, an odd vector with
-    zeros at 0 and N/2; value j > N/2 repeats value N - j, negated when
-    the vector is odd.
+    half holds the coefficients on indices 0 .. N/2; value j > N/2
+    repeats value N - j.
     """
     N = 2 * (half.shape[-1] - 1)
     j = np.arange(N)
-    grid = (_fold(N) * half)[..., np.minimum(j, N - j)]
-    if not even:
-        grid[..., N // 2 + 1:] *= -1.0
-    return grid
+    return (_fold(N) * half)[..., np.minimum(j, N - j)]
 
 
 def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
@@ -280,7 +274,7 @@ def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
     half = np.empty((len(phi), N // 2 + 1))
     for row, (v, b) in enumerate(zip(_folded(pot), rhs[:, :N // 2 + 1] / weight)):
         half[row] = np.linalg.solve(_plus_diagonal(even, v), b)
-    u = _unfold(half, True)
+    u = _unfold(half)
     resid = -spectral_derivative(u, L, order=2) + pot * u - rhs
     worst = np.max(np.abs(resid), axis=-1).tolist()
     scale = np.max(np.abs(rhs), axis=-1).tolist()
@@ -300,43 +294,37 @@ def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:
     tol_zero = 1e-6 * max(1.0, wp.omega)
     half = prof.N // 2
     blocks = _parity_blocks(kind, wp, prof)
-    (even_vals, even_trace, even_frob), (odd_vals, odd_trace, odd_frob) = map(sym_eig, blocks)
-    evals = np.concatenate([even_vals, odd_vals])
+    vals, trace_defects, frob_defects = zip(*map(sym_eig, blocks))
+    evals = np.concatenate(vals)
     order = np.argsort(evals, kind="stable")
     evals = evals[order]
-    parity = tuple(np.where(order <= half, "even", "odd").tolist())
+    even = order <= half
 
     n_negative = int(np.sum(evals < -tol_zero))
     near = np.flatnonzero(np.abs(evals) <= tol_zero)
     zero_index, zero_match, kernel_residual = None, math.nan, math.nan
     if near.size:
         zero_index = int(near[np.argmin(np.abs(evals[near]))])
-        even = bool(order[zero_index] <= half)
-        block, block_vals = (blocks[0], even_vals) if even else (blocks[1], odd_vals)
-        rows = slice(None) if even else slice(1, half)
+        odd = int(not even[zero_index])  # blocks[1] drops grid indices 0 and N/2
         kernel = prof.dphi if kind == "L1" else prof.phi
+        start = (kernel[:half + 1] / _fold(prof.N))[odd:half + 1 - odd]
         vec, kernel_residual = _kernel_vector(
-            block, float(evals[zero_index]), float(np.max(np.abs(block_vals))),
-            (kernel[:half + 1] / _fold(prof.N))[rows])
-        coef = np.zeros(half + 1)
-        coef[rows] = vec
-        vec = _unfold(coef, even)
-        khat = kernel / np.linalg.norm(kernel)
-        zero_match = float(min(np.linalg.norm(vec - khat),
-                               np.linalg.norm(vec + khat)))
+            blocks[odd], float(evals[zero_index]), float(np.max(np.abs(vals[odd]))), start)
+        start /= np.linalg.norm(start)
+        zero_match = float(min(np.linalg.norm(vec - start), np.linalg.norm(vec + start)))
 
     return SpectrumReport(
         kind=kind,
         wp=wp,
         eigenvalues=evals,
-        parity=parity,
+        even=even,
         n_negative=n_negative,
         zero_index=zero_index,
         zero_match_error=zero_match,
         kernel_residual=kernel_residual,
         tol_zero=tol_zero,
-        trace_defect=max(even_trace, odd_trace),
-        frobenius_defect=max(even_frob, odd_frob),
+        trace_defect=max(trace_defects),
+        frobenius_defect=max(frob_defects),
     )
 
 
@@ -356,7 +344,7 @@ def combined_counts(r1: SpectrumReport, r2: SpectrumReport) -> CombinedCounts:
     n_neg_even = 0
     zero_even = 0
     for rep in (r1, r2):
-        even = rep.eigenvalues[np.array(rep.parity, dtype=object) == "even"]
+        even = rep.eigenvalues[rep.even]
         n_neg_even += int(np.sum(even < -rep.tol_zero))
         zero_even += int(np.sum(np.abs(even) <= rep.tol_zero))
     return CombinedCounts(int(n_negative), zero_mult, n_neg_even, zero_even)

@@ -27,6 +27,7 @@ one pass, as rows of one array, with build_wave's checks on each row.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,9 @@ __all__ = [
 # then numerically indistinguishable from the constant equilibrium (m -> 0)
 # or from the solitary wave (m -> 1).
 _M_DEGENERATE = 1e-14
+# below this omega, 48 omega + 9 (alpha_bounds' hi, the first closed form
+# in omega to overflow) is a finite double: omega ~ 3.745e306
+_OMEGA_MAX = sys.float_info.max / 48.0
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,13 @@ def omega_threshold(L: float) -> float:
     return threshold
 
 
+def _frequency_error(omega: float) -> DomainError:
+    """The error for an omega outside (0, _OMEGA_MAX)."""
+    if 0.0 < omega < math.inf:
+        return DomainError(f"frequency omega={omega} is out of double-precision reach")
+    return DomainError(f"frequency must be positive and finite, got omega={omega}")
+
+
 def min_period(omega: float) -> float:
     """Infimum of attainable periods at frequency omega.
 
@@ -133,8 +144,8 @@ def min_period(omega: float) -> float:
     the opposite (solitary) end, so a period-L wave exists precisely when
     L exceeds this value.
     """
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"frequency must be positive and finite, got omega={omega}")
+    if not 0.0 < omega < _OMEGA_MAX:
+        raise _frequency_error(omega)
     # s (s - 1) with s - 1 = 4 omega / (s + 1), which stays positive (and
     # accurate) where s rounds to 1
     s = math.sqrt(4.0 * omega + 1.0)
@@ -143,8 +154,8 @@ def min_period(omega: float) -> float:
 
 def alpha_bounds(omega: float) -> tuple[float, float]:
     """Open interval of admissible squared amplitudes at frequency omega."""
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"frequency must be positive and finite, got omega={omega}")
+    if not 0.0 < omega < _OMEGA_MAX:
+        raise _frequency_error(omega)
     lo = 2.0 * omega / (math.sqrt(1.0 + 4.0 * omega) + 1.0)  # (sqrt(1 + 4 omega) - 1)/2
     hi = 12.0 * omega / (math.sqrt(48.0 * omega + 9.0) + 3.0)  # (sqrt(48 omega + 9) - 3)/4
     return lo, hi
@@ -543,8 +554,8 @@ def quadrature_residual(prof: Profile, wp: WaveParams) -> tuple[float, float]:
 
 def solitary_profile(omega: float, x):
     """Solitary profile on the line, the infinite-period limit of the family."""
-    if not 0.0 < omega < math.inf:
-        raise DomainError(f"frequency must be positive and finite, got omega={omega}")
+    if not 0.0 < omega < _OMEGA_MAX:
+        raise _frequency_error(omega)
     xa = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         # cosh overflow gives den = inf and a correct zero tail

@@ -11,7 +11,10 @@ entries are references instead: theta_by_rk4_loop is the RK4 integration of
 hill.theta_constant written out stage by stage, run with more steps to
 bound its step error, and alpha3_by_bisection and period_of_B_by_bisection
 keep the former bisection solves that waves.solve_alpha3 and
-waves.period_of_B replaced by a bracketed Newton iteration, and
+waves.period_of_B replaced by a bracketed Newton iteration,
+zero_match_by_grid_lift keeps the former zero match of
+hill.spectrum_report, which lifted the block kernel vector to the grid
+and compared it there, and
 spectrum_by_eager_lift keeps the former body of hill.spectrum_report,
 which solved every block eigenpair with eigh, lifted every eigenvector
 to the grid and checked the full N x N Gram matrix; the library solves
@@ -363,8 +366,8 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
 def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
     """Former hill.spectrum_report: eigh per block, every eigenvector lifted.
 
-    Returns the eigenvalues, the scaled grid eigenvectors, the parity
-    labels, the zero index, the zero match error and the largest
+    Returns the eigenvalues, the scaled grid eigenvectors, the even-block
+    mask, the zero index, the zero match error and the largest
     |V^T V - I| entry of the N x N Gram matrix of the unit grid columns.
     """
     tol_zero = 1e-6 * max(1.0, wp.omega)
@@ -395,11 +398,44 @@ def spectrum_by_eager_lift(kind: str, wp, prof) -> dict:
     return {
         "eigenvalues": evals,
         "eigenvectors": evecs * math.sqrt(prof.N / prof.L),
-        "parity": tuple("even" if i <= half else "odd" for i in order),
+        "even": order <= half,
         "zero_index": zero_index,
         "zero_match_error": zero_match,
         "gram_defect": float(np.max(np.abs(gram))),
     }
+
+
+def zero_match_by_grid_lift(kind: str, wp, prof) -> float:
+    """Former hill.spectrum_report zero match: the kernel vector compared on the grid.
+
+    The block kernel vector is zero-padded to indices 0 .. N/2, lifted to
+    the grid (values j > N/2 repeat value N - j, negated for the odd
+    block) and matched against the grid-normalized analytic element,
+    ignoring sign.  NaN when no eigenvalue falls inside the zero tolerance.
+    """
+    tol_zero = 1e-6 * max(1.0, wp.omega)
+    N, half = prof.N, prof.N // 2
+    kernel = prof.dphi if kind == "L1" else prof.phi
+    weight = hill._fold(N)
+    best = None
+    for block, rows, sign in zip(hill._parity_blocks(kind, wp, prof),
+                                 (slice(None), slice(1, half)), (1.0, -1.0)):
+        evals = hill.sym_eig(block)[0]
+        near = evals[np.abs(evals) <= tol_zero]
+        if near.size and (best is None or np.min(np.abs(near)) < abs(best[0])):
+            best = (float(near[np.argmin(np.abs(near))]), block, rows, sign, evals)
+    if best is None:
+        return math.nan
+    lam, block, rows, sign, evals = best
+    vec = hill._kernel_vector(block, lam, float(np.max(np.abs(evals))),
+                              (kernel[:half + 1] / weight)[rows])[0]
+    coef = np.zeros(half + 1)
+    coef[rows] = vec
+    j = np.arange(N)
+    lifted = (weight * coef)[np.minimum(j, N - j)]
+    lifted[half + 1:] *= sign
+    khat = kernel / np.linalg.norm(kernel)
+    return float(min(np.linalg.norm(lifted - khat), np.linalg.norm(lifted + khat)))
 
 
 def folded_d2_by_fancy_index(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:

@@ -154,7 +154,7 @@ def test_linearized_spectra_have_stated_structure(ref_wave, ref_spectra):
     ok = (r1.n_negative == 1
           and r1.zero_index is not None
           and abs(r1.eigenvalues[r1.zero_index]) <= 1e-6 * wp.omega
-          and r1.parity[r1.zero_index] == "odd"
+          and not r1.even[r1.zero_index]
           and r1.zero_match_error <= 1e-4
           and r2.n_negative == 0
           and r2.zero_index == 0

@@ -1,10 +1,13 @@
 """Seeded census: every entry point ends in a finite value or a typed error.
 
-Inputs range over the whole double line, log-uniform on [1e-300, 1e300],
-plus non-finite, signed-zero and subnormal values and draws from the
-working range.  Each call must return finite values (checked recursively
-through tuples, arrays and report dataclasses) or raise a CqnlsError; the
-suite's filterwarnings = error turns any numpy warning into a failure.
+Inputs range over the whole double line, log-uniform on [1e-300, 1e300]
+and on its top [1e300, 1.7e308], plus non-finite, signed-zero and
+subnormal values and draws from the working range.  Each call must return
+finite values (checked recursively through tuples, arrays and report
+dataclasses) or raise a CqnlsError; the suite's filterwarnings = error
+turns any numpy warning into a failure.  The command line gets its own
+census over all seven subcommands, which must end in a documented exit
+code with no traceback.
 """
 
 import dataclasses
@@ -13,7 +16,7 @@ import random
 
 import numpy as np
 
-from cqnls import curve_sample, hill, run_stability, waves
+from cqnls import cli, curve_sample, evolve, fourier, hill, run_stability, waves
 from cqnls.errors import CqnlsError
 
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, -1.0, 1.0, 2.0,
@@ -47,10 +50,21 @@ def _log_uniform(rng):
     return 10.0 ** rng.uniform(-300.0, 300.0)
 
 
-def _draws(seed, wild, working):
-    """(L, omega, B) triples: wild log-uniform draws, specials, working range."""
+def _top(rng):
+    # the top of double range, 1e300 .. 1.7e308
+    return 10.0 ** rng.uniform(300.0, math.log10(1.7e308))
+
+
+def _draws(seed, wild, working, top=0):
+    """(L, omega, B) triples: wild log-uniform draws, specials, working range.
+
+    top further triples draw each entry from the top of double range or
+    log-uniformly, at even odds.
+    """
     rng = random.Random(seed)
     draws = [(_log_uniform(rng), _log_uniform(rng), -_log_uniform(rng)) for _ in range(wild)]
+    draws += [tuple(sign * rng.choice((_top, _log_uniform))(rng) for sign in (1, 1, -1))
+              for _ in range(top)]
     draws += [(a, b, -abs(b)) for a in SPECIAL for b in SPECIAL]
     for _ in range(working):
         omega = 10.0 ** rng.uniform(-6.0, 3.0)
@@ -60,7 +74,7 @@ def _draws(seed, wild, working):
 
 
 def test_scalar_entry_points_end_in_finite_values_or_typed_errors():
-    for L, omega, B in _draws(18, wild=3000, working=300):
+    for L, omega, B in _draws(18, wild=3000, working=300, top=300):
         threshold = _outcome(waves.omega_threshold, L)
         assert threshold is None or threshold >= 0.0, (L, threshold)
         T_min = _outcome(waves.min_period, omega)
@@ -74,6 +88,28 @@ def test_scalar_entry_points_end_in_finite_values_or_typed_errors():
         assert T is None or T > 0.0, (B, omega, T)
         alpha3 = _outcome(waves.solve_alpha3, L, omega)
         assert alpha3 is None or bounds[0] < alpha3 < bounds[1], (L, omega, alpha3)
+        # any x but NaN: a NaN position is a NaN sample
+        peak = _outcome(waves.solitary_profile, omega, 0.0 if math.isnan(L) else L)
+        assert peak is None or peak >= 0.0, (omega, L, peak)
+
+
+def test_period_helpers_end_in_finite_values_or_typed_errors():
+    # the fourier and evolve routines that take a period L, on a fixed
+    # smooth field of unit size: every L is checked, never the field
+    N = 64
+    x = 2.0 * math.pi * np.arange(N) / N
+    f = 0.5 + np.cos(x) + 0.25 * np.sin(3.0 * x)
+    for L, _, _ in _draws(33, wild=600, working=60, top=300):
+        _outcome(fourier.grid, L, N)
+        _outcome(fourier.wavenumbers, L, N)
+        _outcome(fourier.spectral_derivative, f, L)
+        _outcome(fourier.spectral_derivative, f.astype(complex), L, 2)
+        _outcome(fourier.second_derivative_column, L, N)
+        norm = _outcome(evolve.h1_norm, L, f)
+        assert norm is None or norm > 0.0, (L, norm)
+        _outcome(evolve.energy, L, f.astype(complex))
+        for kind in ("mode_cos1", "bump", "random_even"):
+            _outcome(evolve.perturbation_shape, kind, L, N)
 
 
 def _spectrum(kind, wave):
@@ -99,3 +135,74 @@ def test_wave_consumers_end_in_finite_values_or_typed_errors():
         _outcome(hill.theta_constant, wave[0])
     # the census reaches the consumers of a wave, not only its rejections
     assert built >= 5
+
+
+# census values, mixed into the CLI draws with working ones
+CLI_SPECIAL = ("nan", "inf", "-inf", "0.0", "-0.0", "1e-320", "1e+300", "1.7e+308")
+CLI_WORKING = {
+    "L": ("6.283185307179586", "9.42477796076938", "10.0"),
+    "omega": ("2.0", "0.75", "8.0"),
+    "N": ("64", "128"),
+    "delta": ("0.001", "0.0"),
+    "perturbation": ("mode_cos1", "bump", "random_even"),
+    "seed": ("0", "7"),
+    "format": ("csv", "json"),
+    "output": ("-",),
+}
+# bad values a flag can take besides the census ones
+CLI_BAD = {"N": ("0", "-64", "96"), "delta": ("-0.001",), "perturbation": ("wedge",),
+           "seed": ("-1",), "omega": ("3.0:1.0:3", "1:2:1", "1:2", "1.5:3.0:3")}
+SWEEPS = ("1.5:3.0:3", "0.5:9.0:4", "7.99:8.0:2")  # working omega of curve and audit
+
+
+def _cli_argv(rng, subcommand, unwritable):
+    """One argv: every flag the subcommand reads, with up to two bad values.
+
+    A bad value is a census value, a flag's own bad value or, for
+    --output, the unwritable path.  Caps that keep a run short: N <= 128,
+    t_end / dt <= 2000, sweep counts <= 4.  Every value is passed as
+    --flag=value, so that one starting with a minus sign reaches the
+    library.
+    """
+    flags = cli._SUBCOMMANDS[subcommand].flags
+    values = {flag: rng.choice(CLI_WORKING[flag]) for flag in flags
+              if flag not in ("dt", "t_end")}
+    if subcommand in ("curve", "audit") and rng.random() < 0.5:
+        values["omega"] = rng.choice(SWEEPS)
+    if "dt" in flags:
+        values["dt"] = repr(rng.uniform(1e-3, 1e-2))
+        values["t_end"] = repr(rng.uniform(1e-3, 1.0))
+    for flag in rng.sample(sorted(values), rng.choice((0, 1, 1, 2))):
+        bad = str(unwritable) if flag == "output" else rng.choice(
+            CLI_SPECIAL + CLI_BAD.get(flag, ()))
+        values[flag] = bad
+    if "dt" in flags:
+        dt, t_end = float(values["dt"]), float(values["t_end"])
+        if dt != 0.0 and 2000.0 < t_end / dt < math.inf:
+            values["t_end"] = repr(dt * rng.uniform(1.0, 2000.0))
+    return [subcommand] + [f"--{flag.replace('_', '-')}={value}"
+                           for flag, value in values.items()]
+
+
+def test_cli_runs_end_in_documented_exit_codes(tmp_path, capsys):
+    """Seeded argv over all seven subcommands: exit 0, 1, 2, 64 or 74, no traceback.
+
+    Values mix the census values (NaN, +-inf, +-0, 1e-320, 1e300, 1.7e308)
+    with working ones; one output path lies in a directory that does not
+    exist.  Caps, to stay near a second: N <= 128, t_end / dt <= 2000 and
+    sweep counts <= 4.
+    """
+    unwritable = tmp_path / "missing" / "report.txt"
+    rng = random.Random(27)
+    codes = {}
+    for _ in range(240):
+        argv = _cli_argv(rng, rng.choice(sorted(cli._SUBCOMMANDS)), unwritable)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 64, 74), (argv, code, err)
+        assert "Traceback" not in out + err, argv
+        assert code != 74 or "cannot write" in err, (argv, err)
+        codes[code] = codes.get(code, 0) + 1
+    # every outcome is reached, working runs among them
+    assert set(codes) == {0, 1, 2, 64, 74}, codes
+    assert not unwritable.parent.exists()

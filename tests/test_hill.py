@@ -25,6 +25,7 @@ from oracles import (
     sign_changes,
     spectrum_by_eager_lift,
     theta_by_rk4_loop,
+    zero_match_by_grid_lift,
 )
 
 # leading eigenvalues at (L, omega, N) = (2 pi, 2, 256), frozen
@@ -94,21 +95,21 @@ def test_sym_eig_identity_check_fires_on_nan(monkeypatch):
         hill.sym_eig([[2.0, 1.0], [1.0, 2.0]])
 
 
-def test_sym_eig_exact_symmetry_matches_perturbed_route():
-    # an exactly symmetric matrix is solved as it is, a 1e-13 asymmetry is
-    # symmetrized first; both agree, and the exact one matches the
-    # symmetrized route bit for bit
+def test_sym_eig_solves_exact_symmetry_and_rejects_skew():
+    # an exactly symmetric matrix is solved as it is, bit for bit; a
+    # 1e-13 asymmetry is a ContractError naming the defect, never
+    # symmetrized
     rng = np.random.default_rng(7)
     a = rng.standard_normal((60, 60))
     mat = a + a.T
     assert np.array_equal(mat, mat.T)
+    evals, trace_defect, frob_defect = hill.sym_eig(mat)
+    assert np.array_equal(evals, np.linalg.eigvalsh(mat))
+    assert max(trace_defect, frob_defect) <= 1e-12
     skew = mat.copy()
     skew[3, 17] += 1e-13
-    evals, trace_defect, frob_defect = hill.sym_eig(mat)
-    skew_vals = hill.sym_eig(skew)[0]
-    assert np.array_equal(evals, np.linalg.eigvalsh(0.5 * (mat + mat.T)))
-    assert np.max(np.abs(evals - skew_vals)) <= 1e-12
-    assert max(trace_defect, frob_defect) <= 1e-12
+    with pytest.raises(ContractError, match="not symmetric: defect 1.0"):
+        hill.sym_eig(skew)
 
 
 @pytest.mark.parametrize("N", [64, 256, 512])
@@ -162,10 +163,10 @@ def test_amplitude_channel_structure(ref_wave, ref_spectra):
     assert r1.eigenvalues[0] == pytest.approx(L1_LOW[0], rel=1e-12)
     assert r1.eigenvalues[2] == pytest.approx(L1_LOW[2], rel=1e-11)
     # even nodeless ground state; odd kernel with exactly two sign changes
-    assert r1.parity[0] == "even"
-    assert r1.parity[1] == "odd"
+    assert r1.even[0]
+    assert not r1.even[1]
     ref = spectrum_by_eager_lift("L1", *ref_wave)
-    assert ref["parity"][:2] == r1.parity[:2]
+    assert np.array_equal(ref["even"][:2], r1.even[:2])
     assert sign_changes(ref["eigenvectors"][:, 0]) == 0
     assert sign_changes(ref["eigenvectors"][:, 1]) == 2
 
@@ -180,9 +181,9 @@ def test_phase_channel_structure(ref_wave, ref_spectra):
         assert got == pytest.approx(frozen, rel=1e-6, abs=1e-9)
     assert r2.eigenvalues[1] == pytest.approx(L2_LOW[1], rel=1e-11)
     # ground state is the positive profile itself
-    assert r2.parity[0] == "even"
+    assert r2.even[0]
     ref = spectrum_by_eager_lift("L2", *ref_wave)
-    assert ref["parity"][0] == "even"
+    assert ref["even"][0]
     vec = ref["eigenvectors"][:, 0]
     assert np.all(vec > 0) or np.all(vec < 0)
     # the rest of the spectrum stays bounded away from zero
@@ -191,12 +192,12 @@ def test_phase_channel_structure(ref_wave, ref_spectra):
 
 def test_spectra_parity_is_pure(ref_spectra):
     for rep in ref_spectra:
-        assert set(rep.parity) <= {"even", "odd"}
+        assert rep.even.dtype == bool and rep.even.shape == rep.eigenvalues.shape
         # the reflection splits N grid points into N/2 + 1 even and
         # N/2 - 1 odd basis functions
         N = rep.eigenvalues.size
-        assert rep.parity.count("even") == N // 2 + 1
-        assert rep.parity.count("odd") == N // 2 - 1
+        assert np.count_nonzero(rep.even) == N // 2 + 1
+        assert np.count_nonzero(~rep.even) == N // 2 - 1
 
 
 def _reflection_signs(vecs):
@@ -215,8 +216,8 @@ def _assert_same_parity(rep, ref):
     # eigvalsh and eigh may order a near-degenerate cos/sin pair
     # differently, and only such a pair
     scale = np.max(np.abs(ref["eigenvalues"]))
-    assert rep.parity[:10] == ref["parity"][:10]
-    for i in np.flatnonzero(np.array(rep.parity) != np.array(ref["parity"])):
+    assert np.array_equal(rep.even[:10], ref["even"][:10])
+    for i in np.flatnonzero(rep.even != ref["even"]):
         gap = np.min(np.abs(np.delete(rep.eigenvalues, i) - rep.eigenvalues[i]))
         assert gap <= 1e-14 * scale
 
@@ -232,7 +233,7 @@ def test_parity_blocks_match_full_solve(kind, omega, N):
     # the labels are the reflection parities of the block eigenvectors
     ref = spectrum_by_eager_lift(*op)
     _assert_same_parity(rep, ref)
-    expected = [1 if label == "even" else -1 for label in ref["parity"]]
+    expected = np.where(ref["even"], 1, -1).tolist()
     assert _reflection_signs(ref["eigenvectors"]) == expected
 
 
@@ -284,11 +285,11 @@ def test_degenerate_spectrum_splits_into_parity_blocks(ref_wave):
     N, L = flat.N, flat.L
     for kind in ("L1", "L2"):
         rep = hill.spectrum_report(kind, wp, flat)
-        assert rep.parity.count("even") == N // 2 + 1
-        assert rep.parity.count("odd") == N // 2 - 1
+        assert np.count_nonzero(rep.even) == N // 2 + 1
+        assert np.count_nonzero(~rep.even) == N // 2 - 1
         ref = spectrum_by_eager_lift(kind, wp, flat)
         _assert_same_parity(rep, ref)
-        expected = [1 if label == "even" else -1 for label in ref["parity"]]
+        expected = np.where(ref["even"], 1, -1).tolist()
         assert _reflection_signs(ref["eigenvectors"]) == expected
         modes = np.concatenate([np.arange(N // 2 + 1), np.arange(1, N // 2)])
         exact = np.sort(wp.omega + (2.0 * math.pi * modes / L) ** 2)
@@ -317,6 +318,19 @@ def test_block_form_matches_eager_lift(kind, omega, N, flat):
         assert rep.kernel_residual <= 1e-14
     assert max(rep.trace_defect, rep.frobenius_defect) <= 1e-14
     assert ref["gram_defect"] <= 1e-10
+
+
+@pytest.mark.parametrize("L, omega, N", [
+    (TWO_PI, 2.0, 256), (TWO_PI, 8.0, 512), (1.5 * TWO_PI, 7.11, 512),
+    (2.0 * TWO_PI, 0.1875, 512)])
+@pytest.mark.parametrize("kind", ["L1", "L2"])
+def test_block_zero_match_agrees_with_grid_lift(kind, L, omega, N):
+    # the fold is orthonormal, so matching in block coordinates differs
+    # from the former grid comparison only by the analytic element's
+    # wrong-parity rounding part, measured <= 1.3e-14
+    wave = waves.build_wave(L, omega, N)
+    rep = hill.spectrum_report(kind, *wave)
+    assert abs(rep.zero_match_error - zero_match_by_grid_lift(kind, *wave)) <= 1e-13
 
 
 def _odd_kernel_start(prof):
@@ -389,7 +403,7 @@ def test_spectral_corners_match_eager_route(L, s):
     reports = {kind: hill.spectrum_report(kind, *wave) for kind in ("L1", "L2")}
     for kind, rep in reports.items():
         ref = spectrum_by_eager_lift(kind, *wave)
-        assert rep.parity[:10] == ref["parity"][:10]
+        assert np.array_equal(rep.even[:10], ref["even"][:10])
         assert rep.zero_index == ref["zero_index"]
         assert rep.n_negative == int(np.sum(ref["eigenvalues"] < -rep.tol_zero))
     counts = hill.combined_counts(reports["L1"], reports["L2"])
