@@ -147,6 +147,9 @@ def _sample_rows(L: float, omegas, N: int) -> list:
     """
     entries, phi, dphi = _wave_rows(L, omegas, N)
     wps = [wp for _, wp in _live(entries)]
+    if not wps:
+        # no wave: a period that no wave has need not be a valid grid period
+        return entries
     # per row: mass, p4, p6, inv2 by quadrature and in closed form, dphi2, ratio2
     ints = np.stack([
         *(trapezoid(f, L) for f in (phi**2, phi**4, phi**6, phi**-2.0)),
@@ -155,9 +158,6 @@ def _sample_rows(L: float, omegas, N: int) -> list:
     ], axis=-1)
     errors = [_integral_error(wp, *row[:5]) for wp, row in zip(wps, ints.tolist())]
     phi, ints = _drop_failed(entries, errors, phi, ints)
-    if not len(phi):
-        # no wave left: the grid operators need not exist at this period
-        return entries
 
     # the curve's tangent: L1 dphi/domega = -phi on the even block
     omega = np.array([wp.omega for _, wp in _live(entries)])

@@ -191,9 +191,9 @@ def perturbation_shape(kind: str, L: float, N: int, seed: int = 0) -> np.ndarray
 
     mode_cos1 is the lowest cosine mode; bump is a smooth even bump
     centered on the wave crest; random_even draws uniform coefficients
-    for cosine modes 1..10 from a seeded generator.  ConfigError unless L
-    is positive and 2 pi L and the grid's top wavenumber pi N / L squared
-    are finite doubles (fourier.grid's check).
+    for cosine modes 1..10 from a seeded generator.  ConfigError unless
+    N >= 1, L is positive and 2 pi L and the grid's top wavenumber pi N / L
+    squared are finite doubles (fourier.grid's check).
     """
     x = grid(L, N)
     if kind == "mode_cos1":

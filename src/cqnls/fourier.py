@@ -2,12 +2,12 @@
 
 All routines assume N equispaced samples x_j = j L / N of an L-periodic
 function (right endpoint excluded); every routine that takes L raises
-ConfigError unless L is positive and 2 pi L and the top wavenumber
-pi N / L squared are finite doubles.  Differentiation acts by multiplying
-Fourier coefficients by (i k)^order; the circulant second-derivative
-column holds the closed-form entries of trigonometric interpolation
-(Trefethen, Spectral Methods in MATLAB, ch. 3), mirrored so that the
-matrix it defines is exactly symmetric.
+ConfigError unless N >= 1, L is positive and 2 pi L and the top
+wavenumber pi N / L squared are finite doubles.  Differentiation acts by
+multiplying Fourier coefficients by (i k)^order; the circulant
+second-derivative column holds the closed-form entries of trigonometric
+interpolation (Trefethen, Spectral Methods in MATLAB, ch. 3), mirrored so
+that the matrix it defines is exactly symmetric.
 
 The split-step loop of `cqnls.evolve` transforms through `_pocket_fft`
 and `_pocket_ifft`, pocketfft's complex transforms as numpy's gufuncs,
@@ -38,11 +38,13 @@ __all__ = [
 
 
 def _check_period(L: float, N: int) -> None:
-    """ConfigError unless L > 0 and 2 pi L and (pi N / L)^2 are finite doubles.
+    """ConfigError unless N >= 1, L > 0 and 2 pi L and (pi N / L)^2 are finite doubles.
 
     A finite 2 pi L keeps every phase 2 pi x / L with x < L finite;
     pi N / L is the grid's top wavenumber.
     """
+    if not N >= 1:
+        raise ConfigError(f"grid size must be at least 1, got N={N!r}")
     # Python floats: an overflow is inf, never a numpy warning
     L = float(L)
     top = math.pi * float(N) / L if 0.0 < L and 2.0 * math.pi * L < math.inf else math.inf
@@ -71,9 +73,11 @@ def spectral_derivative(values, L: float, order: int = 1) -> np.ndarray:
     """
     v = np.asarray(values)
     N = v.shape[-1]
-    if np.isrealobj(v):
-        return np.fft.irfft(np.fft.rfft(v) * _multiplier(L, N, order, True), n=N)
-    return np.fft.ifft(np.fft.fft(v) * _multiplier(L, N, order, False))
+    real = np.isrealobj(v)
+    mult = _multiplier(L, N, order, real)  # checks L and N before any transform
+    if real:
+        return np.fft.irfft(np.fft.rfft(v) * mult, n=N)
+    return np.fft.ifft(np.fft.fft(v) * mult)
 
 
 @functools.lru_cache(maxsize=8)
@@ -114,6 +118,7 @@ def trapezoid(values, L: float):
     2-D array gives the array of its rows' integrals.
     """
     v = np.asarray(values)
+    _check_period(L, v.shape[-1])
     total = v.sum(axis=-1) * (L / v.shape[-1])
     if v.ndim > 1:
         return total

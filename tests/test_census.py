@@ -95,21 +95,31 @@ def test_scalar_entry_points_end_in_finite_values_or_typed_errors():
 
 def test_period_helpers_end_in_finite_values_or_typed_errors():
     # the fourier and evolve routines that take a period L, on a fixed
-    # smooth field of unit size: every L is checked, never the field
-    N = 64
-    x = 2.0 * math.pi * np.arange(N) / N
-    f = 0.5 + np.cos(x) + 0.25 * np.sin(3.0 * x)
+    # smooth field of unit size: every L is checked, never the field.  One
+    # draw in three puts N at -1 or 0 (an empty field), where every routine
+    # must raise ConfigError
+    rng = random.Random(34)
     for L, _, _ in _draws(33, wild=600, working=60, top=300):
-        _outcome(fourier.grid, L, N)
-        _outcome(fourier.wavenumbers, L, N)
-        _outcome(fourier.spectral_derivative, f, L)
-        _outcome(fourier.spectral_derivative, f.astype(complex), L, 2)
-        _outcome(fourier.second_derivative_column, L, N)
+        N = rng.choice((64, 64, 64, 64, -1, 0))
+        x = 2.0 * math.pi * np.arange(max(N, 0)) / 64
+        f = 0.5 + np.cos(x) + 0.25 * np.sin(3.0 * x)
+        mass = _outcome(evolve.mass, L, f.astype(complex))
         norm = _outcome(evolve.h1_norm, L, f)
+        assert mass is None or mass > 0.0, (L, mass)
         assert norm is None or norm > 0.0, (L, norm)
-        _outcome(evolve.energy, L, f.astype(complex))
-        for kind in ("mode_cos1", "bump", "random_even"):
-            _outcome(evolve.perturbation_shape, kind, L, N)
+        values = [
+            mass, norm,
+            _outcome(fourier.grid, L, N),
+            _outcome(fourier.wavenumbers, L, N),
+            _outcome(fourier.spectral_derivative, f, L),
+            _outcome(fourier.spectral_derivative, f.astype(complex), L, 2),
+            _outcome(fourier.second_derivative_column, L, N),
+            _outcome(fourier.trapezoid, f, L),
+            _outcome(evolve.energy, L, f.astype(complex)),
+            *(_outcome(evolve.perturbation_shape, kind, L, N)
+              for kind in ("mode_cos1", "bump", "random_even")),
+        ]
+        assert N >= 1 or all(v is None for v in values), (L, N, values)
 
 
 def _spectrum(kind, wave):

@@ -51,6 +51,13 @@ def test_construct_reports_attained_period(capsys, omega):
     assert 0.0 <= json.loads(out)["residuals"]["period_rel_residual"] <= 1e-10
 
 
+def test_construct_at_a_large_frequency(capsys):
+    L = 1.5 * waves.min_period(5000.0)
+    code, out, err = _run(capsys, "construct", "--omega", "5000", "--L", repr(L))
+    assert code == 0 and err == ""
+    assert json.loads(out)["wave"]["omega"] == 5000.0
+
+
 def test_construct_csv(capsys):
     code, out, err = _run(capsys, "construct", "--omega", "2",
                           "--format", "csv")

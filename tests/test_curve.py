@@ -9,7 +9,7 @@ import pytest
 
 from cqnls import curve, elliptic, waves
 from cqnls.curve import CurveSample
-from cqnls.errors import ConfigError, DomainError, NoSolutionError
+from cqnls.errors import ConfigError, ContractError, DomainError, NoSolutionError
 
 from conftest import SWEEP, TWO_PI
 from oracles import curve_sample_by_point
@@ -111,6 +111,15 @@ def test_sweep_at_a_period_without_waves_keeps_its_rows():
     assert all(isinstance(e, NoSolutionError) for e in entries)
     assert [str(e).split(":")[0] for e in entries] == [
         "no period-1e-160 wave at omega=2.0", "no period-1e-160 wave at omega=3.0"]
+
+
+def test_sweep_whose_integrals_all_fail_keeps_its_rows(monkeypatch):
+    # every point built a wave but fails its integral checks: the empty
+    # batch runs through the even-block solve and the quadrature at a valid
+    # period without warning or error, and each point keeps its failure
+    failure = ContractError("integrals rejected")
+    monkeypatch.setattr(curve, "_integral_error", lambda *row: failure)
+    assert curve.sample_curve(TWO_PI, [1.0, 2.0], 64) == [failure, failure]
 
 
 def test_sweep_isolated_points_carry_exact_rates():

@@ -461,6 +461,17 @@ def test_stability_config_errors():
                              t_end=1.0, dt=1e-3, N=256)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: evolve.run_stability(TWO_PI, 2.0, 1e-3, "bump", 0.01, 1e-3, N=0),
+    lambda: evolve.h1_norm(TWO_PI, np.empty(0)),
+    lambda: evolve.mass(math.nan, np.ones(8, dtype=complex)),
+    lambda: evolve.mass(-1.0, np.ones(8, dtype=complex)),
+])
+def test_empty_grids_and_bad_periods_are_config_errors(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
 def test_stability_checks_perturbation_name_first():
     # the name is checked even without a kick, and before any wave is built
     with pytest.raises(ConfigError, match="perturbation kind"):

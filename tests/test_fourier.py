@@ -140,6 +140,22 @@ def test_matrix_rejects_bad_sizes():
         second_derivative_matrix(1.0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fourier.grid(TWO_PI, 0),
+    lambda: fourier.grid(TWO_PI, -1),
+    lambda: fourier.wavenumbers(TWO_PI, 0),
+    lambda: fourier.spectral_derivative(np.empty(0), TWO_PI),
+    lambda: fourier.trapezoid(np.empty(0), TWO_PI),
+    lambda: fourier.trapezoid(np.ones(8), math.inf),
+    lambda: fourier.trapezoid(np.ones(8), math.nan),
+    lambda: fourier.trapezoid(np.ones(8), -1.0),
+])
+def test_empty_grids_and_bad_periods_are_config_errors(call):
+    # N >= 1 is checked with L, before any division by N or transform
+    with pytest.raises(ConfigError):
+        call()
+
+
 def test_trapezoid_spectral_accuracy():
     L, N = TWO_PI, 48
     x = fourier.grid(L, N)

@@ -151,6 +151,49 @@ def test_roots_vieta_identities():
             assert waves.b_from_alpha(a2, omega) == pytest.approx(B, abs=1e-10)
 
 
+def _b_terms(alpha, omega):
+    # the terms of b_from_alpha(alpha, omega)
+    return (-alpha * omega, alpha**3 / 3.0, alpha**2 / 2.0)
+
+
+def _root_identity_residuals(wp):
+    """Root sum, pair sum, product and B via alpha1, each over its largest term.
+
+    B enters the last two through b_from_alpha, so its terms count among
+    theirs: B itself is a small difference of them near the solitary end.
+    """
+    a1, a2, a3, w, B = wp.alpha1, wp.alpha2, wp.alpha3, wp.omega, wp.B
+    identities = (
+        (a1 + a2 + a3 + 1.5, (a1, a2, a3, 1.5)),
+        (a1 * a2 + a1 * a3 + a2 * a3 + 3.0 * w, (a1 * a2, a1 * a3, a2 * a3, 3.0 * w)),
+        (a1 * a2 * a3 - 3.0 * B, (a1 * a2 * a3, *(3.0 * t for t in _b_terms(a3, w)))),
+        (waves.b_from_alpha(a1, w) - B, (*_b_terms(a1, w), *_b_terms(a3, w))),
+    )
+    return [abs(r) / max(abs(t) for t in terms) for r, terms in identities]
+
+
+def test_root_identities_hold_to_rounding_across_the_reach():
+    # the roots and B are built from alpha3 by these identities, so
+    # build_wave does not recheck them; an absolute bound would reject the
+    # waves of large omega, where each term grows like omega^(3/2).  The
+    # worst relative residual, 5.7e-13, sits at omega = 1e-4, where alpha2
+    # carries the cancellation of sqrt(3 q) - 2 alpha3 - 3.  Every wave at
+    # omega >= 10 builds, 1e4, 1e6, 1e8 and 1e10 among them
+    worst, built = [0.0] * 4, 0
+    for omega in np.logspace(-4.0, 10.0, 50).tolist():
+        for f in (1.01, 1.5, 3.0, 10.0):
+            try:
+                wp, _ = waves.build_wave(f * waves.min_period(omega), omega, 64)
+            except DegenerateError:
+                # the solitary end of the reach table's last column
+                assert f == 10.0 and omega < 10.0, omega
+                continue
+            built += 1
+            worst = [max(a, b) for a, b in zip(worst, _root_identity_residuals(wp))]
+    assert built >= 180
+    assert max(worst) <= 1e-12, worst
+
+
 def test_roots_domain_errors():
     lo, hi = waves.alpha_bounds(2.0)
     for bad in (lo, hi, lo - 0.1, hi + 0.1, 0.0):
@@ -386,7 +429,7 @@ def _reach_tables():
     factors = (1.01, 1.5, 3.0, 10.0)
     lines = ["| ω | " + " | ".join(f"L = {f:g} min_period" for f in factors) + " |",
              "|---" * (len(factors) + 1) + "|"]
-    for omega in (1e-6, 1e-5, 5.6e-5, 1e-4, 1e-2, 1.0, 10.0):
+    for omega in (1e-6, 1e-5, 5.6e-5, 1e-4, 1e-2, 1.0, 10.0, 1e3, 1e4, 1e6, 1e10, 1e12):
         cells = [_reach_cell(f * waves.min_period(omega), omega) for f in factors]
         lines.append(f"| {omega:g} | " + " | ".join(cells) + " |")
     lines += ["", "| L | ω | build_wave |", "|---|---|---|"]
