@@ -134,52 +134,48 @@ def test_level_constant_beyond_double_reach_is_a_domain_error(call):
     assert type(info.value) is DomainError
 
 
+def _b_terms(alpha, omega):
+    # the terms of b_from_alpha(alpha, omega)
+    return (-alpha * omega, alpha**3 / 3.0, alpha**2 / 2.0)
+
+
+def _root_identity_residuals(a1, a2, a3, w, B):
+    """Root sum, pair sum, product and B via alpha1 and alpha2, each over its largest term.
+
+    B enters the last three through b_from_alpha, so its terms count among
+    theirs: B itself is a small difference of them near the solitary end.
+    """
+    identities = (
+        (a1 + a2 + a3 + 1.5, (a1, a2, a3, 1.5)),
+        (a1 * a2 + a1 * a3 + a2 * a3 + 3.0 * w, (a1 * a2, a1 * a3, a2 * a3, 3.0 * w)),
+        (a1 * a2 * a3 - 3.0 * B, (a1 * a2 * a3, *(3.0 * t for t in _b_terms(a3, w)))),
+        # every root pins the same integration constant
+        *((waves.b_from_alpha(a, w) - B, (*_b_terms(a, w), *_b_terms(a3, w)))
+          for a in (a1, a2)),
+    )
+    return [abs(r) / max(abs(t) for t in terms) for r, terms in identities]
+
+
 def test_roots_vieta_identities():
+    # the roots and B are built from alpha3 by these identities, so
+    # build_wave does not recheck them; an absolute bound would reject the
+    # waves of large omega, where each term grows like omega^(3/2).  Eight
+    # in-band alpha3 per SWEEP omega, then the waves of the reach: the
+    # worst relative residual, 5.7e-13, sits at omega = 1e-4, where alpha2
+    # carries the cancellation of sqrt(3 q) - 2 alpha3 - 3.  Every wave at
+    # omega >= 10 builds, 1e4, 1e6, 1e8 and 1e10 among them
     rng = np.random.default_rng(42)
+    worst = [0.0] * 5
     for omega in SWEEP:
         lo, hi = waves.alpha_bounds(omega)
         for t in rng.uniform(0.05, 0.95, 8):
             a3 = lo + t * (hi - lo)
             a1, a2 = waves.roots_from_alpha3(a3, omega)
             assert a1 < 0.0 < a2 < a3
-            B = waves.b_from_alpha(a3, omega)
-            assert abs(a1 + a2 + a3 + 1.5) <= 1e-12
-            assert abs(a1 * a2 + a1 * a3 + a2 * a3 + 3.0 * omega) <= 1e-10
-            assert abs(a1 * a2 * a3 - 3.0 * B) <= 1e-10
-            # every root pins the same integration constant
-            assert waves.b_from_alpha(a1, omega) == pytest.approx(B, abs=1e-10)
-            assert waves.b_from_alpha(a2, omega) == pytest.approx(B, abs=1e-10)
-
-
-def _b_terms(alpha, omega):
-    # the terms of b_from_alpha(alpha, omega)
-    return (-alpha * omega, alpha**3 / 3.0, alpha**2 / 2.0)
-
-
-def _root_identity_residuals(wp):
-    """Root sum, pair sum, product and B via alpha1, each over its largest term.
-
-    B enters the last two through b_from_alpha, so its terms count among
-    theirs: B itself is a small difference of them near the solitary end.
-    """
-    a1, a2, a3, w, B = wp.alpha1, wp.alpha2, wp.alpha3, wp.omega, wp.B
-    identities = (
-        (a1 + a2 + a3 + 1.5, (a1, a2, a3, 1.5)),
-        (a1 * a2 + a1 * a3 + a2 * a3 + 3.0 * w, (a1 * a2, a1 * a3, a2 * a3, 3.0 * w)),
-        (a1 * a2 * a3 - 3.0 * B, (a1 * a2 * a3, *(3.0 * t for t in _b_terms(a3, w)))),
-        (waves.b_from_alpha(a1, w) - B, (*_b_terms(a1, w), *_b_terms(a3, w))),
-    )
-    return [abs(r) / max(abs(t) for t in terms) for r, terms in identities]
-
-
-def test_root_identities_hold_to_rounding_across_the_reach():
-    # the roots and B are built from alpha3 by these identities, so
-    # build_wave does not recheck them; an absolute bound would reject the
-    # waves of large omega, where each term grows like omega^(3/2).  The
-    # worst relative residual, 5.7e-13, sits at omega = 1e-4, where alpha2
-    # carries the cancellation of sqrt(3 q) - 2 alpha3 - 3.  Every wave at
-    # omega >= 10 builds, 1e4, 1e6, 1e8 and 1e10 among them
-    worst, built = [0.0] * 4, 0
+            residuals = _root_identity_residuals(
+                a1, a2, a3, omega, waves.b_from_alpha(a3, omega))
+            worst = [max(a, b) for a, b in zip(worst, residuals)]
+    built = 0
     for omega in np.logspace(-4.0, 10.0, 50).tolist():
         for f in (1.01, 1.5, 3.0, 10.0):
             try:
@@ -189,7 +185,9 @@ def test_root_identities_hold_to_rounding_across_the_reach():
                 assert f == 10.0 and omega < 10.0, omega
                 continue
             built += 1
-            worst = [max(a, b) for a, b in zip(worst, _root_identity_residuals(wp))]
+            residuals = _root_identity_residuals(
+                wp.alpha1, wp.alpha2, wp.alpha3, wp.omega, wp.B)
+            worst = [max(a, b) for a, b in zip(worst, residuals)]
     assert built >= 180
     assert max(worst) <= 1e-12, worst
 
