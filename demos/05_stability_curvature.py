@@ -7,9 +7,10 @@ curve.  A second route expresses the same quantity through the
 quadrature level B and the inverse-square integral of the profile.
 Positivity of the curvature at every frequency closes the
 orbital-stability argument.  Both routes, and the identity audit, read
-exact rates from the tangent of the curve: one solve of
-L1 dphi/domega = -phi per frequency, no difference steps.  The sweep
-is sampled in one pass.
+exact rates from the tangent of the curve: the even solution of
+L1 dphi/domega = -phi in closed form, built for the whole sweep with
+one FFT pair, no linear solve and no difference steps.  The sweep is
+sampled in one pass.
 """
 
 import math

@@ -7,23 +7,39 @@ inv2 = int phi^-2, dphi2 = int phi'^2, ratio2 = int (phi'/phi)^2, checks
 the algebraic identities tying them together, and takes every frequency
 derivative from the tangent of the curve.
 
-Differentiating the profile equation along the curve gives
-L1 dphi/domega = -phi.  L1 is invertible on even functions (its kernel
-phi' is odd), so one solve on the even block of the grid operator gives
-the tangent, and each rate follows by quadrature or by reading the crest
-(x = 0) or trough (x = L/2) value.  The stability quantity
-d''(omega) = (1/2) d/domega int phi^2 = int phi dphi/domega then has a
-direct route and an independent one through B and inv2.
+The tangent t = dphi/domega is the even solution of L1 t = -phi (the
+kernel phi' of L1 is odd), and it has a closed form.  With psi = phi^2
+the first integral is psi'^2 = 4 psi P(psi), where
+P(psi) = -psi^3/3 - psi^2/2 + omega psi + B
+       = -(psi - alpha1)(psi - alpha2)(psi - alpha3)/3;
+taken along the curve at fixed x it gives
+psi' s' - psi'' s = 2 psi (psi + B') for s = dpsi/domega.  Its even
+periodic solution is b psi + c psi^2 plus e psi' times an antiderivative
+of 1/(psi - alpha1): the reduction to elliptic integrals (Byrd-Friedman
+1971) with its third-kind pole at the root alpha1 < 0, which psi never
+reaches.  Matching powers of psi fixes b, c, e and B'; with q1 the grid
+mean of 1/(phi^2 - alpha1) and r = 3 + 16 omega,
+
+    t = (b phi + c phi^3)/2 + e phi' J,
+    e = 2 / [8 B (4 - 3 q1)/r - 4 omega q1 + (4/3)(alpha2 + alpha3)],
+    b = -e (16 omega q1 + 6 q1 - 4)/r,    c = (4/3) e (4 - 3 q1)/r,
+
+J the zero-mean periodic antiderivative of 1/(phi^2 - alpha1), one
+rfft/irfft pair for all rows.  Each rate is a quadrature or a crest
+(x = 0) or trough (x = L/2) reading of t, and
+d''(omega) = (1/2) d/domega int phi^2 = int phi t has a second route
+through B and inv2.  The check ||(omega - D2)^-1 (L1 t + phi)|| <= 1e-8
+||(omega - D2)^-1 phi|| (max norm, one more FFT pair) reads about half
+the error of t, where the bare residual would read the grid's
+truncation times k^2.  A grid too coarse for the wave, a profile whose
+own ODE residual has grown (the solitary end) or a cancelled e fails it.
 
 curve_sample builds one point with its integrals and rates, and each
 audit below reads a CurveSample, so one build serves all of them.
 sample_curve builds a whole sweep in one pass: the period solve and the
-parameter checks run per frequency, while the profiles, integrals,
-tangent residuals and rates of every point are rows of one
-(points, N) array.  Each point's tangent comes from its own LU of the
-even block, never from a stack of all the blocks (4 MiB at 32 points
-and N = 256).  curve_sample is a sweep of one point, and a point that
-fails in a sweep is the error that curve_sample raises there.
+parameter checks run per frequency, while all grid work is rows of one
+(points, N) array.  curve_sample is a sweep of one point, and a point
+that fails in a sweep is the error that curve_sample raises there.
 
 Every frequency derivative here is a total derivative along the fixed-L
 curve unless explicitly named partial.  The documented sign expectations
@@ -42,7 +58,6 @@ import numpy as np
 from .elliptic import _complete_K_E
 from .errors import ConfigError, ContractError, CqnlsError
 from .fourier import trapezoid
-from .hill import _solve_even_rows
 from .waves import (
     WaveParams,
     _dk_dalpha,
@@ -142,8 +157,7 @@ def _sample_rows(L: float, omegas, N: int) -> list:
 
     Returns, per frequency, its CurveSample or the CqnlsError that
     curve_sample raises there: every check runs per row, in curve_sample's
-    order.  The grid work of all points shares one (points, N) array, and
-    each point's tangent comes from its own even-block LU.
+    order.
     """
     entries, phi, dphi = _wave_rows(L, omegas, N)
     wps = [wp for _, wp in _live(entries)]
@@ -156,12 +170,10 @@ def _sample_rows(L: float, omegas, N: int) -> list:
         [inv2_closed_form(wp) for wp in wps],
         *(trapezoid(f, L) for f in (dphi**2, (dphi / phi) ** 2)),
     ], axis=-1)
-    errors = [_integral_error(wp, *row[:5]) for wp, row in zip(wps, ints.tolist())]
-    phi, ints = _drop_failed(entries, errors, phi, ints)
-
-    # the curve's tangent: L1 dphi/domega = -phi on the even block
-    omega = np.array([wp.omega for _, wp in _live(entries)])
-    tangent, errors = _solve_even_rows("L1", omega, phi, L, -phi)
+    tangent, tangent_errors = _tangent_rows(wps, phi, dphi, L)
+    # a point's first failure: its integrals, then its tangent
+    errors = [_integral_error(wp, *row[:5]) or error
+              for wp, row, error in zip(wps, ints.tolist(), tangent_errors)]
     phi, tangent, ints = _drop_failed(entries, errors, phi, tangent, ints)
     rates = np.stack([
         trapezoid(phi * tangent, L),
@@ -187,6 +199,33 @@ def _sample_rows(L: float, omegas, N: int) -> list:
             dp4=dp4, dp6=dp6, dinv2=dinv2, d2_dd=d2,
         )
     return entries
+
+
+def _tangent_rows(wps: list, phi: np.ndarray, dphi: np.ndarray,
+                  L: float) -> tuple[np.ndarray, list]:
+    """The closed-form tangent of each row, and per row its check's error or None."""
+    N = phi.shape[-1]
+    k = 2.0 * math.pi * np.fft.rfftfreq(N, d=L / N)
+    # J from 1/(i k) on the rfft modes, the mean and Nyquist modes dropped
+    to_J = np.concatenate(([0.0], -1j / k[1:-1], [0.0]))
+    w, a1, a23, B = np.array([(wp.omega, wp.alpha1, wp.alpha2 + wp.alpha3, wp.B)
+                              for wp in wps]).reshape(-1, 4).T[..., None]
+    phi2 = phi * phi
+    pole = 1.0 / (phi2 - a1)
+    q1 = np.mean(pole, axis=-1, keepdims=True)
+    r = 3.0 + 16.0 * w
+    e = 2.0 / (8.0 * B * (4.0 - 3.0 * q1) / r - 4.0 * w * q1 + (4.0 / 3.0) * a23)
+    b = -e * (16.0 * w * q1 + 6.0 * q1 - 4.0) / r
+    c = (4.0 / 3.0) * e * (4.0 - 3.0 * q1) / r
+    J = np.fft.irfft(np.fft.rfft(pole) * to_J, n=N)
+    t = 0.5 * (b * phi + c * phi * phi2) + e * dphi * J
+    # (omega - D2)^-1 phi and (omega - D2)^-1 (phi - (3 phi^2 + 5 phi^4) t)
+    both = np.fft.irfft(np.fft.rfft(np.stack([phi, phi - (3.0 + 5.0 * phi2) * phi2 * t]))
+                        / (w + k * k), n=N)
+    scaled = np.max(np.abs(t + both[1]), axis=-1) / np.max(np.abs(both[0]), axis=-1)
+    return t, [None if x <= 1e-8 else ContractError(
+        f"tangent residual {x:.3e} exceeds 1e-8 of (omega - D2)^-1 phi")
+        for x in scaled.tolist()]
 
 
 def _integral_error(wp: WaveParams, mass, p4, p6, inv2_quad, inv2) -> ContractError | None:

@@ -37,7 +37,8 @@ and invalid operations, so a field that overflows between records
 turns into inf or NaN silently, and the record check alone reports the
 failure, as a BlowupError.  The drifts of mass and energy compare the
 last record with the initial field.  A field is a plain complex array
-on the grid.
+on the grid.  A run takes at most 1e8 steps (about half an hour at
+N = 256); a larger count is a ConfigError.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ _PERTURBATIONS = ("mode_cos1", "bump", "random_even")
 _PARITY_TOL = 1e-8  # max evenness defect tolerated during a stability run
 _BLOWUP_FACTOR = 1e3  # amplitude cap, in multiples of the wave's
 _RECORDS = 200  # record intervals per run (fewer if the run has fewer steps)
+_MAX_STEPS = 10**8  # split steps per run
 # a run overflows to inf or NaN silently; its record check reports that
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 
@@ -225,9 +227,9 @@ def _trajectory(
 ) -> Iterator[tuple[float, np.ndarray]]:
     # (t, u) at t = 0 and at the end of every record interval of the
     # schedule in the module docstring, with its checks after each interval
-    # finite t_end and dt can still give an infinite step count t_end / dt
-    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf and t_end / dt < math.inf):
-        raise ConfigError(f"need positive t_end, dt and t_end/dt finite, got {t_end}, {dt}")
+    # finite t_end and dt can still ask for an infinite or runaway step count
+    if not (0.0 < t_end < math.inf and 0.0 < dt < math.inf and t_end / dt <= _MAX_STEPS):
+        raise ConfigError(f"need finite t_end, dt > 0, t_end/dt <= {_MAX_STEPS:.0e}: {t_end}, {dt}")
     if u.shape != (prof.N,) or not np.all(np.isfinite(u)):
         raise ConfigError(f"initial field needs {prof.N} finite samples, got {u.shape}")
     kernel = np.exp(-1j * dt * wavenumbers(prof.L, prof.N) ** 2)

@@ -22,14 +22,11 @@ one inverse-iteration solve on its block started from the analytic
 kernel element, and matched against that element in the block's
 coordinates; no other eigenvector is ever solved for and no report
 leaves the blocks.  Parity is a boolean mask on the merged spectrum.
-Every tolerance check fails on NaN.  The curve module gets
-its tangent from L1 inverted on the even block alone: a sweep solves
-all its points as rows, one LU per row of the shared folded -D2, with
-the residuals of all rows checked in one pass.  Oscillation
-theory pins the structure the stability argument needs: L1 has exactly
-one negative eigenvalue (even, nodeless ground state) with zero next,
-spanned by the odd function phi'; L2 is nonnegative with zero at the
-bottom, spanned by the positive function phi.
+Every tolerance check fails on NaN.  Oscillation theory pins the
+structure the stability argument needs: L1 has exactly one negative
+eigenvalue (even, nodeless ground state) with zero next, spanned by the
+odd function phi'; L2 is nonnegative with zero at the bottom, spanned
+by the positive function phi.
 
 Discretization is Fourier collocation (exact for trigonometric
 polynomials below the Nyquist degree), which makes "zero is an
@@ -54,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateError, NumericError
-from .fourier import second_derivative_column, spectral_derivative
+from .fourier import second_derivative_column
 from .waves import Profile, WaveParams, _profile_and_slope
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
 _KINDS = ("L1", "L2")
 _RESIDUAL_TOL = 1e-9  # eigenpair residual bound, relative to the spectral radius
 _IDENTITY_TOL = 1e-12  # trace and Frobenius identity bound (rounding reads <= 4e-16)
-_SOLVE_TOL = 1e-8  # even-block solve residual bound, relative to the right side
 # theta's RK4 step is L / _THETA_STEPS, taken over half a period;
 # L / 1e4 misses 1e-12 at (2 pi, 9.9)
 _THETA_STEPS = 20_000
@@ -122,7 +118,7 @@ class CombinedCounts:
 
 
 def _potential(kind: str, omega, phi: np.ndarray) -> np.ndarray:
-    """Potential of kind from profile rows phi and a frequency (column) omega."""
+    """Potential of kind at frequency omega on the profile samples phi."""
     phi2 = phi**2
     if kind == "L1":
         return omega - 3.0 * phi2 - 5.0 * phi2 * phi2
@@ -228,59 +224,17 @@ def _folded_d2(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def _folded(pot: np.ndarray) -> np.ndarray:
-    """Grid rows on indices 0 .. N/2, each averaged with its mirror value.
-
-    A potential is even only up to rounding, so its mirror halves are
-    averaged before it enters a parity block.
-    """
-    head = np.arange(pot.shape[-1] // 2 + 1)
-    return 0.5 * (pot[..., head] + pot[..., -head])
-
-
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """Grid values P v of even-basis coefficients, along the last axis.
-
-    half holds the coefficients on indices 0 .. N/2; value j > N/2
-    repeats value N - j.
-    """
-    N = 2 * (half.shape[-1] - 1)
-    j = np.arange(N)
-    return (_fold(N) * half)[..., np.minimum(j, N - j)]
-
-
 def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
-    """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M."""
-    pot = _folded(_potential(kind, wp.omega, prof.phi))
+    """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M.
+
+    The potential is even only up to rounding, so it enters the blocks
+    on indices 0 .. N/2 averaged with its mirror values.
+    """
+    pot = _potential(kind, wp.omega, prof.phi)
+    head = np.arange(prof.N // 2 + 1)
+    pot = 0.5 * (pot[head] + pot[-head])
     d2_even, d2_odd = _folded_d2(prof.L, prof.N)
     return [_plus_diagonal(d2_even, pot), _plus_diagonal(d2_odd, pot[1:-1])]
-
-
-def _solve_even_rows(kind: str, omega: np.ndarray, phi: np.ndarray, L: float,
-                     rhs: np.ndarray) -> tuple[np.ndarray, list]:
-    """Grid solutions u[i] of (-D2 + V) u = rhs[i], V the potential at (omega[i], phi[i]).
-
-    Solved on the even block, so the operator need only be invertible on
-    even functions (L1's kernel phi' is odd).  Each row gets its own LU of
-    the shared folded -D2 plus its potential, never a stack of blocks; the
-    residuals are checked on the full grid by FFT differentiation in one
-    pass.  Returns the solution rows and, per row, the residual's
-    ContractError or None.
-    """
-    N = phi.shape[-1]
-    weight = _fold(N)
-    pot = _potential(kind, omega[:, None], phi)
-    even = _folded_d2(L, N)[0]
-    half = np.empty((len(phi), N // 2 + 1))
-    for row, (v, b) in enumerate(zip(_folded(pot), rhs[:, :N // 2 + 1] / weight)):
-        half[row] = np.linalg.solve(_plus_diagonal(even, v), b)
-    u = _unfold(half)
-    resid = -spectral_derivative(u, L, order=2) + pot * u - rhs
-    worst = np.max(np.abs(resid), axis=-1).tolist()
-    scale = np.max(np.abs(rhs), axis=-1).tolist()
-    return u, [ContractError(f"even-block solve residual {w:.3e} exceeds "
-                             f"{_SOLVE_TOL} * ||rhs||") if not w <= _SOLVE_TOL * r else None
-               for w, r in zip(worst, scale)]
 
 
 def spectrum_report(kind: str, wp: WaveParams, prof: Profile) -> SpectrumReport:

@@ -22,7 +22,9 @@ no eigenvector but the kernel one, so this is the suite's only source of
 eigenvectors (sign changes, reflection parity, orthonormality), taken
 from eigh on the library's own hill._parity_blocks, and
 curve_sample_by_point keeps the former one-point curve.curve_sample,
-before sweeps were sampled as rows of one array (its checks left out).
+before sweeps were sampled as rows of one array (its checks left out),
+with the even-block LU tangent that the closed form replaced: the
+suite's independent route to the tangent.
 advance_by_allocation keeps the former split-step loop of
 evolve._advance, which allocated every intermediate array, and
 derivative_by_fresh_multiplier the former fourier.spectral_derivative,
@@ -320,7 +322,8 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
 
     The one-point chain before sweeps became rows: K from complete_K and
     a second AGM for the Gauss descent of sn, cn, dn on a 1-D grid, one
-    1-D FFT derivative, and one even-block LU for the tangent.  The
+    1-D FFT derivative, and one even-block LU of L1 t = -phi for the
+    tangent, where the library now builds t in closed form.  The
     construction and integral checks are left out.
     """
     wp = waves.params_from_alpha3(L, omega, waves.solve_alpha3(L, omega))

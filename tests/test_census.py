@@ -160,6 +160,26 @@ def test_wave_consumers_end_in_finite_values_or_typed_errors():
     assert built >= 5
 
 
+def test_curve_samples_end_in_finite_values_or_typed_errors():
+    # curve points on coarse grids and long periods, where the tangent's
+    # check fails (e's denominator tends to 0 at the solitary limit): L on
+    # [1, 40], omega log-uniform on [0.05, 50], N in {64, 128}
+    rng = random.Random(44)
+    outcomes = {}
+    for _ in range(300):
+        L, omega = rng.uniform(1.0, 40.0), 10.0 ** rng.uniform(-1.3, 1.7)
+        try:
+            sample = curve_sample(L, omega, rng.choice((64, 128)))
+        except CqnlsError as exc:
+            key = "tangent" if "tangent residual" in str(exc) else "other"
+        else:
+            assert _finite(sample), (L, omega, sample)
+            key = "ok"
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # the census reaches built points and the tangent's own failure
+    assert outcomes.get("ok", 0) >= 30 and outcomes.get("tangent", 0) >= 10, outcomes
+
+
 # census values, mixed into the CLI draws with working ones
 CLI_SPECIAL = ("nan", "inf", "-inf", "0.0", "-0.0", "1e-320", "1e+300", "1.7e+308")
 CLI_WORKING = {

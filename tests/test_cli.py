@@ -291,8 +291,8 @@ def test_audit_single_omega(capsys):
 
 
 @pytest.mark.parametrize("flags, sweep, first_failure, code", [
-    (("--N", "64"), "2:9:8", "5", 2),  # grid too coarse: identity residual
-    (("--L", "40"), "0.5:1:6", "0.8", 1),  # period out of numerical reach
+    (("--N", "64"), "2:9:8", "3", 2),  # grid too coarse: tangent residual
+    (("--L", "40"), "0.2:0.8:2", "0.8", 1),  # period out of numerical reach
 ], ids=["contract", "degenerate"])
 def test_audit_sweep_fails_like_its_first_failing_omega(capsys, flags, sweep,
                                                         first_failure, code):
@@ -534,6 +534,17 @@ def test_nonfinite_period_or_frequency_exits_1(capsys, argv):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("subcommand", ["evolve", "stability"])
+def test_step_count_above_the_cap_exits_1(capsys, subcommand):
+    # 1e302 split steps would never return; the count is refused before
+    # the first step
+    code, out, err = _run(capsys, subcommand, "--omega", "2", "--N", "64",
+                          "--t-end", "1e300", "--dt", "0.01")
+    assert code == 1 and out == ""
+    assert err == (f"cqnls {subcommand}: need finite t_end, dt > 0, "
+                   "t_end/dt <= 1e+08: 1e+300, 0.01\n")
+
+
 @pytest.mark.parametrize("flag, value, word", [("--seed", "-1", "seed"),
                                                ("--delta", "nan", "perturbation size")],
                          ids=["seed", "delta"])
@@ -562,8 +573,9 @@ def test_byte_determinism(capsys):
 
 
 # small configurations; the curve sweep holds an error row and the audit
-# fails an identity threshold set below its mass_rate residuals, about
-# 5e-11 at N=64 (exit 2; _IDENTITY_RESIDUAL_MAX is patched to 1e-12 there)
+# fails an identity threshold set below its identity residuals, whose
+# largest per row reads 1.9e-14 to 2.0e-13 at N=64 (exit 2;
+# _IDENTITY_RESIDUAL_MAX is patched to 1e-14 there)
 _SMALL = {
     "construct": ("--omega", "2", "--N", "64"),
     "curve": ("--omega", "0.3:0.5:3", "--N", "64"),
@@ -601,7 +613,7 @@ def _same(cell, value):
 
 @pytest.mark.parametrize("subcommand", sorted(_SMALL))
 def test_csv_and_json_carry_equal_numbers(capsys, monkeypatch, subcommand):
-    monkeypatch.setattr(cli, "_IDENTITY_RESIDUAL_MAX", 1e-12)
+    monkeypatch.setattr(cli, "_IDENTITY_RESIDUAL_MAX", 1e-14)
     args = (subcommand, *_SMALL[subcommand])
     json_code, json_out, _ = _run(capsys, *args, "--format", "json")
     csv_code, csv_out, _ = _run(capsys, *args, "--format", "csv")

@@ -14,6 +14,9 @@ from cqnls.errors import ConfigError, ContractError, DomainError, NoSolutionErro
 from conftest import SWEEP, TWO_PI
 from oracles import curve_sample_by_point
 
+# the fields of a CurveSample read off the tangent
+RATES = ("dalpha3", "dalpha2", "dB", "dmass_domega", "dp4", "dp6", "dinv2", "d2_dd")
+
 
 @pytest.fixture(scope="module")
 def sweep_samples():
@@ -114,9 +117,9 @@ def test_sweep_at_a_period_without_waves_keeps_its_rows():
 
 
 def test_sweep_whose_integrals_all_fail_keeps_its_rows(monkeypatch):
-    # every point built a wave but fails its integral checks: the empty
-    # batch runs through the even-block solve and the quadrature at a valid
-    # period without warning or error, and each point keeps its failure
+    # every point built a wave but fails its integral checks, which come
+    # before its tangent's: the empty batch runs through the rates at a
+    # valid period without warning or error, and each point keeps its failure
     failure = ContractError("integrals rejected")
     monkeypatch.setattr(curve, "_integral_error", lambda *row: failure)
     assert curve.sample_curve(TWO_PI, [1.0, 2.0], 64) == [failure, failure]
@@ -129,18 +132,83 @@ def test_sweep_isolated_points_carry_exact_rates():
         assert e == curve.curve_sample(TWO_PI, e.omega)
         assert math.isfinite(e.dmass_domega) and e.dmass_domega > 0.0
     # a sweep from s = 0.76 to 7.99 mixes moduli of 6 and 7 AGM levels in
-    # one Gauss descent; each row keeps every bit of its one-point sample,
-    # and of the former one-point code
-    entries = curve.sample_curve(TWO_PI, np.linspace(0.76, 7.99, 32).tolist())
-    assert {len(elliptic._agm_sequence(e.m)[0]) for e in entries} == {6, 7}
-    for e in entries:
-        assert e == curve.curve_sample(TWO_PI, e.omega)
-        assert asdict(e) == curve_sample_by_point(TWO_PI, e.omega)
+    # one Gauss descent; each row keeps every bit of its one-point sample.
+    # Against the one-point oracle, whose tangent is an even-block LU,
+    # every field but the rates keeps its bits and each rate agrees to 2e-9
+    # relative (9.1e-10 at most, dmass_domega at (2 pi, 7.99))
+    for L in (TWO_PI, 1.5 * TWO_PI, 2.0 * TWO_PI):
+        omegas = (np.linspace(0.76, 7.99, 32) / (L / TWO_PI) ** 2).tolist()
+        entries = curve.sample_curve(L, omegas)
+        assert {len(elliptic._agm_sequence(e.m)[0]) for e in entries} == {6, 7}
+        for e in entries:
+            assert e == curve.curve_sample(L, e.omega)
+            ref = curve_sample_by_point(L, e.omega)
+            for name, value in asdict(e).items():
+                if name in RATES:
+                    assert abs(value - ref[name]) <= 2e-9 * abs(ref[name]), (L, e.omega, name)
+                else:
+                    assert value == ref[name], (L, e.omega, name)
+
+
+def _closed_form_coefficients(wp, prof):
+    # q1, e and b of the tangent's closed form (module docstring of curve)
+    q1 = float(np.mean(1.0 / (prof.phi**2 - wp.alpha1)))
+    w, scale = wp.omega, 3.0 + 16.0 * wp.omega
+    e = 2.0 / (8.0 * wp.B * (4.0 - 3.0 * q1) / scale - 4.0 * w * q1
+               + (4.0 / 3.0) * (wp.alpha2 + wp.alpha3))
+    return q1, e, -e * (16.0 * w * q1 + 6.0 * q1 - 4.0) / scale
+
+
+@pytest.mark.parametrize("L", [TWO_PI, 1.5 * TWO_PI, 2.0 * TWO_PI])
+def test_level_rate_matches_its_closed_form(L):
+    # matching powers of psi in the tangent's equation also fixes
+    # B' = B b - 2 B q1 e - (2/3) alpha2 alpha3 e; the sample reads dB from
+    # the tangent's trough value instead (2.0e-9 relative at most)
+    omegas = (np.linspace(0.76, 7.99, 32) / (L / TWO_PI) ** 2).tolist()
+    for s in curve.sample_curve(L, omegas):
+        wp, prof = waves.build_wave(L, s.omega, 256)
+        q1, e, b = _closed_form_coefficients(wp, prof)
+        closed = wp.B * b - 2.0 * wp.B * q1 * e - (2.0 / 3.0) * wp.alpha2 * wp.alpha3 * e
+        assert abs(closed - s.dB) <= 1e-8 * abs(s.dB), (L, s.omega)
+
+
+def test_equilibrium_end_reach():
+    # at L = L_min(2)(1 + delta) the curve builds at delta = 1e-6, where d''
+    # agrees with a central difference of the mass to 1.3e-10, the step
+    # inside the 3.6e-6 gap above the frequency where the wave leaves the
+    # constant state.  At delta = 1e-8 the check fails
+    L_min = waves.min_period(2.0)
+    L = L_min * (1.0 + 1e-6)
+    h = 0.25 * (2.0 - waves.omega_threshold(L))
+    fd = (curve.curve_sample(L, 2.0 + h).mass - curve.curve_sample(L, 2.0 - h).mass) / (4.0 * h)
+    assert abs(curve.curve_sample(L, 2.0).d2_dd - fd) <= 5e-9
+    with pytest.raises(ContractError, match="tangent residual"):
+        curve.curve_sample(L_min * (1.0 + 1e-8), 2.0)
+
+
+@pytest.mark.parametrize("L", [22.0, 24.0, 25.0, 30.0])
+def test_solitary_end_reach(L):
+    # at omega = 1 the curve builds to L = 24, near d''_inf = 3/19; from
+    # L = 25 on the tangent residual tracks the profile's own ODE residual
+    # (1.1e-8 at L = 25, 3.6e-6 at L = 30), the modulus rounding of 1 - m
+    if L < 25.0:
+        assert abs(curve.curve_sample(L, 1.0).d2_dd - 3.0 / 19.0) <= 1e-6
+    else:
+        with pytest.raises(ContractError, match="tangent residual"):
+            curve.curve_sample(L, 1.0)
+
+
+@pytest.mark.parametrize("N, inside, beyond", [(64, 2.0, 3.0), (128, 6.0, 8.0)])
+def test_coarse_grid_reach(N, inside, beyond):
+    # at L = 2 pi the check holds up to s = 2.11 at N = 64 and s = 6.74 at
+    # N = 128, where the grid stops resolving the tangent
+    assert curve.curve_sample(TWO_PI, inside, N).d2_dd > 0.0
+    with pytest.raises(ContractError, match="tangent residual"):
+        curve.curve_sample(TWO_PI, beyond, N)
 
 
 def test_sweep_memory_peak():
-    # one pass holds a few (32, 256) arrays and one even block at a time;
-    # a stacked (32, 129, 129) array of blocks alone would take 4 MiB
+    # one pass holds a few (32, 256) arrays
     omegas = np.linspace(0.76, 7.99, 32).tolist()
     curve.sample_curve(TWO_PI, omegas)
     tracemalloc.start()

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cqnls import cli, fourier, hill, waves
+from cqnls import cli, curve, fourier, hill, waves
 from cqnls.errors import (
     ConfigError,
     ContractError,
@@ -237,6 +237,12 @@ def test_parity_blocks_match_full_solve(kind, omega, N):
     assert _reflection_signs(ref["eigenvectors"]) == expected
 
 
+def _tangent(wp, prof):
+    # the curve's tangent, the even solution of L1 u = -phi, in closed form
+    (u,), (error,) = curve._tangent_rows([wp], prof.phi[None], prof.dphi[None], prof.L)
+    return u, error
+
+
 @pytest.mark.parametrize("omega, N", [(2.0, 128), (10.0, 256)])
 def test_even_solve_matches_full_collocation_solve(omega, N):
     wp, prof = waves.build_wave(TWO_PI, omega, N)
@@ -245,31 +251,35 @@ def test_even_solve_matches_full_collocation_solve(omega, N):
     bordered[:N, :N] = collocation_matrix("L1", wp, prof)
     bordered[:N, N] = bordered[N, :N] = prof.dphi
     full = np.linalg.solve(bordered, np.append(-prof.phi, 0.0))[:N]
-    (u,), (error,) = hill._solve_even_rows("L1", np.array([wp.omega]), prof.phi[None],
-                                           prof.L, -prof.phi[None])
+    u, error = _tangent(wp, prof)
     assert error is None
-    assert np.max(np.abs(u - full)) <= 1e-10 * np.max(np.abs(full))
-    assert np.array_equal(u, u[(-np.arange(N)) % N])
+    # 5.4e-14 at (2.0, 128); 3.0e-10 at (10.0, 256), where 1 - m = 3.8e-8
+    # and the closed form's parameters carry the modulus rounding
+    assert np.max(np.abs(u - full)) <= 1e-9 * np.max(np.abs(full))
+    # even up to rounding
+    assert np.max(np.abs(u - u[(-np.arange(N)) % N])) <= 1e-12 * np.max(np.abs(u))
 
 
-def test_even_solve_rejects_an_odd_right_side(ref_wave):
-    # the even block cannot represent an odd part, and the residual says so
+def test_even_solve_rejects_a_wrong_level_set(ref_wave):
+    # a level constant off by 1e-5 relative builds the tangent of another
+    # curve point, and the residual says so
     wp, prof = ref_wave
-    _, (error,) = hill._solve_even_rows("L1", np.array([wp.omega]), prof.phi[None],
-                                        prof.L, prof.dphi[None])
+    _, error = _tangent(replace(wp, B=wp.B * (1.0 + 1e-5)), prof)
     assert isinstance(error, ContractError)
+    assert "tangent residual" in str(error)
 
 
 def test_even_solve_rejects_a_nan_row(ref_wave):
-    # a NaN right side gives a NaN residual, which fails its bound; the
-    # other row is solved as before
+    # a NaN sample gives a NaN residual, which fails its bound; the other
+    # row keeps the bits it has alone
     wp, prof = ref_wave
-    rhs = np.stack([-prof.phi, -prof.phi])
-    rhs[1, 5] = math.nan
-    _, (good, bad) = hill._solve_even_rows("L1", np.full(2, wp.omega),
-                                           np.stack([prof.phi, prof.phi]), prof.L, rhs)
+    phi = np.stack([prof.phi, prof.phi])
+    phi[1, 5] = math.nan
+    u, (good, bad) = curve._tangent_rows([wp, wp], phi, np.stack([prof.dphi, prof.dphi]),
+                                         prof.L)
     assert good is None
     assert isinstance(bad, ContractError)
+    assert np.array_equal(u[0], _tangent(wp, prof)[0])
 
 
 def _flat(wp, prof):
