@@ -51,11 +51,12 @@ def test_construct_reports_attained_period(capsys, omega):
     assert 0.0 <= json.loads(out)["residuals"]["period_rel_residual"] <= 1e-10
 
 
-def test_construct_at_a_large_frequency(capsys):
-    L = 1.5 * waves.min_period(5000.0)
-    code, out, err = _run(capsys, "construct", "--omega", "5000", "--L", repr(L))
+@pytest.mark.parametrize("omega", ["5000", "1e13"])
+def test_construct_at_a_large_frequency(capsys, omega):
+    L = 1.5 * waves.min_period(float(omega))
+    code, out, err = _run(capsys, "construct", "--omega", omega, "--L", repr(L))
     assert code == 0 and err == ""
-    assert json.loads(out)["wave"]["omega"] == 5000.0
+    assert json.loads(out)["wave"]["omega"] == float(omega)
 
 
 def test_construct_csv(capsys):

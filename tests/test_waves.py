@@ -158,12 +158,14 @@ def _root_identity_residuals(a1, a2, a3, w, B):
 
 def test_roots_vieta_identities():
     # the roots and B are built from alpha3 by these identities, so
-    # build_wave does not recheck them; an absolute bound would reject the
-    # waves of large omega, where each term grows like omega^(3/2).  Eight
-    # in-band alpha3 per SWEEP omega, then the waves of the reach: the
-    # worst relative residual, 5.7e-13, sits at omega = 1e-4, where alpha2
-    # carries the cancellation of sqrt(3 q) - 2 alpha3 - 3.  Every wave at
-    # omega >= 10 builds, 1e4, 1e6, 1e8 and 1e10 among them
+    # build_wave does not recheck them, nor what follows from them (beta_sq
+    # > 0, B in its window, the crest phi(0)^2 = alpha3); an absolute bound
+    # would reject the waves of large omega, where each term grows like
+    # omega^(3/2).  Eight in-band alpha3 per SWEEP omega, then the waves of
+    # the reach: the worst relative residual, 5.7e-13, sits at omega =
+    # 1e-4, where alpha2 carries the cancellation of sqrt(3 q) - 2 alpha3 -
+    # 3.  Every wave at omega >= 10 builds, 1e5 and 1e14 among them, and
+    # its crest is sqrt(alpha3) to within one ulp of alpha3
     rng = np.random.default_rng(42)
     worst = [0.0] * 5
     for omega in SWEEP:
@@ -176,19 +178,22 @@ def test_roots_vieta_identities():
                 a1, a2, a3, omega, waves.b_from_alpha(a3, omega))
             worst = [max(a, b) for a, b in zip(worst, residuals)]
     built = 0
-    for omega in np.logspace(-4.0, 10.0, 50).tolist():
+    for omega in np.logspace(-4.0, 14.0, 65).tolist():
         for f in (1.01, 1.5, 3.0, 10.0):
             try:
-                wp, _ = waves.build_wave(f * waves.min_period(omega), omega, 64)
+                wp, prof = waves.build_wave(f * waves.min_period(omega), omega, 64)
             except DegenerateError:
                 # the solitary end of the reach table's last column
                 assert f == 10.0 and omega < 10.0, omega
                 continue
             built += 1
+            assert wp.beta_sq > 0.0
+            assert waves.b_threshold(omega) < wp.B < 0.0
+            assert abs(prof.phi[0] ** 2 - wp.alpha3) <= math.ulp(wp.alpha3), omega
             residuals = _root_identity_residuals(
                 wp.alpha1, wp.alpha2, wp.alpha3, wp.omega, wp.B)
             worst = [max(a, b) for a, b in zip(worst, residuals)]
-    assert built >= 180
+    assert built >= 240
     assert max(worst) <= 1e-12, worst
 
 
@@ -427,7 +432,8 @@ def _reach_tables():
     factors = (1.01, 1.5, 3.0, 10.0)
     lines = ["| ω | " + " | ".join(f"L = {f:g} min_period" for f in factors) + " |",
              "|---" * (len(factors) + 1) + "|"]
-    for omega in (1e-6, 1e-5, 5.6e-5, 1e-4, 1e-2, 1.0, 10.0, 1e3, 1e4, 1e6, 1e10, 1e12):
+    for omega in (1e-6, 1e-5, 5.6e-5, 1e-4, 1e-2, 1.0, 10.0, 1e3, 1e4, 1e6, 1e10, 1e12,
+                  1e14, 1e16):
         cells = [_reach_cell(f * waves.min_period(omega), omega) for f in factors]
         lines.append(f"| {omega:g} | " + " | ".join(cells) + " |")
     lines += ["", "| L | ω | build_wave |", "|---|---|---|"]
@@ -448,7 +454,6 @@ def test_profile_extremes_and_symmetry(ref_wave):
     assert np.all(prof.phi > 0.0)
     mirrored = prof.phi[(-np.arange(prof.N)) % prof.N]
     assert np.max(np.abs(prof.phi - mirrored)) <= 1e-12
-    waves._validate_wave_params(wp)
     assert waves._profile_errors(prof.phi[None], [wp]) == [None]
 
 
