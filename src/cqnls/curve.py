@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _complete_K_E
-from .errors import ConfigError, ContractError, CqnlsError
+from .errors import ConfigError, ContractError, CqnlsError, _agree, _relative
 from .fourier import trapezoid
 from .waves import (
     WaveParams,
@@ -220,10 +220,10 @@ def _tangent_rows(wps: list, phi: np.ndarray, dphi: np.ndarray,
     # (omega - D2)^-1 phi and (omega - D2)^-1 (phi - (3 phi^2 + 5 phi^4) t)
     both = np.fft.irfft(np.fft.rfft(np.stack([phi, phi - (3.0 + 5.0 * phi2) * phi2 * t]))
                         / (w + k * k), n=N)
-    scaled = np.max(np.abs(t + both[1]), axis=-1) / np.max(np.abs(both[0]), axis=-1)
-    return t, [None if x <= 1e-8 else ContractError(
-        f"tangent residual {x:.3e} exceeds 1e-8 of (omega - D2)^-1 phi")
-        for x in scaled.tolist()]
+    residuals = np.max(np.abs(t + both[1]), axis=-1).tolist()
+    scales = np.max(np.abs(both[0]), axis=-1).tolist()
+    return t, [_agree("tangent residual", x, (scale,), 1e-8)
+               for x, scale in zip(residuals, scales)]
 
 
 def _integral_error(wp: WaveParams, mass, p4, p6, inv2_quad, inv2) -> ContractError | None:
@@ -235,18 +235,14 @@ def _integral_error(wp: WaveParams, mass, p4, p6, inv2_quad, inv2) -> ContractEr
     trapezoid sum of powers of a profile that _profile_errors has already
     found positive, with its maximum sqrt(alpha3) at x = 0.
     """
-    if abs(inv2 - inv2_quad) > 1e-8 * inv2:
-        return ContractError(
-            f"inv2 quadrature {inv2_quad!r} disagrees with closed form {inv2!r}"
-        )
     # algebraic identity 2 w mass = (3/2) p4 + (4/3) p6 - B L of the
     # quadrature polynomial; the companion identity through inv2 is checked
-    # in the test suite with largest-term normalization, since its B * inv2
-    # term amplifies modulus rounding by 1/(1 - m) near the solitary limit
-    r_a = 2.0 * wp.omega * mass - 1.5 * p4 - (4.0 / 3.0) * p6 + wp.B * wp.L
-    if abs(r_a) > 1e-8 * max(1.0, abs(wp.B * wp.L)):
-        return ContractError(f"mass/p4/p6/B identity residual {r_a!r}")
-    return None
+    # in the test suite, since its B * inv2 term amplifies modulus rounding
+    # by 1/(1 - m) near the solitary limit
+    terms = (2.0 * wp.omega * mass, 1.5 * p4, (4.0 / 3.0) * p6, wp.B * wp.L)
+    return (_agree("inv2 quadrature/closed-form difference", inv2 - inv2_quad, (inv2,), 1e-8)
+            or _agree("mass/p4/p6/B identity residual",
+                      terms[0] - terms[1] - terms[2] + terms[3], terms, 2e-9))
 
 
 @dataclass(frozen=True)
@@ -356,16 +352,12 @@ def identity_audit(sample: CurveSample) -> IdentityAudit:
     """Audit the integral identities at one curve sample."""
     s, w, L = sample, sample.omega, sample.L
 
-    def rel(residual, *terms):
-        return abs(residual) / max(abs(t) for t in terms)
-
-    r1 = rel(0.5 * s.dp4 + (2.0 / 3.0) * s.dp6 - s.mass,
-             0.5 * s.dp4, (2.0 / 3.0) * s.dp6, s.mass)
-    r2 = rel(0.5 * s.dphi2 + 0.5 * w * s.mass - 0.5 * s.p4 - 0.5 * s.p6,
-             0.5 * s.dphi2, 0.5 * w * s.mass, 0.5 * s.p4, 0.5 * s.p6)
-    r3 = rel(2.0 * w * s.dmass_domega - 0.5 * s.dp4 + s.dB * L,
-             2.0 * w * s.dmass_domega, 0.5 * s.dp4, s.dB * L)
-    r4 = rel(-s.ratio2 + w * L - s.mass - s.p4,
-             s.ratio2, w * L, s.mass, s.p4)
+    r1 = _relative(0.5 * s.dp4 + (2.0 / 3.0) * s.dp6 - s.mass,
+                   (0.5 * s.dp4, (2.0 / 3.0) * s.dp6, s.mass))
+    r2 = _relative(0.5 * s.dphi2 + 0.5 * w * s.mass - 0.5 * s.p4 - 0.5 * s.p6,
+                   (0.5 * s.dphi2, 0.5 * w * s.mass, 0.5 * s.p4, 0.5 * s.p6))
+    r3 = _relative(2.0 * w * s.dmass_domega - 0.5 * s.dp4 + s.dB * L,
+                   (2.0 * w * s.dmass_domega, 0.5 * s.dp4, s.dB * L))
+    r4 = _relative(-s.ratio2 + w * L - s.mass - s.p4, (s.ratio2, w * L, s.mass, s.p4))
     return IdentityAudit(omega=w, quartic_rate=r1, virial=r2,
                          mass_rate=r3, log_derivative=r4)

@@ -1,4 +1,6 @@
-"""Exception hierarchy for the cqnls package."""
+"""Exception hierarchy for the cqnls package, and the one route-comparison rule."""
+
+import math
 
 __all__ = [
     "CqnlsError",
@@ -42,3 +44,25 @@ class NumericError(CqnlsError):
 
 class BlowupError(NumericError):
     """The evolved field exceeded the blow-up sentinel threshold."""
+
+
+def _relative(residual: float, terms) -> float:
+    """|residual| / max |term|, NaN when the residual or any term is NaN.
+
+    max alone skips a NaN that is not its first argument.
+    """
+    scale = math.nan if any(t != t for t in terms) else max(map(abs, terms))
+    return abs(residual) / scale
+
+
+def _agree(name: str, residual: float, terms, rtol: float,
+           error: type = ContractError) -> CqnlsError | None:
+    """None if two routes agree, else the error naming the check.
+
+    residual is the difference of the routes and terms are the terms of
+    the formulas it is taken from: the routes agree when |residual| is at
+    most rtol of the largest |term|.  A NaN residual or term fails.
+    """
+    ratio = _relative(residual, terms)
+    return None if ratio <= rtol else error(
+        f"{name} {abs(residual):.3e} is {ratio:.3e} of its scale, above {rtol:g}")

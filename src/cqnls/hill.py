@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ContractError, DegenerateError, NumericError
+from .errors import ConfigError, ContractError, DegenerateError, NumericError, _agree, _relative
 from .fourier import second_derivative_column
 from .waves import Profile, WaveParams, _profile_and_slope
 
@@ -150,15 +150,13 @@ def sym_eig(matrix):
     evals = np.linalg.eigvalsh(mat)
     tiny = np.finfo(float).tiny
     frob2 = float(np.vdot(mat, mat))
-    trace_defect = abs(float(np.sum(evals)) - float(np.trace(mat))) / max(
-        float(np.sum(np.abs(evals))), tiny)
-    frob_defect = abs(float(evals @ evals) - frob2) / max(frob2, tiny)
-    if not (trace_defect <= _IDENTITY_TOL and frob_defect <= _IDENTITY_TOL):
-        raise NumericError(
-            f"eigenvalue identity defects (trace {trace_defect:.3e}, Frobenius "
-            f"{frob_defect:.3e}) exceed {_IDENTITY_TOL}"
-        )
-    return evals, trace_defect, frob_defect
+    trace = (float(np.sum(evals)) - float(np.trace(mat)), (float(np.sum(np.abs(evals))), tiny))
+    frob = (float(evals @ evals) - frob2, (frob2, tiny))
+    for name, (residual, terms) in (("trace", trace), ("Frobenius", frob)):
+        if error := _agree(f"eigenvalue identity defects: {name}", residual, terms,
+                           _IDENTITY_TOL, NumericError):
+            raise error
+    return evals, _relative(*trace), _relative(*frob)
 
 
 def _plus_diagonal(base: np.ndarray, diag) -> np.ndarray:
@@ -184,11 +182,9 @@ def _kernel_vector(block: np.ndarray, lam: float, scale: float,
         raise NumericError(f"inverse iteration at {lam:.3e}: {exc}") from exc
     vec /= np.linalg.norm(vec)
     worst = float(np.linalg.norm(block @ vec - lam * vec))
-    if not worst <= _RESIDUAL_TOL * scale:
-        raise NumericError(
-            f"eigenpair residual {worst:.3e} exceeds {_RESIDUAL_TOL} * ||M||"
-        )
-    return vec, worst / scale
+    if error := _agree("eigenpair residual", worst, (scale,), _RESIDUAL_TOL, NumericError):
+        raise error
+    return vec, _relative(worst, (scale,))
 
 
 def _fold(N: int) -> np.ndarray:
@@ -363,10 +359,8 @@ def theta_constant(wp: WaveParams) -> float:
     # largest flow magnitude rather than against W itself
     term_a = dphi[::2] * zs
     term_b = (phi * _potential("L2", wp.omega, phi))[::2] * ys
-    scale = max(1.0, float(np.max(np.abs(term_a))), float(np.max(np.abs(term_b))))
     drift = float(np.max(np.abs(term_a - term_b - 1.0)))
-    if not drift <= 1e-6 * scale:
-        raise NumericError(
-            f"Wronskian drift {drift:.3e} exceeds 1e-6 of the flow scale {scale:.3e}"
-        )
+    flow = (1.0, float(np.max(np.abs(term_a))), float(np.max(np.abs(term_b))))
+    if error := _agree("Wronskian drift", drift, flow, 1e-6, NumericError):
+        raise error
     return -2.0 * y * z

@@ -40,6 +40,7 @@ from .errors import (
     DegenerateError,
     DomainError,
     NoSolutionError,
+    _agree,
 )
 from .fourier import grid, spectral_derivative
 
@@ -178,6 +179,8 @@ def b_threshold(omega: float) -> float:
 
 def b_from_alpha(alpha: float, omega: float) -> float:
     """Integration constant pinned by one root alpha of the quadrature cubic."""
+    # Python floats raise OverflowError where numpy scalars would only warn
+    alpha, omega = float(alpha), float(omega)
     try:
         return -alpha * omega + alpha**3 / 3.0 + alpha**2 / 2.0
     except OverflowError:  # alpha^3 overflows a double beyond omega ~ 3e205
@@ -216,8 +219,9 @@ def _level(alpha3: float, omega: float) -> tuple[float, float, float, float]:
     root = math.sqrt(3.0) * alpha3 * math.sqrt(q)
     m = (root - 12.0 * omega + 6.0 * alpha3**2 + 9.0 * alpha3) / (2.0 * root)
     m_roots = -alpha1 * (alpha3 - alpha2) / (alpha3 * (alpha2 - alpha1))
-    if abs(m - m_roots) > 1e-12:
-        raise ContractError(f"modulus routes disagree: {m!r} vs {m_roots!r}")
+    # both routes lie in (0, 1)
+    if error := _agree("modulus route difference", m - m_roots, (1.0,), 1e-12):
+        raise error
     if m <= _M_DEGENERATE or m >= 1.0 - _M_DEGENERATE:
         raise DegenerateError(
             f"modulus m={m!r} indistinguishable from a degenerate limit"
@@ -250,6 +254,7 @@ def period_map(alpha3: float, omega: float) -> float:
 
 def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
     """Partial derivative of the modulus k in alpha3 at fixed omega (positive)."""
+    a, omega, q, m = float(a), float(omega), float(q), float(m)  # as in b_from_alpha
     try:
         r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
         return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * q**1.5)
@@ -487,12 +492,14 @@ def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
 
 
 def _profile_errors(phi: np.ndarray, wps: list) -> list:
-    """Positivity, evenness, extreme positions and trough value of each row.
+    """Positivity, extreme positions, evenness and trough value of each row.
 
     Returns the ContractError of each row's first failed check, or None.
     The crest value is not checked: at x = 0 the Jacobi pass gives sn = 0
-    and dn = 1 exactly, so phi(0) is sqrt(alpha3) bit for bit.  The trough
-    value, Jacobi at K, is a second route to alpha2 and is checked.
+    and dn = 1 exactly, so phi(0) is sqrt(alpha3) bit for bit.  Evenness
+    is bounded relative to that crest.  The trough value, Jacobi at K, is
+    a second route to alpha2 = (sqrt(3 q) - 2 alpha3 - 3)/4, bounded
+    relative to the largest of alpha3 and the terms of alpha2.
     """
     N = phi.shape[-1]
     stats = zip(np.all(phi > 0.0, axis=-1).tolist(),
@@ -501,17 +508,15 @@ def _profile_errors(phi: np.ndarray, wps: list) -> list:
                 phi[:, N // 2].tolist())
     errors = []
     for wp, (positive, even_defect, top, bottom, trough) in zip(wps, stats):
-        if not positive:
-            error = "profile samples must be positive"
-        elif even_defect > 1e-10:
-            error = f"profile evenness defect {even_defect!r}"
-        elif top != 0:
-            error = "profile maximum must sit at x=0"
-        elif bottom != N // 2 or abs(trough**2 - wp.alpha2) > 1e-8:
-            error = "profile minimum must sit at x=L/2 with phi^2 = alpha2"
-        else:
-            error = None
-        errors.append(error and ContractError(error))
+        shape = ("samples must be positive" if not positive
+                 else "maximum must sit at x=0" if top != 0
+                 else "minimum must sit at x=L/2" if bottom != N // 2 else None)
+        # the terms of alpha2: sqrt(3 q)/4 = (alpha2 - alpha1)/2, alpha3/2, 3/4
+        errors.append(
+            (shape and ContractError("profile " + shape))
+            or _agree("profile evenness defect", even_defect, (math.sqrt(wp.alpha3),), 1e-10)
+            or _agree("profile trough phi(L/2)^2 - alpha2", trough**2 - wp.alpha2,
+                      (wp.alpha3, 0.5 * (wp.alpha2 - wp.alpha1), 0.75), 1e-10))
     return errors
 
 

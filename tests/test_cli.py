@@ -51,9 +51,11 @@ def test_construct_reports_attained_period(capsys, omega):
     assert 0.0 <= json.loads(out)["residuals"]["period_rel_residual"] <= 1e-10
 
 
-@pytest.mark.parametrize("omega", ["5000", "1e13"])
-def test_construct_at_a_large_frequency(capsys, omega):
-    L = 1.5 * waves.min_period(float(omega))
+# at omega = 1e16 and f = 3 an absolute trough bound of 1e-8 fails on rounding
+@pytest.mark.parametrize("omega, f", [("5000", 1.5), ("1e13", 1.5), ("1e16", 3.0)],
+                         ids=["5000", "1e13", "1e16"])
+def test_construct_at_a_large_frequency(capsys, omega, f):
+    L = f * waves.min_period(float(omega))
     code, out, err = _run(capsys, "construct", "--omega", omega, "--L", repr(L))
     assert code == 0 and err == ""
     assert json.loads(out)["wave"]["omega"] == float(omega)

@@ -2,14 +2,22 @@
 
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
 
-from cqnls import curve, elliptic, waves
+from cqnls import curve, elliptic, errors, waves
 from cqnls.curve import CurveSample
-from cqnls.errors import ConfigError, ContractError, DomainError, NoSolutionError
+from cqnls.errors import (
+    ConfigError,
+    ContractError,
+    CqnlsError,
+    DomainError,
+    NoSolutionError,
+    NumericError,
+)
+from cqnls.fourier import trapezoid
 
 from conftest import SWEEP, TWO_PI
 from oracles import curve_sample_by_point
@@ -68,12 +76,60 @@ def test_level_weighted_identity(sweep_samples):
         assert residual <= 1e-8 * max(1.0, t1, t2, abs(t3))
 
 
-def test_sample_identity_detects_tampering(sweep_samples):
-    s = sweep_samples[2.0]
-    bad = replace(s, B=s.B + 0.01)
-    residual = abs(2.0 * bad.omega * bad.mass - 1.5 * bad.p4
-                   - (4.0 / 3.0) * bad.p6 + bad.B * bad.L)
-    assert residual > 1e-3
+def test_sample_identity_detects_tampering(ref_wave):
+    # B off by 1e-6 relative moves the identity by 3.3e-8, 3.7e-9 of its
+    # largest term 2 omega mass
+    wp, prof = ref_wave
+    mass, p4, p6, inv2_quad = (trapezoid(prof.phi**p, wp.L) for p in (2, 4, 6, -2.0))
+    inv2 = curve.inv2_closed_form(wp)
+    assert curve._integral_error(wp, mass, p4, p6, inv2_quad, inv2) is None
+    error = curve._integral_error(replace(wp, B=wp.B * (1 + 1e-6)), mass, p4, p6,
+                                  inv2_quad, inv2)
+    assert isinstance(error, ContractError) and "mass/p4/p6/B identity" in str(error)
+
+
+def test_route_check_fails_on_nan():
+    assert errors._agree("check", 1e-13, (1.0,), 1e-12) is None
+    error = errors._agree("check", math.nan, (1.0,), 1e-12)
+    assert isinstance(error, ContractError) and "check nan" in str(error)
+    # max skips a NaN that is not its first argument; the check must not
+    for k in range(3):
+        terms = [1.0, 2.0, 3.0]
+        terms[k] = math.nan
+        assert math.isnan(errors._relative(0.0, terms))
+        error = errors._agree("check", 0.0, terms, 1e-12, NumericError)
+        assert isinstance(error, NumericError) and "is nan of its scale" in str(error)
+
+
+def test_identity_audit_ratios_keep_their_bits(sweep_samples):
+    def rel(residual, *terms):  # the ratio identity_audit computed inline
+        return abs(residual) / max(abs(t) for t in terms)
+
+    for s in sweep_samples.values():
+        w, L = s.omega, s.L
+        assert curve.identity_audit(s) == curve.IdentityAudit(
+            omega=w,
+            quartic_rate=rel(0.5 * s.dp4 + (2.0 / 3.0) * s.dp6 - s.mass,
+                             0.5 * s.dp4, (2.0 / 3.0) * s.dp6, s.mass),
+            virial=rel(0.5 * s.dphi2 + 0.5 * w * s.mass - 0.5 * s.p4 - 0.5 * s.p6,
+                       0.5 * s.dphi2, 0.5 * w * s.mass, 0.5 * s.p4, 0.5 * s.p6),
+            mass_rate=rel(2.0 * w * s.dmass_domega - 0.5 * s.dp4 + s.dB * L,
+                          2.0 * w * s.dmass_domega, 0.5 * s.dp4, s.dB * L),
+            log_derivative=rel(-s.ratio2 + w * L - s.mass - s.p4,
+                               s.ratio2, w * L, s.mass, s.p4))
+
+
+@pytest.mark.parametrize("omega", [2.0, 1e160, 1e210])
+def test_sweep_of_an_ndarray_matches_a_list(omega):
+    # an ndarray hands out numpy scalars, which must fail (or build) as floats
+    L = 3.0 * waves.min_period(omega)
+    (listed,) = curve.sample_curve(L, [omega])
+    (arrayed,) = curve.sample_curve(L, np.array([omega]))
+    if isinstance(listed, CqnlsError):
+        assert (type(arrayed), str(arrayed)) == (type(listed), str(listed))
+    else:
+        assert [float(v).hex() for v in astuple(arrayed)] == [
+            float(v).hex() for v in astuple(listed)]
 
 
 def test_curve_sample_propagates_no_solution():

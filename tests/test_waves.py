@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import mpmath
@@ -394,6 +395,23 @@ def test_frequency_beyond_double_reach_is_a_domain_error(omega):
     assert type(info.value) is DomainError
 
 
+@pytest.mark.parametrize("omega", [2.0, 1e160, 1e210])
+def test_numpy_scalar_frequency_builds_like_a_float(omega):
+    # only Python floats raise OverflowError, which the closed forms turn
+    # into DomainError; a numpy scalar would overflow with a warning (an
+    # error in this suite) and build on from inf
+    L = 3.0 * waves.min_period(omega)
+
+    def outcome(w):
+        try:
+            wp, prof = waves.build_wave(L, w, 64)
+        except CqnlsError as exc:
+            return type(exc), str(exc)
+        return [float(v).hex() for v in astuple(wp)], prof.phi.tobytes()
+
+    assert outcome(np.float64(omega)) == outcome(omega)
+
+
 def test_build_wave_frozen_values():
     for omega, a3, m, B in FROZEN:
         wp, prof = waves.build_wave(TWO_PI, omega, 128)
@@ -433,7 +451,7 @@ def _reach_tables():
     lines = ["| ω | " + " | ".join(f"L = {f:g} min_period" for f in factors) + " |",
              "|---" * (len(factors) + 1) + "|"]
     for omega in (1e-6, 1e-5, 5.6e-5, 1e-4, 1e-2, 1.0, 10.0, 1e3, 1e4, 1e6, 1e10, 1e12,
-                  1e14, 1e16):
+                  1e14, 1e16, 1e50, 1e100, 1e150, 1e155):
         cells = [_reach_cell(f * waves.min_period(omega), omega) for f in factors]
         lines.append(f"| {omega:g} | " + " | ".join(cells) + " |")
     lines += ["", "| L | ω | build_wave |", "|---|---|---|"]
@@ -455,6 +473,31 @@ def test_profile_extremes_and_symmetry(ref_wave):
     mirrored = prof.phi[(-np.arange(prof.N)) % prof.N]
     assert np.max(np.abs(prof.phi - mirrored)) <= 1e-12
     assert waves._profile_errors(prof.phi[None], [wp]) == [None]
+
+
+def test_profile_checks_reject_tampering(ref_wave):
+    # alpha2 off by 1e-6 relative moves the trough route by 2.6e-9 (1.4e-9
+    # of alpha3), which an absolute 1e-8 would pass; one sample off by 1e-6
+    # of the crest breaks evenness
+    wp, prof = ref_wave
+    assert waves._profile_errors(prof.phi[None], [wp]) == [None]
+    (error,) = waves._profile_errors(prof.phi[None], [replace(wp, alpha2=wp.alpha2 * (1 + 1e-6))])
+    assert isinstance(error, ContractError) and "trough" in str(error)
+    skewed = prof.phi.copy()
+    skewed[5] += 1e-6 * math.sqrt(wp.alpha3)
+    (error,) = waves._profile_errors(skewed[None], [wp])
+    assert isinstance(error, ContractError) and "evenness" in str(error)
+
+
+@pytest.mark.parametrize("omega", [1e16, 1e50, 1e100, 1e150])
+@pytest.mark.parametrize("f", [1.01, 3.0, 10.0])
+def test_large_frequency_builds_match_mpmath(omega, f):
+    # checks scaled by the wave's own size let builds pass omega ~ 4e14,
+    # where an absolute 1e-8 trough bound failed on rounding; the samples
+    # still match the 40-digit closed form to 1e-14 of the crest
+    wp, prof = waves.build_wave(f * waves.min_period(omega), omega, 64)
+    phi = profile_by_mpmath(wp, waves.grid(wp.L, 64))[0]
+    assert np.max(np.abs(prof.phi - phi)) <= 1e-14 * math.sqrt(wp.alpha3)
 
 
 def test_profile_closed_form_derivative(ref_wave):
