@@ -40,6 +40,10 @@ for a, t in zip(alphas, periods):
 a3 = waves.solve_alpha3(L, omega)
 print(f"\nsolve_alpha3({L:.6f}, {omega}) = {a3:.12f}")
 print(f"  attained period = {waves.period_map(a3, omega):.12f}")
+# the other roots of the level set; the profile oscillates between
+# sqrt(alpha2) and sqrt(alpha3)
+a1, a2 = waves.roots_from_alpha3(a3, omega)
+print(f"  level-set roots alpha1 = {a1:.6f} < 0 < alpha2 = {a2:.6f} < alpha3")
 
 # below the frequency threshold no period-L wave exists
 for bad in (0.1, 0.3):

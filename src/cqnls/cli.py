@@ -6,8 +6,9 @@ every flag.  Every subcommand takes --L, --omega, --output and --format,
 and all but theta take --N; evolve and stability add the flags they
 read, and any other flag is a usage error.  Reports
 echo the subcommand's own settings (all but --output), its name and the
-library version.  JSON reports are written by json.dumps (NaN and
-Infinity as bare words) and CSV cells with the same float rule, Python's
+library version.  JSON reports are the text of json.dumps(doc, indent=2)
+(NaN and Infinity as bare words; _json_text writes the flat parts with
+the C encoder) and CSV cells follow the same float rule, Python's
 repr: the shortest decimal that reads back as the same double, so an
 integral float prints as 2.0.  Identical configurations produce
 byte-identical output.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -64,6 +66,10 @@ _SPECTRUM_COLUMNS = ("operator", "index", "eigenvalue", "parity")
 _EVOLVE_COLUMNS = ("t", "sup_error")
 _STABILITY_COLUMNS = ("t", "orbital_dist")
 _DEFAULT_DT = 1e-4  # evolve and stability time step
+# values that json.dumps writes the same at any depth, and the keys it
+# writes as they are
+_SCALAR_TYPES = frozenset({float, int, str, bool, type(None), np.float64})
+_KEY_TYPES = frozenset({str})
 _IDENTITY_RESIDUAL_MAX = 1e-5  # largest integral-identity residual an audit passes
 
 
@@ -167,6 +173,40 @@ class _Report:
     failure: str | None = None
 
 
+def _json_text(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2), as it reads placed at `indent` in a larger text.
+
+    json.dumps takes its pure-Python encoder whenever it indents.  Here
+    the C encoder writes each flat container, a non-empty dict or list
+    of scalars or a list of such dicts, with the line break and
+    indentation of its items as its item separator (a line break in the
+    C encoder's text is always such a separator: strings escape theirs).
+    Other dicts with string keys are taken apart, and anything else is
+    left to json.dumps.  The text is json.dumps's, byte for byte.
+    """
+    inner = indent + "  "
+    kind = type(value)
+    if kind is list and value and all(type(row) is dict and row for row in value):
+        rows = itertools.chain.from_iterable
+        if (_KEY_TYPES.issuperset(map(type, rows(value)))
+                and _SCALAR_TYPES.issuperset(map(type, rows(map(dict.values, value))))):
+            cell = ",\n" + inner + "  "
+            text = json.JSONEncoder(separators=(cell, ": ")).encode(value)[2:-2]
+            text = text.replace("}" + cell + "{", "\n" + inner + "},\n" + inner + "{" + cell[1:])
+            return "[\n" + inner + "{" + cell[1:] + text + "\n" + inner + "}\n" + indent + "]"
+    if kind in (dict, list) and value:
+        keys = value if kind is dict else ()
+        if _KEY_TYPES.issuperset(map(type, keys)):
+            if _SCALAR_TYPES.issuperset(map(type, value.values() if keys else value)):
+                text = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(value)
+                return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+            if keys:
+                return "{\n" + inner + (",\n" + inner).join(
+                    json.dumps(key) + ": " + _json_text(item, inner)
+                    for key, item in value.items()) + "\n" + indent + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def _report(config: argparse.Namespace, report: _Report) -> None:
     """Format and write one report; the only code that knows csv from json."""
     echo = _config_echo(config)
@@ -175,7 +215,7 @@ def _report(config: argparse.Namespace, report: _Report) -> None:
         if body is None:
             body = {"summary": report.summary} if report.summary else {}
             body["rows"] = [dict(zip(report.columns, row)) for row in report.rows]
-        _emit(config, json.dumps({"config": echo, **body}, indent=2))
+        _emit(config, _json_text({"config": echo, **body}))
         return
     del echo["version"]
     head = [*report.summary.items(), *sorted(echo.items())]

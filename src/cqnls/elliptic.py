@@ -78,22 +78,31 @@ def _complete_K_E(m: float) -> tuple[float, float]:
     """K(m) and E(m) from one AGM sequence; 0 <= m < 1.
 
     E(m) = K(m) (1 - sum_{n>=0} 2^{n-1} c_n^2)          (A&S 17.6.4)
+
+    The iteration of _agm_sequence, with its stopping rule, summing the
+    series as it goes instead of keeping the levels: the same operations
+    in the same order, so K and E keep the bits of the level lists' sum.
     """
-    _, _, c_seq, mean = _agm_sequence(m)
-    acc = 0.0
-    for n, c in enumerate(c_seq):
-        acc += 2.0 ** (n - 1) * c * c
-    K = math.pi / (2.0 * mean)
+    sqrt, tol = math.sqrt, _AGM_TOL
+    a = 1.0
+    b = sqrt(1.0 - m)
+    c = sqrt(m)
+    weight = 0.5  # 2^(n-1), exact
+    acc = weight * c * c
+    for _ in range(64):
+        c = 0.5 * (a - b)
+        if -tol <= c <= tol:  # abs(c) <= tol
+            break
+        a, b = 0.5 * (a + b), sqrt(a * b)
+        weight *= 2.0
+        acc += weight * c * c
+    K = math.pi / (a + b)  # a + b is twice the mean, exactly
     return K, K * (1.0 - acc)
 
 
-def _K_and_dK_dk(m: float) -> tuple[float, float]:
-    """K(m) and dK/dk from one AGM sequence; 0 < m < 1.
-
-    dK/dk = (E(m) - (1-m) K(m)) / (k (1-m)) for the modulus k = sqrt(m).
-    """
-    K, E = _complete_K_E(m)
-    return K, (E - (1.0 - m) * K) / (math.sqrt(m) * (1.0 - m))
+def _dK_dk(m: float, K: float, E: float) -> float:
+    """dK/dk = (E(m) - (1-m) K(m)) / (k (1-m)) for the modulus k = sqrt(m), 0 < m < 1."""
+    return (E - (1.0 - m) * K) / (math.sqrt(m) * (1.0 - m))
 
 
 def jacobi_sn_cn_dn(u, m: float):
@@ -125,8 +134,8 @@ def jacobi_sn_cn_dn(u, m: float):
         cn = 2.0 * e / (1.0 + e * e)
         dn = cn.copy()
     else:
-        rows = _gauss_descent(u_arr.reshape(1, -1), [_agm_sequence(m)])
-        sn, cn, dn = (f.reshape(u_arr.shape) for f in rows)
+        v, abs_sn, abs_cn, dn = _gauss_descent(u_arr.reshape(1, -1), [_agm_sequence(m)])
+        sn, cn, dn = (f.reshape(u_arr.shape) for f in (*_with_signs(v, abs_sn, abs_cn), dn))
 
     if np.ndim(u) == 0:
         return float(sn[0]), float(cn[0]), float(dn[0])
@@ -134,31 +143,54 @@ def jacobi_sn_cn_dn(u, m: float):
 
 
 def _gauss_descent(u: np.ndarray, agms: list) -> tuple:
-    """sn, cn, dn of each row u[i] of a 2-D array at its own AGM, agms[i].
+    """|sn|, |cn| and dn of each row u[i] of a 2-D array at its own AGM, agms[i].
 
-    agms[i] is the _agm_sequence of the row's parameter m < 1.  Rows with
-    fewer levels join the descent at their own top level: sorted by
-    depth, the rows that hold level n are a leading block of the array,
-    updated in place, so every row gets the bits of a one-row call.
+    Returns (v, |sn|, |cn|, dn) with v = a u for the row's mean a; sn and
+    cn take the signs of sin v and cos v (_with_signs), which a caller
+    that reads only sn^2 and dn need not compute.  agms[i] is the
+    _agm_sequence of the row's parameter m < 1.  Rows with fewer levels
+    join the descent at their own top level: sorted by depth, the rows
+    that hold level n are a trailing block of the array, updated in
+    place, so every row gets the bits of a one-row call.  A sweep's rows
+    usually come sorted already (depth grows with m).
     """
     depth = np.array([len(agm[0]) for agm in agms])
-    order = np.argsort(-depth, kind="stable")
-    agms = [agms[i] for i in order]
     mean = np.array([agm[3] for agm in agms])[:, None]
-    v = mean * u[order]
-    t = np.tan(v)
+    v = mean * u
+    order = None if np.all(depth[:-1] <= depth[1:]) else np.argsort(depth, kind="stable")
+    if order is not None:
+        agms = [agms[i] for i in order]
+        depth, mean = depth[order], mean[order]
+    top = depth[-1]
+    # level n of row i at [i, n], padded past the row's depth (never read)
+    a_levels, b_levels = (np.array([agm[j] + [1.0] * (top - len(agm[j])) for agm in agms])
+                          for j in (0, 1))
+    t = np.tan(v if order is None else v[order])
     q = t / mean
     d = np.ones_like(t)
-    for n in reversed(range(depth.max())):
-        k = np.count_nonzero(depth > n)
-        a, b = (np.array([agm[j][n] for agm in agms[:k]])[:, None] for j in (0, 1))
-        tk, qk = t[:k], q[:k]
+    num, den = np.empty_like(t), np.empty_like(t)
+    # rows [first[n]:] hold level n
+    first = np.searchsorted(depth, np.arange(top), side="right").tolist()
+    for n in reversed(range(top)):
+        k = first[n]
+        a, b = a_levels[k:, n, None], b_levels[k:, n, None]
+        tk, qk, dk, nk, ek = t[k:], q[k:], d[k:], num[k:], den[k:]
         tk *= qk
-        qk /= d[:k]
-        d[:k] = (b * tk + 1.0) / (a * tk + 1.0)
-        tk[...] = a * qk
-    h = 1.0 / np.sqrt(1.0 + q * q)
-    sn = np.copysign(np.abs(q) * h, np.sin(v))
-    cn = np.copysign(h, np.cos(v))
+        qk /= dk
+        np.multiply(b, tk, nk)
+        nk += 1.0
+        np.multiply(a, tk, ek)
+        ek += 1.0
+        np.divide(nk, ek, dk)
+        np.multiply(a, qk, tk)
+    abs_cn = 1.0 / np.sqrt(1.0 + q * q)
+    abs_sn = np.abs(q) * abs_cn
+    if order is None:
+        return v, abs_sn, abs_cn, d
     back = np.argsort(order)
-    return sn[back], cn[back], d[back]
+    return v, abs_sn[back], abs_cn[back], d[back]
+
+
+def _with_signs(v: np.ndarray, abs_sn: np.ndarray, abs_cn: np.ndarray) -> tuple:
+    """sn and cn from _gauss_descent's magnitudes, with the signs of sin v and cos v."""
+    return np.copysign(abs_sn, np.sin(v)), np.copysign(abs_cn, np.cos(v))

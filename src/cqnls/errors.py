@@ -51,7 +51,7 @@ def _relative(residual: float, terms) -> float:
 
     max alone skips a NaN that is not its first argument.
     """
-    scale = math.nan if any(t != t for t in terms) else max(map(abs, terms))
+    scale = math.nan if any(map(math.isnan, terms)) else max(map(abs, terms))
     return abs(residual) / scale
 
 

@@ -139,26 +139,30 @@ def _advance(u: np.ndarray, kernel: np.ndarray, dt: float, steps: int) -> np.nda
     rot, spec = np.empty(u.shape, dtype=complex), np.empty(u.shape, dtype=complex)
     rot_re, rot_im = rot.real, rot.imag
     fft, ifft, inv_n = _pocket_fft, _pocket_ifft, 1.0 / u.shape[-1]
+    multiply, add, cos, sin = np.multiply, np.add, np.cos, np.sin
 
-    def rotation(v: np.ndarray, h: float) -> np.ndarray:
-        # exp(i h (a2 + a2 a2)) with a2 = |v|^2, as cos + i sin of the angle,
-        # with the roundings of np.exp(1j * h * (a2 + a2 * a2))
-        np.multiply(v.real, v.real, out=a2)
-        np.multiply(v.imag, v.imag, out=theta)
-        np.add(a2, theta, out=a2)
-        np.multiply(a2, a2, out=theta)
-        np.add(theta, a2, out=theta)
-        np.multiply(theta, h, out=theta)
-        np.cos(theta, out=rot_re)
-        np.sin(theta, out=rot_im)
+    def rotation(re: np.ndarray, im: np.ndarray, h: float) -> np.ndarray:
+        # exp(i h (a2 + a2 a2)) with a2 = re^2 + im^2, as cos + i sin of the
+        # angle, with the roundings of np.exp(1j * h * (a2 + a2 * a2)); the
+        # ufuncs take their output positionally
+        multiply(re, re, a2)
+        multiply(im, im, theta)
+        add(a2, theta, a2)
+        multiply(a2, a2, theta)
+        add(theta, a2, theta)
+        multiply(theta, h, theta)
+        cos(theta, rot_re)
+        sin(theta, rot_im)
         return rot
 
-    u = u * rotation(u, 0.5 * dt)
+    u = u * rotation(u.real, u.imag, 0.5 * dt)
+    # views of the array every later substep works in
+    u_re, u_im = u.real, u.imag
     for step in range(steps):
         fft(u, 1.0, out=spec)
         spec *= kernel
         ifft(spec, inv_n, out=u)
-        u *= rotation(u, dt if step < steps - 1 else 0.5 * dt)
+        u *= rotation(u_re, u_im, dt if step < steps - 1 else 0.5 * dt)
     return u
 
 

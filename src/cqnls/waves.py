@@ -22,6 +22,10 @@ find the unique root triple whose period equals L, and sample the
 resulting profile with certified residuals.  build_wave samples one
 profile; a curve sweep samples the profiles of all its frequencies in
 one pass, as rows of one array, with build_wave's checks on each row.
+A built wave's parameters come from the level set of the period solve's
+attained-period evaluation.  The profile is even, so it is sampled on
+the half period 0 <= x <= L/2 and mirrored: every built profile is even
+by construction, and its evenness check reads 0.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _agm_sequence, _gauss_descent, _K_and_dK_dk
+from .elliptic import _agm_sequence, _complete_K_E, _dK_dk, _gauss_descent, _with_signs
 from .errors import (
     ConfigError,
     ContractError,
@@ -73,6 +77,9 @@ _M_DEGENERATE = 1e-14
 # below this omega, 48 omega + 9 (alpha_bounds' hi, the first closed form
 # in omega to overflow) is a finite double: omega ~ 3.745e306
 _OMEGA_MAX = sys.float_info.max / 48.0
+_SQRT3 = math.sqrt(3.0)
+# the period's prefactor sqrt(8) 3^(1/4), rounded as the closed form reads
+_PERIOD_SCALE = math.sqrt(8.0) * 3.0**0.25
 
 
 @dataclass(frozen=True)
@@ -195,13 +202,19 @@ def roots_from_alpha3(alpha3: float, omega: float) -> tuple[float, float]:
     at a degenerate limit (alpha2 -> 0 at the solitary end, alpha2 ->
     alpha3 at the equilibrium end) and DegenerateError is raised.
     """
-    lo, hi = alpha_bounds(omega)
+    return _roots(alpha3, omega, alpha_bounds(omega))[:2]
+
+
+def _roots(alpha3: float, omega: float, bounds: tuple) -> tuple[float, float, float]:
+    """roots_from_alpha3's roots and checks, with q = _q_poly; bounds = alpha_bounds(omega)."""
+    lo, hi = bounds
     if not lo < alpha3 < hi:
         raise DomainError(
             f"alpha3={alpha3!r} outside the admissible interval ({lo!r}, {hi!r}) "
             f"at omega={omega}"
         )
-    root = math.sqrt(3.0 * _q_poly(alpha3, omega))
+    q = _q_poly(alpha3, omega)
+    root = math.sqrt(3.0 * q)
     alpha1 = -(root + 2.0 * alpha3 + 3.0) / 4.0
     alpha2 = (root - 2.0 * alpha3 - 3.0) / 4.0
     if not alpha1 < 0.0 < alpha2 < alpha3:
@@ -209,14 +222,16 @@ def roots_from_alpha3(alpha3: float, omega: float) -> tuple[float, float]:
             f"root ordering failed at alpha3={alpha3!r}, omega={omega}: "
             f"{alpha1!r}, {alpha2!r}"
         )
-    return alpha1, alpha2
+    return alpha1, alpha2, q
 
 
-def _level(alpha3: float, omega: float) -> tuple[float, float, float, float]:
-    """Roots, q = _q_poly and checked modulus (alpha1, alpha2, q, m) of alpha3."""
-    alpha1, alpha2 = roots_from_alpha3(alpha3, omega)
-    q = _q_poly(alpha3, omega)
-    root = math.sqrt(3.0) * alpha3 * math.sqrt(q)
+def _level(alpha3: float, omega: float, bounds: tuple | None = None) -> tuple:
+    """Roots, q = _q_poly and checked modulus (alpha1, alpha2, q, m) of alpha3.
+
+    bounds, when given, is alpha_bounds(omega), computed once per solve.
+    """
+    alpha1, alpha2, q = _roots(alpha3, omega, bounds or alpha_bounds(omega))
+    root = _SQRT3 * alpha3 * math.sqrt(q)
     m = (root - 12.0 * omega + 6.0 * alpha3**2 + 9.0 * alpha3) / (2.0 * root)
     m_roots = -alpha1 * (alpha3 - alpha2) / (alpha3 * (alpha2 - alpha1))
     # both routes lie in (0, 1)
@@ -229,16 +244,20 @@ def _level(alpha3: float, omega: float) -> tuple[float, float, float, float]:
     return alpha1, alpha2, q, m
 
 
-def _period_and_slope(alpha3: float, omega: float) -> tuple[float, float]:
-    """Period and its alpha3 partial from one level set and one AGM sequence."""
-    _, _, q, m = _level(alpha3, omega)
-    K, dK_dk = _K_and_dK_dk(m)
-    psi = math.sqrt(8.0) * 3.0**0.25 * K / (math.sqrt(alpha3) * q**0.25)
-    pref = math.sqrt(8.0) * 3.0**0.25 / (math.sqrt(alpha3) * q**0.25)
-    return psi, pref * (
-        dK_dk * _dk_dalpha(alpha3, omega, q, m)
+def _period_and_slope(alpha3: float, omega: float, bounds: tuple | None = None) -> tuple:
+    """Period and its alpha3 partial from one level set and one AGM sequence.
+
+    Returns (period, slope, level) with _level's level set (alpha1,
+    alpha2, q, m).
+    """
+    level = _level(alpha3, omega, bounds)
+    q, m = level[2], level[3]
+    K, E = _complete_K_E(m)
+    den = math.sqrt(alpha3) * q**0.25
+    return _PERIOD_SCALE * K / den, _PERIOD_SCALE / den * (
+        _dK_dk(m, K, E) * _dk_dalpha(alpha3, omega, q, m)
         - K * (16.0 * omega - 8.0 * alpha3**2 - 6.0 * alpha3 + 3.0) / (2.0 * alpha3 * q)
-    )
+    ), level
 
 
 def period_map(alpha3: float, omega: float) -> float:
@@ -254,10 +273,10 @@ def period_map(alpha3: float, omega: float) -> float:
 
 def _dk_dalpha(a: float, omega: float, q: float, m: float) -> float:
     """Partial derivative of the modulus k in alpha3 at fixed omega (positive)."""
-    a, omega, q, m = float(a), float(omega), float(q), float(m)  # as in b_from_alpha
+    a, omega, q = float(a), float(omega), float(q)  # as in b_from_alpha
     try:
         r = 6.0 * a**3 + 9.0 * a**2 - 18.0 * omega * a + 48.0 * omega**2 + 9.0 * omega
-        return r / (math.sqrt(3.0) * math.sqrt(m) * a**2 * q**1.5)
+        return r / (_SQRT3 * math.sqrt(m) * a**2 * q**1.5)
     except OverflowError:
         # omega^2 overflows a double beyond omega ~ 1.3e154
         raise DomainError(
@@ -294,6 +313,7 @@ def _log_gap_newton(fdf, lo, hi):
     point).  Endpoints are never evaluated (callers guarantee f < 0 near lo
     and f > 0 near hi in the limit).
     """
+    exp, ulp = math.exp, math.ulp
     a, b = lo, hi
     x = 0.5 * (lo + hi)
     fx, dfx = fdf(x)
@@ -306,11 +326,11 @@ def _log_gap_newton(fdf, lo, hi):
             return x
         try:
             g = hi - x
-            trial = hi - g * math.exp(fx / (dfx * g))
+            trial = hi - g * exp(fx / (dfx * g))
         except (ZeroDivisionError, OverflowError):
             trial = math.nan
         inside = a < trial < b
-        if abs(trial - x) <= 4.0 * math.ulp(x):
+        if abs(trial - x) <= 4.0 * ulp(x):
             return trial if inside else x
         if b - a <= 1e-14:
             return x
@@ -330,6 +350,16 @@ def solve_alpha3(L: float, omega: float) -> float:
     classified by its nearer bound, below L at the equilibrium end and
     above it at the solitary end, and shrinks the bracket like any other.
     """
+    return _solve(L, omega)[0]
+
+
+def _solve(L: float, omega: float) -> tuple:
+    """solve_alpha3's root and the level set of its attained-period evaluation.
+
+    Returns (alpha3, level), so a wave built on the root need not derive
+    the level set again.  Where the root finder returns its last evaluated
+    point, that evaluation is the attained-period one.
+    """
     if L <= 0:
         raise DomainError(f"period must be positive, got L={L}")
     if not (math.isfinite(L) and math.isfinite(omega)):
@@ -344,28 +374,32 @@ def solve_alpha3(L: float, omega: float) -> float:
             f"no period-{L} wave at omega={omega}: the minimal attainable period "
             f"is {tl:.6g}; waves of this period require {need}"
         )
-    lo, hi = alpha_bounds(omega)
+    bounds = lo, hi = alpha_bounds(omega)
+    # the last evaluated point and its evaluation
+    last_alpha, last = math.nan, None
 
     def deficit(alpha):
         # period(alpha) - L and its slope; the degeneracy cut near either
         # bound is classified without evaluating the elliptic integral, and
         # its NaN slope turns the next step into bisection
+        nonlocal last_alpha, last
         try:
-            T, slope = _period_and_slope(alpha, omega)
+            last = _period_and_slope(alpha, omega, bounds)
         except DegenerateError:
             return ((tl - L) if (alpha - lo) < (hi - alpha) else math.inf), math.nan
-        return T - L, slope
+        last_alpha = alpha
+        return last[0] - L, last[1]
 
     root = _log_gap_newton(deficit, lo, hi)
     # periods beyond the last double-precision modulus saturate the root
     # finder at the solitary cut; refuse to return a wave of the wrong period
-    attained = period_map(root, omega)
+    attained, _, level = last if root == last_alpha else _period_and_slope(root, omega, bounds)
     if abs(attained - L) > 1e-3 * L:
         raise DegenerateError(
             f"period L={L} at omega={omega} is out of numerical reach: periods "
             f"resolvable in double precision top out near {attained:.6g}"
         )
-    return root
+    return root, level
 
 
 def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
@@ -378,7 +412,12 @@ def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
     0 < m, and B = b_from_alpha(alpha3), increasing from b_threshold at
     the lower bound to 0 at the upper one, lies in (b_threshold, 0).
     """
-    alpha1, alpha2, _, m = _level(alpha3, omega)
+    return _params(L, omega, alpha3, _level(alpha3, omega))
+
+
+def _params(L: float, omega: float, alpha3: float, level: tuple) -> WaveParams:
+    """params_from_alpha3 from the level set _level(alpha3, omega)."""
+    alpha1, alpha2, _, m = level
     return WaveParams(
         L=L, omega=omega, alpha1=alpha1, alpha2=alpha2, alpha3=alpha3, m=m,
         g=2.0 / math.sqrt(alpha3 * (alpha2 - alpha1)),
@@ -387,10 +426,14 @@ def params_from_alpha3(L: float, omega: float, alpha3: float) -> WaveParams:
 
 
 def _profiles(wps: list, x: np.ndarray) -> tuple:
-    """Closed-form profiles and slopes of the waves wps at the points x.
+    """Closed-form profiles of the waves wps at the points x, one row per wave.
 
-    One row per wave, each from one AGM sequence: the Jacobi pass runs on
-    its levels, and K = pi / (2 mean) is read from its mean.
+    Returns the profile rows and the Jacobi pass they are read from: the
+    columns c = 2K/L and beta_sq and _gauss_descent's rows v, |sn|, |cn|
+    and dn, and den = 1 + beta_sq sn^2.  Each row comes from one AGM
+    sequence: the Jacobi pass runs on its levels, and K = pi / (2 mean)
+    is read from its mean.  The profile reads sn^2 alone, so the signs of
+    sn and cn are left to the slope.
     """
     agms = [_agm_sequence(wp.m) for wp in wps]
 
@@ -400,26 +443,27 @@ def _profiles(wps: list, x: np.ndarray) -> tuple:
     # elliptic argument scaled by 2K/L so the sampled function is exactly
     # L-periodic; equals 2/(sqrt(3) g) x up to the period-solve residual
     c = column([2.0 * (math.pi / (2.0 * agm[3])) / wp.L for agm, wp in zip(agms, wps)])
-    m = column([wp.m for wp in wps])
     beta_sq = column([wp.beta_sq for wp in wps])
     amp = column([math.sqrt(wp.alpha3) for wp in wps])
-    sn, cn, dn = _gauss_descent(c * x, agms)
-    den = 1.0 + beta_sq * np.square(sn)
-    phi = amp * dn / np.sqrt(den)
-    dphi = -amp * c * sn * cn * (m * den + beta_sq * np.square(dn)) / den**1.5
-    return phi, dphi
+    v, abs_sn, abs_cn, dn = _gauss_descent(c * x, agms)
+    den = 1.0 + beta_sq * np.square(abs_sn)
+    return amp * dn / np.sqrt(den), (c, beta_sq, v, abs_sn, abs_cn, dn, den)
 
 
 def _profile_and_slope(wp: WaveParams, x) -> tuple:
-    """Closed-form profile and its derivative at x, as one row of _profiles."""
+    """Closed-form profile and its derivative at x, from one row of _profiles."""
     xa = np.asarray(x, dtype=float)
-    return tuple(f.reshape(xa.shape) for f in _profiles([wp], xa.reshape(-1)))
+    phi, (c, beta_sq, v, abs_sn, abs_cn, dn, den) = _profiles([wp], xa.reshape(-1))
+    sn, cn = _with_signs(v, abs_sn, abs_cn)
+    dphi = (-math.sqrt(wp.alpha3) * c * sn * cn
+            * (wp.m * den + beta_sq * np.square(dn)) / den**1.5)
+    return phi.reshape(xa.shape), dphi.reshape(xa.shape)
 
 
 def profile_value(wp: WaveParams, x):
     """Closed-form profile at arbitrary positions x (vectorized)."""
     xa = np.asarray(x, dtype=float)
-    out = _profile_and_slope(wp, xa)[0]
+    out = _profiles([wp], xa.reshape(-1))[0].reshape(xa.shape)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -450,22 +494,29 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
     Returns (entries, phi, dphi): entries[i] is the WaveParams at omegas[i],
     or the CqnlsError its construction raised, and phi and dphi hold one
     row per WaveParams entry, in order.  A bad N raises ConfigError.  The
-    period solve and parameter checks run per frequency; the profiles, their
-    spectral derivatives and their checks run on all rows at once.
+    period solve and parameter checks run per frequency, the parameters
+    from the solve's own level set; the profiles, their spectral
+    derivatives and their checks run on all rows at once.  Each profile
+    is sampled on the half period 0 <= x <= L/2 and mirrored, so every
+    row is even by construction.
     """
     check_grid_size(N)
     N = int(N)
     entries: list = []
     for omega in omegas:
         try:
-            entries.append(params_from_alpha3(L, omega, solve_alpha3(L, omega)))
+            entries.append(_params(L, omega, *_solve(L, omega)))
         except CqnlsError as exc:
             entries.append(exc)
     wps = [wp for _, wp in _live(entries)]
     if not wps:
         # no grid: a period that no wave has need not be finite
         return entries, np.empty((0, N)), np.empty((0, N))
-    phi = _profiles(wps, grid(L, N))[0]
+    # phi is even: sample x_j = j L / N for j <= N/2 and mirror the rest
+    half = N // 2 + 1
+    phi = np.empty((len(wps), N))
+    phi[:, :half] = _profiles(wps, grid(L, N)[:half])[0]
+    phi[:, half:] = phi[:, half - 2:0:-1]
     (phi,) = _drop_failed(entries, _profile_errors(phi, wps), phi)
     return entries, phi, spectral_derivative(phi, L)
 

@@ -323,13 +323,15 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
     The one-point chain before sweeps became rows: K from complete_K and
     a second AGM for the Gauss descent of sn, cn, dn on a 1-D grid, one
     1-D FFT derivative, and one even-block LU of L1 t = -phi for the
-    tangent, where the library now builds t in closed form.  The
+    tangent, where the library now builds t in closed form.  The profile
+    is sampled on the half period and mirrored, like the library's.  The
     construction and integral checks are left out.
     """
     wp = waves.params_from_alpha3(L, omega, waves.solve_alpha3(L, omega))
     a_seq, b_seq, _, mean = elliptic._agm_sequence(wp.m)
     c = 2.0 * elliptic.complete_K(wp.m) / wp.L
-    v = mean * (c * waves.grid(L, N))
+    # the half period 0 <= x <= L/2, mirrored below as the library does
+    v = mean * (c * waves.grid(L, N)[:N // 2 + 1])
     t = np.tan(v)
     q = t / mean
     d = np.ones_like(t)
@@ -339,7 +341,8 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
         d = (b * t + 1.0) / (a * t + 1.0)
         t = a * q
     sn = np.copysign(np.abs(q) * (1.0 / np.sqrt(1.0 + q * q)), np.sin(v))
-    phi = math.sqrt(wp.alpha3) * d / np.sqrt(1.0 + wp.beta_sq * np.square(sn))
+    phi_half = math.sqrt(wp.alpha3) * d / np.sqrt(1.0 + wp.beta_sq * np.square(sn))
+    phi = np.concatenate([phi_half, phi_half[-2:0:-1]])
     dphi = spectral_derivative(phi, L)
 
     phi2 = phi**2

@@ -8,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cqnls
@@ -634,6 +635,47 @@ def test_csv_and_json_carry_equal_numbers(capsys, monkeypatch, subcommand):
     for line, row in zip(lines, table):
         assert header.split(",") == list(row)
         assert all(map(_same, line.split(","), row.values()))
+
+
+# every subcommand's JSON report; the curve sweep holds an error row (NaN
+# cells and a message) and the audit is of one point
+_JSON_REPORTS = {**_SMALL, "audit": ("--omega", "2", "--N", "64")}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_JSON_REPORTS))
+def test_json_report_is_the_text_of_json_dumps(capsys, monkeypatch, subcommand):
+    # rows go through the C encoder; the text stays json.dumps(doc, indent=2)
+    docs = []
+    encode = cli._json_text
+
+    def recorded(value, indent=""):
+        if not indent:
+            docs.append(value)
+        return encode(value, indent)
+
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    code, out, _ = _run(capsys, subcommand, *_JSON_REPORTS[subcommand], "--format", "json")
+    assert code == 0
+    (doc,) = docs
+    assert out == json.dumps(doc, indent=2) + "\n"
+    if subcommand == "curve":
+        assert "NaN" in out and json.loads(out)["rows"][0]["status"] == "error"
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], {"rows": []}, [{}], [[]], {"a": {}}, 2.5, "text",
+    {"config": {"L": 1.0, "omega": [1.0, 2.0, math.nan], "s": 'a\nb"},{', "v": None},
+     "rows": [{"a": 1.0, "b": "x},\n      {"}, {"a": math.inf, "b": "\u00e9"}]},
+    {"summary": {"x": -math.inf, "y": True, "n": 3},
+     "rows": [{"t": np.float64(0.1), "e": np.float64(1e-300)}]},
+    {"L1": {"ev": [1.0, 2.0], "par": ["even", "odd"], "n": 1, "d": {"k": (1, 2)}},
+     1: "int key", "z": [1, [2, 3], {"q": 1}]},
+    [{"a": 1}, {"a": [1]}], [{"a": 1}, 2], [{"a": {"b": 1}}], {"a": [{"b": 1}, {"b": 2}]},
+    {"a": (1, 2)}, [(1, 2)], {"k": {"x": {"y": {"z": [1.5]}}}}, {True: 1}, {"a": 1, 2: 3},
+], ids=lambda doc: json.dumps(doc, default=str)[:40])
+def test_json_text_matches_json_dumps(doc):
+    # flat containers at any depth, rows of flat dicts, and what falls back
+    assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("subcommand",

@@ -258,35 +258,53 @@ def _count_calls(patch, module, name, calls):
 
 def test_period_slope_takes_one_modulus_and_one_agm(monkeypatch):
     # m, K and dK/dk of the period and of its slope come from one level set
-    # (roots, q and the checked modulus) and one AGM sequence
-    from cqnls import elliptic
-
+    # (roots, q and the checked modulus) and one AGM sequence, the K, E pass
+    # that sums E's series as it goes
     calls = {}
     _count_calls(monkeypatch, waves, "_level", calls)
-    _count_calls(monkeypatch, elliptic, "_agm_sequence", calls)
+    _count_calls(monkeypatch, waves, "_complete_K_E", calls)
     for omega in (0.7, 2.0, 9.0):
         lo, hi = waves.alpha_bounds(omega)
         for fn in (waves.period_map, waves.period_map_dalpha):
             calls.clear()
             assert fn(0.5 * (lo + hi), omega) > 0.0
-            assert calls == {"_level": 1, "_agm_sequence": 1}, (fn.__name__, omega)
+            assert calls == {"_level": 1, "_complete_K_E": 1}, (fn.__name__, omega)
+
+
+def _count_agms(patch, calls):
+    # every AGM sequence: the level lists of the Jacobi pass and the K, E
+    # pass, each counted on every binding the library reads it through
+    from cqnls import curve, elliptic
+
+    for module, name in ((elliptic, "_agm_sequence"), (waves, "_agm_sequence"),
+                         (elliptic, "_complete_K_E"), (waves, "_complete_K_E"),
+                         (curve, "_complete_K_E")):
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn):
+            calls["agm"] = calls.get("agm", 0) + 1
+            return fn(*args)
+
+        patch.setattr(module, name, counted)
 
 
 def test_solve_and_curve_sample_agm_budget(monkeypatch):
     # one AGM per period evaluation of the solve (period and slope share
-    # it), one for the attained-period check; a curve sample adds one for
-    # the profile (its Jacobi pass and its scale K) and one K, E pair for inv2
-    from cqnls import curve, elliptic
+    # it), one for the attained-period check unless the root is the last
+    # evaluated point; a curve sample adds one for the profile (its Jacobi
+    # pass and its scale K) and one K, E pair for inv2, and derives no level
+    # set beyond the solve's
+    from cqnls import curve
 
     calls = {}
-    # the profile reads its AGM through the waves binding
-    for module in (elliptic, waves):
-        _count_calls(monkeypatch, module, "_agm_sequence", calls)
+    _count_agms(monkeypatch, calls)
     waves.solve_alpha3(TWO_PI, 2.0)
-    assert calls["_agm_sequence"] <= 6
+    assert calls["agm"] <= 6
     calls.clear()
+    _count_calls(monkeypatch, waves, "_level", calls)
     curve.curve_sample(TWO_PI, 2.0)
-    assert calls["_agm_sequence"] <= 8
+    assert calls["agm"] <= 8
+    assert calls["_level"] <= 6
 
 
 def _round_trip_tol(a3: float, omega: float, L: float) -> float:
@@ -332,6 +350,22 @@ def test_solve_matches_bisection_with_few_period_evaluations(monkeypatch):
             a3 = waves.solve_alpha3(L, omega)
         assert abs(a3 - ref) <= 1e-15 * ref, (L, omega)
         assert calls["_period_and_slope"] <= 10, (L, omega, calls)
+
+
+def test_solve_keeps_the_frozen_bits_of_its_roots():
+    # every bit of these roots is load-bearing: shifting each root of the
+    # curve_audit benchmark by +-1 ulp moved its err_max (the largest audit
+    # route difference on the s = 8 edge probes, 1.7556e-8) to 2.405e-8
+    # (+37%) and 1.618e-8, and +4 ulp to 2.839e-8, while random ulps on the
+    # profile moved it by at most 1e-5 relative.  So the period solve's
+    # arithmetic (Newton start, iterates, evaluation order) is frozen: the
+    # 22 points of the two edge-probe audit sweeps (L = 3 pi and 4 pi,
+    # omega up to the edge s = 8) and 20 seeded (L, omega) with L in
+    # [2 pi, 4 pi] and s in [0.75, 8], roots captured as hex
+    frozen = json.loads((Path(__file__).parent / "frozen_roots.json").read_text())
+    assert [e["kind"] for e in frozen].count("edge probe") == 22
+    for entry in frozen:
+        assert waves.solve_alpha3(entry["L"], entry["omega"]).hex() == entry["alpha3"], entry
 
 
 def test_small_frequency_solve_beyond_reach_stays_in_the_bracket(monkeypatch):
