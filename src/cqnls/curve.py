@@ -173,13 +173,14 @@ def _sample_rows(L: float, omegas, N: int) -> list:
     errors = [_integral_error(wp, *row[:5]) or error
               for wp, row, error in zip(wps, ints.tolist(), tangent_errors)]
     phi, tangent, ints = _drop_failed(entries, errors, phi, tangent, ints)
+    phi3 = phi**3
     rates = np.stack([
         trapezoid(phi * tangent, L),
         2.0 * phi[:, 0] * tangent[:, 0],
         2.0 * phi[:, N // 2] * tangent[:, N // 2],
-        4.0 * trapezoid(phi**3 * tangent, L),
+        4.0 * trapezoid(phi3 * tangent, L),
         6.0 * trapezoid(phi**5 * tangent, L),
-        -2.0 * trapezoid(tangent / phi**3, L),
+        -2.0 * trapezoid(tangent / phi3, L),
     ], axis=-1)
 
     for (i, wp), row, rate in zip(_live(entries), ints.tolist(), rates.tolist()):

@@ -340,7 +340,8 @@ def _solve_points():
 
 def test_solve_matches_bisection_with_few_period_evaluations(monkeypatch):
     # counts every period evaluation of the solve (the Newton and bisection
-    # points, each with its slope) plus the attained-period check
+    # points, each with its slope) plus the attained-period check, which
+    # reuses the last evaluation when the root is that point
     calls = {}
     for L, omega in _solve_points():
         ref = alpha3_by_bisection(L, omega)
