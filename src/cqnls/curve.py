@@ -63,11 +63,10 @@ from .waves import (
     _dk_dalpha,
     _dk_domega,
     _drop_failed,
-    _level,
     _live,
+    _period_and_slope,
     _wave_rows,
     build_wave,  # unused here; perfbench's tracer test reads curve.build_wave
-    period_map_dB,
 )
 
 __all__ = [
@@ -278,7 +277,7 @@ def derivative_audit(sample: CurveSample) -> DerivativeAudit:
     """Signed frequency derivatives of the curve parameters at one sample."""
     s, omega = sample, sample.omega
     a3, da3, da2 = s.alpha3, s.dalpha3, s.dalpha2
-    a1, a2, q, m = _level(a3, omega)
+    _, slope, (a1, a2, q, m) = _period_and_slope(a3, omega)
     da1 = -da2 - da3  # the roots sum to -3/2
     # m = k^2 = -a1 (a3 - a2) / (a3 (a2 - a1)), differentiated by its log
     dlog_m = (da1 / a1 + (da3 - da2) / (a3 - a2)
@@ -286,7 +285,7 @@ def derivative_audit(sample: CurveSample) -> DerivativeAudit:
     dk_total = 0.5 * math.sqrt(s.m) * dlog_m
     dk_partial = dk_total - _dk_dalpha(a3, omega, q, m) * da3
     dk_closed = _dk_domega(a3, omega, q, m)
-    dT_dB = period_map_dB(a3, omega)
+    dT_dB = slope / (a3**2 + a3 - omega)  # period_map_dB from the same level set
 
     signs_ok = {
         "dalpha3_positive": da3 > 0.0,

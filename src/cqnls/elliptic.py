@@ -36,28 +36,26 @@ __all__ = [
 _AGM_TOL = 1e-15
 
 
-def _agm_sequence(m: float) -> tuple[list[float], list[float], list[float], float]:
-    """AGM levels (a_n, b_n), deviations c_n and converged mean for parameter m.
+def _agm_sequence(m: float) -> tuple[list[float], list[float], float]:
+    """AGM levels (a_n, b_n) and converged mean for parameter m, for the Gauss descent.
 
-    a_0 = 1, b_0 = sqrt(1 - m), c_0 = sqrt(m);
-    a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2.
+    a_0 = 1, b_0 = sqrt(1 - m);
+    a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n).
     Iterates until a_n - b_n <= 2e-15; the mean (a_n + b_n)/2 of the
     last level is one step past it and within rounding of AGM(1, b_0).
+    K and E run the same iteration in _complete_K_E.
     """
     a = 1.0
     b = math.sqrt(1.0 - m)
     a_seq = [a]
     b_seq = [b]
-    c_seq = [math.sqrt(m)]
     for _ in range(64):
-        c = 0.5 * (a - b)
-        if abs(c) <= _AGM_TOL:
+        if abs(0.5 * (a - b)) <= _AGM_TOL:
             break
         a, b = 0.5 * (a + b), math.sqrt(a * b)
         a_seq.append(a)
         b_seq.append(b)
-        c_seq.append(c)
-    return a_seq, b_seq, c_seq, 0.5 * (a + b)
+    return a_seq, b_seq, 0.5 * (a + b)
 
 
 def complete_K(m: float) -> float:
@@ -71,7 +69,7 @@ def complete_K(m: float) -> float:
     m = float(m)
     if not 0.0 <= m < 1.0:
         raise DomainError(f"complete_K requires 0 <= m < 1, got m={m}")
-    return math.pi / (2.0 * _agm_sequence(m)[3])
+    return _complete_K_E(m)[0]
 
 
 def _complete_K_E(m: float) -> tuple[float, float]:
@@ -79,9 +77,9 @@ def _complete_K_E(m: float) -> tuple[float, float]:
 
     E(m) = K(m) (1 - sum_{n>=0} 2^{n-1} c_n^2)          (A&S 17.6.4)
 
-    The iteration of _agm_sequence, with its stopping rule, summing the
-    series as it goes instead of keeping the levels: the same operations
-    in the same order, so K and E keep the bits of the level lists' sum.
+    with the deviations c_0 = sqrt(m), c_{n+1} = (a_n - b_n)/2.  The
+    iteration of _agm_sequence, with its stopping rule, summing the series
+    as it goes instead of keeping the levels.
     """
     sqrt, tol = math.sqrt, _AGM_TOL
     a = 1.0
@@ -155,7 +153,7 @@ def _gauss_descent(u: np.ndarray, agms: list) -> tuple:
     usually come sorted already (depth grows with m).
     """
     depth = np.array([len(agm[0]) for agm in agms])
-    mean = np.array([agm[3] for agm in agms])[:, None]
+    mean = np.array([agm[2] for agm in agms])[:, None]
     v = mean * u
     order = None if np.all(depth[:-1] <= depth[1:]) else np.argsort(depth, kind="stable")
     if order is not None:

@@ -223,12 +223,10 @@ def _folded_d2(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 def _parity_blocks(kind: str, wp: WaveParams, prof: Profile) -> list:
     """[even, odd] blocks P^T M P of M = -D2 + diag(V), never forming M.
 
-    The potential is even only up to rounding, so it enters the blocks
-    on indices 0 .. N/2 averaged with its mirror values.
+    A built profile is even bit for bit (waves.Profile), and so is its
+    potential: the blocks read it on the half period, indices 0 .. N/2.
     """
-    pot = _potential(kind, wp.omega, prof.phi)
-    head = np.arange(prof.N // 2 + 1)
-    pot = 0.5 * (pot[head] + pot[-head])
+    pot = _potential(kind, wp.omega, prof.phi[:prof.N // 2 + 1])
     d2_even, d2_odd = _folded_d2(prof.L, prof.N)
     return [_plus_diagonal(d2_even, pot), _plus_diagonal(d2_odd, pot[1:-1])]
 

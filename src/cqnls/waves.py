@@ -24,8 +24,8 @@ profile; a curve sweep samples the profiles of all its frequencies in
 one pass, as rows of one array, with build_wave's checks on each row.
 A built wave's parameters come from the level set of the period solve's
 attained-period evaluation.  The profile is even, so it is sampled on
-the half period 0 <= x <= L/2 and mirrored: every built profile is even
-by construction, and its evenness check reads 0.
+the half period 0 <= x <= L/2, checked there, and mirrored: every built
+profile is even bit for bit, and nothing checks its evenness.
 """
 
 from __future__ import annotations
@@ -106,7 +106,12 @@ class WaveParams:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    """Samples of a profile and its derivative on fourier.grid(L, N), x_j = j L / N."""
+    """Samples of a profile and its derivative on fourier.grid(L, N), x_j = j L / N.
+
+    A built profile is its half period mirrored: phi[j] == phi[N - j] bit
+    for bit, and the Hill blocks read phi on the half period 0 <= j <= N/2
+    alone.
+    """
 
     L: float
     N: int
@@ -442,7 +447,7 @@ def _profiles(wps: list, x: np.ndarray) -> tuple:
 
     # elliptic argument scaled by 2K/L so the sampled function is exactly
     # L-periodic; equals 2/(sqrt(3) g) x up to the period-solve residual
-    c = column([2.0 * (math.pi / (2.0 * agm[3])) / wp.L for agm, wp in zip(agms, wps)])
+    c = column([2.0 * (math.pi / (2.0 * agm[2])) / wp.L for agm, wp in zip(agms, wps)])
     beta_sq = column([wp.beta_sq for wp in wps])
     amp = column([math.sqrt(wp.alpha3) for wp in wps])
     v, abs_sn, abs_cn, dn = _gauss_descent(c * x, agms)
@@ -497,8 +502,8 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
     period solve and parameter checks run per frequency, the parameters
     from the solve's own level set; the profiles, their spectral
     derivatives and their checks run on all rows at once.  Each profile
-    is sampled on the half period 0 <= x <= L/2 and mirrored, so every
-    row is even by construction.
+    is sampled and checked on the half period 0 <= x <= L/2 and mirrored,
+    so every row is even bit for bit.
     """
     check_grid_size(N)
     N = int(N)
@@ -512,12 +517,10 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
     if not wps:
         # no grid: a period that no wave has need not be finite
         return entries, np.empty((0, N)), np.empty((0, N))
-    # phi is even: sample x_j = j L / N for j <= N/2 and mirror the rest
-    half = N // 2 + 1
-    phi = np.empty((len(wps), N))
-    phi[:, :half] = _profiles(wps, grid(L, N)[:half])[0]
-    phi[:, half:] = phi[:, half - 2:0:-1]
-    (phi,) = _drop_failed(entries, _profile_errors(phi, wps), phi)
+    # phi is even: sample x_j = j L / N for j <= N/2, check, and mirror the rest
+    half = _profiles(wps, grid(L, N)[:N // 2 + 1])[0]
+    (half,) = _drop_failed(entries, _profile_errors(half, wps), half)
+    phi = np.concatenate((half, half[:, -2:0:-1]), axis=-1)
     return entries, phi, spectral_derivative(phi, L)
 
 
@@ -542,30 +545,28 @@ def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
     return rows if all(keep) else tuple(r[keep] for r in rows)
 
 
-def _profile_errors(phi: np.ndarray, wps: list) -> list:
-    """Positivity, extreme positions, evenness and trough value of each row.
+def _profile_errors(half: np.ndarray, wps: list) -> list:
+    """Positivity, extreme positions and trough value of each half-period row.
 
-    Returns the ContractError of each row's first failed check, or None.
-    The crest value is not checked: at x = 0 the Jacobi pass gives sn = 0
-    and dn = 1 exactly, so phi(0) is sqrt(alpha3) bit for bit.  Evenness
-    is bounded relative to that crest.  The trough value, Jacobi at K, is
-    a second route to alpha2 = (sqrt(3 q) - 2 alpha3 - 3)/4, bounded
-    relative to the largest of alpha3 and the terms of alpha2.
+    half[i] holds the samples x_j = j L / N, 0 <= j <= N/2, of the i-th
+    wave, whose other half is their mirror image.  Returns the
+    ContractError of each row's first failed check, or None.  The crest
+    value is not checked: at x = 0 the Jacobi pass gives sn = 0 and dn = 1
+    exactly, so phi(0) is sqrt(alpha3) bit for bit.  The trough value,
+    Jacobi at K, is a second route to alpha2 = (sqrt(3 q) - 2 alpha3 -
+    3)/4, bounded relative to the largest of alpha3 and the terms of alpha2.
     """
-    N = phi.shape[-1]
-    stats = zip(np.all(phi > 0.0, axis=-1).tolist(),
-                np.max(np.abs(phi - phi[:, (-np.arange(N)) % N]), axis=-1).tolist(),
-                np.argmax(phi, axis=-1).tolist(), np.argmin(phi, axis=-1).tolist(),
-                phi[:, N // 2].tolist())
+    last = half.shape[-1] - 1
+    stats = zip(np.all(half > 0.0, axis=-1).tolist(), np.argmax(half, axis=-1).tolist(),
+                np.argmin(half, axis=-1).tolist(), half[:, last].tolist())
     errors = []
-    for wp, (positive, even_defect, top, bottom, trough) in zip(wps, stats):
+    for wp, (positive, top, bottom, trough) in zip(wps, stats):
         shape = ("samples must be positive" if not positive
                  else "maximum must sit at x=0" if top != 0
-                 else "minimum must sit at x=L/2" if bottom != N // 2 else None)
+                 else "minimum must sit at x=L/2" if bottom != last else None)
         # the terms of alpha2: sqrt(3 q)/4 = (alpha2 - alpha1)/2, alpha3/2, 3/4
         errors.append(
             (shape and ContractError("profile " + shape))
-            or _agree("profile evenness defect", even_defect, (math.sqrt(wp.alpha3),), 1e-10)
             or _agree("profile trough phi(L/2)^2 - alpha2", trough**2 - wp.alpha2,
                       (wp.alpha3, 0.5 * (wp.alpha2 - wp.alpha1), 0.75), 1e-10))
     return errors

@@ -32,7 +32,10 @@ which rebuilt (i k)^order on every call; the library's in-place loop and
 cached multiplier must match them bit for bit, as hill._folded_d2, which
 reads the Toeplitz and Hankel parts of -D2 as sliding windows of the
 circulant column, must match folded_d2_by_fancy_index, its former body
-that gathered them through square index arrays.  The last five are small
+that gathered them through square index arrays, and hill._parity_blocks,
+which reads the potential on the half period, must match
+parity_blocks_by_average, its former body that averaged the potential
+with its mirror values.  The last five are small
 routines the library itself does not need: the dense
 second-derivative matrix and the full collocation matrix that the parity
 blocks of hill are checked against, an eigenvector sign-change counter for
@@ -328,7 +331,7 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
     construction and integral checks are left out.
     """
     wp = waves.params_from_alpha3(L, omega, waves.solve_alpha3(L, omega))
-    a_seq, b_seq, _, mean = elliptic._agm_sequence(wp.m)
+    a_seq, b_seq, mean = elliptic._agm_sequence(wp.m)
     c = 2.0 * elliptic.complete_K(wp.m) / wp.L
     # the half period 0 <= x <= L/2, mirrored below as the library does
     v = mean * (c * waves.grid(L, N)[:N // 2 + 1])
@@ -452,6 +455,20 @@ def folded_d2_by_fancy_index(L: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     hankel = col[(head[:, None] + head) % N]
     scale = math.sqrt(0.5) / hill._fold(N)
     return -(toeplitz + hankel) * np.outer(scale, scale), (hankel - toeplitz)[1:-1, 1:-1]
+
+
+def parity_blocks_by_average(kind: str, wp, prof) -> list:
+    """Former hill._parity_blocks: the potential averaged with its mirror values.
+
+    It read the potential on the whole grid and entered it on indices
+    0 .. N/2 as 0.5 (V[j] + V[-j]); on a profile that is even bit for bit
+    the average is V[j] itself.
+    """
+    pot = hill._potential(kind, wp.omega, prof.phi)
+    head = np.arange(prof.N // 2 + 1)
+    pot = 0.5 * (pot[head] + pot[-head])
+    d2_even, d2_odd = hill._folded_d2(prof.L, prof.N)
+    return [hill._plus_diagonal(d2_even, pot), hill._plus_diagonal(d2_odd, pot[1:-1])]
 
 
 def second_derivative_matrix(L: float, N: int) -> np.ndarray:

@@ -48,6 +48,28 @@ def test_frozen_reference_point(sweep_samples):
     assert s.dmass_domega == 2.0 * s.d2_dd
 
 
+def test_audit_takes_one_level_set_and_one_agm(monkeypatch, sweep_samples, sweep_audits):
+    # an audit row reads its roots, q, m and dT/dB from one level set and
+    # one K, E pass, and dT/dB keeps the bits of period_map_dB
+    for omega, s in sweep_samples.items():
+        assert sweep_audits[omega].dT_dB == waves.period_map_dB(s.alpha3, omega)
+    calls = {}
+    for module in (waves, curve):
+        for name in ("_level", "_complete_K_E"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+
+                def counted(*args, fn=fn, name=name):
+                    calls[name] = calls.get(name, 0) + 1
+                    return fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    for s in sweep_samples.values():
+        calls.clear()
+        curve.derivative_audit(s)
+        assert calls == {"_level": 1, "_complete_K_E": 1}, s.omega
+
+
 def test_positivity_and_orderings(sweep_samples):
     for s in sweep_samples.values():
         assert s.mass > 0 and s.p4 > 0 and s.p6 > 0 and s.inv2 > 0

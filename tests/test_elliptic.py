@@ -67,6 +67,20 @@ def test_domain_errors():
         elliptic.jacobi_sn_cn_dn(0.3, -0.2)
 
 
+def test_complete_first_keeps_its_bits_through_the_k_e_pass():
+    # K is read from the K, E pass; it keeps the bits of pi / (2 mean) from
+    # the level lists, from m = 0 and the subnormals to 1 - 1e-16
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1.0 - 1e-16]
+    edges += [1.0 - 10.0**-k for k in range(1, 16)]
+    ms = np.concatenate([edges, np.linspace(0.0, 1.0, 20001)[:-1],
+                         np.random.default_rng(34).uniform(0.0, 1.0, 2000),
+                         np.logspace(-320, -1, 1000)])
+    assert ms.size >= 20000 and np.all((0.0 <= ms) & (ms < 1.0))
+    for m in ms.tolist():
+        K = elliptic.complete_K(m)
+        assert K == elliptic._complete_K_E(m)[0] == math.pi / (2.0 * elliptic._agm_sequence(m)[2])
+
+
 def test_modulus_derivative_against_difference():
     for m in (0.1, 0.5, 0.9, 0.99):
         k = math.sqrt(m)

@@ -21,6 +21,7 @@ from oracles import (
     collocation_matrix,
     companion_by_ivp,
     folded_d2_by_fancy_index,
+    parity_blocks_by_average,
     second_derivative_matrix,
     sign_changes,
     spectrum_by_eager_lift,
@@ -235,6 +236,21 @@ def test_parity_blocks_match_full_solve(kind, omega, N):
     _assert_same_parity(rep, ref)
     expected = np.where(ref["even"], 1, -1).tolist()
     assert _reflection_signs(ref["eigenvectors"]) == expected
+
+
+@pytest.mark.parametrize("N", [64, 256, 512])
+@pytest.mark.parametrize("L", [TWO_PI, 2.0 * TWO_PI])
+def test_parity_blocks_read_the_half_period(L, N):
+    # a built profile is even bit for bit, so the potential on the half
+    # period gives the blocks of its former mirror average, every bit
+    for s in (0.75, 4.0, 8.0):
+        wp, prof = waves.build_wave(L, s / (L / TWO_PI) ** 2, N)
+        assert np.array_equal(prof.phi[1:], prof.phi[:0:-1])
+        for kind in ("L1", "L2"):
+            blocks = hill._parity_blocks(kind, wp, prof)
+            for block, ref in zip(blocks, parity_blocks_by_average(kind, wp, prof),
+                                  strict=True):
+                assert np.array_equal(block, ref), (kind, s)
 
 
 def _tangent(wp, prof):

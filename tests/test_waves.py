@@ -502,26 +502,36 @@ def test_readme_reach_table_matches_build_wave():
 
 def test_profile_extremes_and_symmetry(ref_wave):
     wp, prof = ref_wave
+    N = prof.N
     assert prof.phi[0] ** 2 == pytest.approx(wp.alpha3, abs=1e-12)
     assert prof.phi[prof.N // 2] ** 2 == pytest.approx(wp.alpha2, abs=1e-10)
     assert np.all(prof.phi > 0.0)
-    mirrored = prof.phi[(-np.arange(prof.N)) % prof.N]
-    assert np.max(np.abs(prof.phi - mirrored)) <= 1e-12
-    assert waves._profile_errors(prof.phi[None], [wp]) == [None]
+    # every built row is its half period mirrored, bit for bit: the Hill
+    # blocks read the half period alone
+    mirror = (-np.arange(N)) % N
+    assert np.array_equal(prof.phi, prof.phi[mirror])
+    entries, phi, _ = waves._wave_rows(TWO_PI, SWEEP, N)
+    assert all(isinstance(e, waves.WaveParams) for e in entries) and len(phi) == len(SWEEP)
+    assert np.array_equal(phi, phi[:, mirror])
+    assert waves._profile_errors(prof.phi[None, :N // 2 + 1], [wp]) == [None]
 
 
 def test_profile_checks_reject_tampering(ref_wave):
     # alpha2 off by 1e-6 relative moves the trough route by 2.6e-9 (1.4e-9
-    # of alpha3), which an absolute 1e-8 would pass; one sample off by 1e-6
-    # of the crest breaks evenness
+    # of alpha3), which an absolute 1e-8 would pass; one tampered sample of
+    # the half period fails each shape check
     wp, prof = ref_wave
-    assert waves._profile_errors(prof.phi[None], [wp]) == [None]
-    (error,) = waves._profile_errors(prof.phi[None], [replace(wp, alpha2=wp.alpha2 * (1 + 1e-6))])
+    half = prof.phi[:prof.N // 2 + 1]
+    assert waves._profile_errors(half[None], [wp]) == [None]
+    (error,) = waves._profile_errors(half[None], [replace(wp, alpha2=wp.alpha2 * (1 + 1e-6))])
     assert isinstance(error, ContractError) and "trough" in str(error)
-    skewed = prof.phi.copy()
-    skewed[5] += 1e-6 * math.sqrt(wp.alpha3)
-    (error,) = waves._profile_errors(skewed[None], [wp])
-    assert isinstance(error, ContractError) and "evenness" in str(error)
+    for value, message in ((0.0, "samples must be positive"),
+                           (half[0] * (1 + 1e-6), "maximum must sit at x=0"),
+                           (half[-1] * (1 - 1e-6), "minimum must sit at x=L/2")):
+        tampered = half.copy()
+        tampered[5] = value
+        (error,) = waves._profile_errors(tampered[None], [wp])
+        assert isinstance(error, ContractError) and str(error) == "profile " + message
 
 
 @pytest.mark.parametrize("omega", [1e16, 1e50, 1e100, 1e150])
