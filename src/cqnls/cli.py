@@ -117,9 +117,12 @@ def _parse_omega(text: str):
             raise ConfigError(
                 f"omega range needs stop > start and count >= 2, got {text!r}"
             )
-        if count > np.iinfo(np.intp).max:
-            raise ConfigError(f"omega range count exceeds the largest array size: {text!r}")
-        return np.linspace(start, stop, count).tolist()
+        try:
+            if count <= np.iinfo(np.intp).max:
+                return np.linspace(start, stop, count).tolist()
+        except (ValueError, MemoryError):  # bytes numpy refuses to allocate, up front
+            pass
+        raise ConfigError(f"omega range count exceeds the largest array size: {text!r}")
     try:
         return float(text)
     except ValueError as exc:

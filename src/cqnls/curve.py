@@ -28,11 +28,19 @@ J the zero-mean periodic antiderivative of 1/(phi^2 - alpha1), one
 rfft/irfft pair for all rows.  Each rate is a quadrature or a crest
 (x = 0) or trough (x = L/2) reading of t, and
 d''(omega) = (1/2) d/domega int phi^2 = int phi t has a second route
-through B and inv2.  The check ||(omega - D2)^-1 (L1 t + phi)|| <= 1e-8
-||(omega - D2)^-1 phi|| (max norm, one more FFT pair) reads about half
-the error of t, where the bare residual would read the grid's
-truncation times k^2.  A grid too coarse for the wave, a profile whose
-own ODE residual has grown (the solitary end) or a cancelled e fails it.
+through B and inv2.  The tangent reads the closed-form slope phi' of
+_wave_rows, not a grid derivative, so the grid enters t only through q1
+and J, which are accurate to rounding on any grid that resolves phi:
+at (2 pi, omega = 4, N = 64) t is within 7.3e-11 of its N = 4096 value.
+The check ||(omega - D2)^-1 (L1 t + phi)|| <= 1e-8 ||(omega - D2)^-1 phi||
+(max norm, one more FFT pair) reads the grid's aliasing of
+(3 phi^2 + 5 phi^4) t instead (8.4e-7 there), where the bare residual
+would read it times k^2; so the check, not t, sets how coarse a grid
+may be.  A grid too coarse for the wave, a profile whose own ODE
+residual has grown (the solitary end) or a cancelled e fails it.  Where
+e's denominator cancels to exactly 0, as it can at the existence
+threshold omega* (the tangent diverges like (omega - omega*)^(-1/2)
+there), the point is a DegenerateError instead.
 
 curve_sample builds one point with its integrals and rates, and each
 audit below reads a CurveSample, so one build serves all of them.
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import _complete_K_E
-from .errors import ConfigError, ContractError, CqnlsError, _agree, _relative
+from .errors import ConfigError, ContractError, CqnlsError, DegenerateError, _agree, _relative
 from .fourier import trapezoid
 from .waves import (
     WaveParams,
@@ -212,7 +220,10 @@ def _tangent_rows(wps: list, phi: np.ndarray, dphi: np.ndarray,
     pole = 1.0 / (phi2 - a1)
     q1 = np.mean(pole, axis=-1, keepdims=True)
     r = 3.0 + 16.0 * w
-    e = 2.0 / (8.0 * B * (4.0 - 3.0 * q1) / r - 4.0 * w * q1 + (4.0 / 3.0) * a23)
+    den = 8.0 * B * (4.0 - 3.0 * q1) / r - 4.0 * w * q1 + (4.0 / 3.0) * a23
+    # den cancels to 0 at the existence threshold, where the tangent
+    # diverges like (omega - omega*)^(-1/2): such a row gets e = 0 and fails
+    e = 2.0 / np.where(den == 0.0, math.inf, den)
     b = -e * (16.0 * w * q1 + 6.0 * q1 - 4.0) / r
     c = (4.0 / 3.0) * e * (4.0 - 3.0 * q1) / r
     J = np.fft.irfft(np.fft.rfft(pole) * to_J, n=N)
@@ -222,8 +233,9 @@ def _tangent_rows(wps: list, phi: np.ndarray, dphi: np.ndarray,
                         / (w + k * k), n=N)
     residuals = np.max(np.abs(t + both[1]), axis=-1).tolist()
     scales = np.max(np.abs(both[0]), axis=-1).tolist()
-    return t, [_agree("tangent residual", x, (scale,), 1e-8)
-               for x, scale in zip(residuals, scales)]
+    return t, [_agree("tangent residual", x, (scale,), 1e-8) if d != 0.0 else DegenerateError(
+                   "tangent diverges: e's denominator is 0 at the existence threshold")
+               for d, x, scale in zip(den.ravel().tolist(), residuals, scales)]
 
 
 def _integral_error(wp: WaveParams, mass, p4, p6, inv2_quad, inv2) -> ContractError | None:
@@ -232,8 +244,8 @@ def _integral_error(wp: WaveParams, mass, p4, p6, inv2_quad, inv2) -> ContractEr
     Each check compares two routes: inv2 by quadrature against its closed
     form, and the quadratures against B through the mass/p4/p6 identity.
     Signs and orderings of the integrals are not checked: each is a
-    trapezoid sum of powers of a profile that _profile_errors has already
-    found positive, with its maximum sqrt(alpha3) at x = 0.
+    trapezoid sum of powers of a profile that is positive by construction,
+    with its maximum sqrt(alpha3) at x = 0 (see waves._profile_errors).
     """
     # algebraic identity 2 w mass = (3/2) p4 + (4/3) p6 - B L of the
     # quadrature polynomial; the companion identity through inv2 is checked

@@ -133,7 +133,8 @@ def jacobi_sn_cn_dn(u, m: float):
         dn = cn.copy()
     else:
         v, abs_sn, abs_cn, dn = _gauss_descent(u_arr.reshape(1, -1), [_agm_sequence(m)])
-        sn, cn, dn = (f.reshape(u_arr.shape) for f in (*_with_signs(v, abs_sn, abs_cn), dn))
+        sn, cn, dn = (f.reshape(u_arr.shape) for f in (
+            np.copysign(abs_sn, np.sin(v)), np.copysign(abs_cn, np.cos(v)), dn))
 
     if np.ndim(u) == 0:
         return float(sn[0]), float(cn[0]), float(dn[0])
@@ -144,13 +145,14 @@ def _gauss_descent(u: np.ndarray, agms: list) -> tuple:
     """|sn|, |cn| and dn of each row u[i] of a 2-D array at its own AGM, agms[i].
 
     Returns (v, |sn|, |cn|, dn) with v = a u for the row's mean a; sn and
-    cn take the signs of sin v and cos v (_with_signs), which a caller
-    that reads only sn^2 and dn need not compute.  agms[i] is the
-    _agm_sequence of the row's parameter m < 1.  Rows with fewer levels
-    join the descent at their own top level: sorted by depth, the rows
-    that hold level n are a trailing block of the array, updated in
-    place, so every row gets the bits of a one-row call.  A sweep's rows
-    usually come sorted already (depth grows with m).
+    cn take the signs of sin v and cos v, which a caller that reads only
+    sn^2 and dn, or only the quarter period 0 <= u <= K where sn, cn >= 0,
+    need not compute.  agms[i] is the _agm_sequence of the row's
+    parameter m < 1.  Rows with fewer levels join the descent at their own
+    top level: sorted by depth, the rows that hold level n are a trailing
+    block of the array, updated in place, so every row gets the bits of a
+    one-row call.  A sweep's rows usually come sorted already (depth grows
+    with m).
     """
     depth = np.array([len(agm[0]) for agm in agms])
     mean = np.array([agm[2] for agm in agms])[:, None]
@@ -188,7 +190,3 @@ def _gauss_descent(u: np.ndarray, agms: list) -> tuple:
     back = np.argsort(order)
     return v, abs_sn[back], abs_cn[back], d[back]
 
-
-def _with_signs(v: np.ndarray, abs_sn: np.ndarray, abs_cn: np.ndarray) -> tuple:
-    """sn and cn from _gauss_descent's magnitudes, with the signs of sin v and cos v."""
-    return np.copysign(abs_sn, np.sin(v)), np.copysign(abs_cn, np.cos(v))

@@ -37,8 +37,11 @@ because the potential is even; its growth coefficient theta satisfies
 dT/dB = -theta/2, tying the spectrum's zero position to the period's
 dependence on the quadrature constant.  The equation is linear, so each
 RK4 step is a 2 x 2 matrix, built for all steps at once from the
-closed-form profile; a plain recurrence applies them in turn, and the
-unit Wronskian is checked at every step.
+closed-form profile on the half period; a plain recurrence applies them
+in turn, and the unit Wronskian, which reads phi', is checked at every
+step.  The profile and its slope come from waves' half-period reader,
+so phi' is the closed form, not a grid derivative: the step points lie
+off the grid.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ContractError, DegenerateError, NumericError, _agree, _relative
 from .fourier import second_derivative_column
-from .waves import Profile, WaveParams, _profile_and_slope
+from .waves import Profile, WaveParams, _half_period
 
 __all__ = [
     "SpectrumReport",
@@ -311,7 +314,8 @@ def theta_constant(wp: WaveParams) -> float:
 
     Classical 4th-order Runge-Kutta with _THETA_STEPS // 2 steps of
     length L / _THETA_STEPS over [0, L/2], the potential evaluated
-    off-grid through the closed-form profile (no interpolation).  Each
+    off-grid through the closed-form profile (no interpolation), and the
+    Wronskian through its closed-form slope on the same points.  Each
     step is the RK4 step matrix of (y, y')' = (y', V y), applied by a
     plain recurrence; the unit Wronskian is monitored at every step.
     """
@@ -325,7 +329,7 @@ def theta_constant(wp: WaveParams) -> float:
     n = _THETA_STEPS // 2
     h = wp.L / _THETA_STEPS
     # profile on the 2n + 1 half-step points of [0, L/2]
-    phi, dphi = _profile_and_slope(wp, np.arange(2 * n + 1) * (0.5 * h))
+    phi, dphi = (row[0] for row in _half_period([wp], np.arange(2 * n + 1) * (0.5 * h)))
     pot = _potential("L1", wp.omega, phi)
     v0, vh, v1 = pot[:-1:2], pot[1::2], pot[2::2]
 

@@ -26,6 +26,15 @@ A built wave's parameters come from the level set of the period solve's
 attained-period evaluation.  The profile is even, so it is sampled on
 the half period 0 <= x <= L/2, checked there, and mirrored: every built
 profile is even bit for bit, and nothing checks its evenness.
+
+Two derivatives of a profile are handed out.  The closed-form slope
+comes from the same Jacobi pass as the profile, read on the half period
+(_half_period), where sn and cn are nonnegative and no sign is taken;
+a sweep's rows mirror it as an odd function, and the curve's tangent
+and integrals and theta read it, free of the grid's truncation.
+build_wave's Profile.dphi is the spectral derivative of its own
+samples, the grid derivative that the spectra, the orbital distance
+and quadrature_residual read.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import _agm_sequence, _complete_K_E, _dK_dk, _gauss_descent, _with_signs
+from .elliptic import _agm_sequence, _complete_K_E, _dK_dk, _gauss_descent
 from .errors import (
     ConfigError,
     ContractError,
@@ -110,7 +119,8 @@ class Profile:
 
     A built profile is its half period mirrored: phi[j] == phi[N - j] bit
     for bit, and the Hill blocks read phi on the half period 0 <= j <= N/2
-    alone.
+    alone.  dphi is the spectral derivative of phi, the grid derivative
+    (not the closed-form slope that the curve reads).
     """
 
     L: float
@@ -434,11 +444,11 @@ def _profiles(wps: list, x: np.ndarray) -> tuple:
     """Closed-form profiles of the waves wps at the points x, one row per wave.
 
     Returns the profile rows and the Jacobi pass they are read from: the
-    columns c = 2K/L and beta_sq and _gauss_descent's rows v, |sn|, |cn|
-    and dn, and den = 1 + beta_sq sn^2.  Each row comes from one AGM
-    sequence: the Jacobi pass runs on its levels, and K = pi / (2 mean)
-    is read from its mean.  The profile reads sn^2 alone, so the signs of
-    sn and cn are left to the slope.
+    columns sqrt(alpha3), c = 2K/L and beta_sq, _gauss_descent's rows
+    |sn|, |cn| and dn, and den = 1 + beta_sq sn^2.  Each row comes from one
+    AGM sequence: the Jacobi pass runs on its levels, and K = pi / (2 mean)
+    is read from its mean.  The profile reads sn^2 alone, so no sign of sn
+    or cn is ever taken.
     """
     agms = [_agm_sequence(wp.m) for wp in wps]
 
@@ -450,19 +460,22 @@ def _profiles(wps: list, x: np.ndarray) -> tuple:
     c = column([2.0 * (math.pi / (2.0 * agm[2])) / wp.L for agm, wp in zip(agms, wps)])
     beta_sq = column([wp.beta_sq for wp in wps])
     amp = column([math.sqrt(wp.alpha3) for wp in wps])
-    v, abs_sn, abs_cn, dn = _gauss_descent(c * x, agms)
+    _, abs_sn, abs_cn, dn = _gauss_descent(c * x, agms)
     den = 1.0 + beta_sq * np.square(abs_sn)
-    return amp * dn / np.sqrt(den), (c, beta_sq, v, abs_sn, abs_cn, dn, den)
+    return amp * dn / np.sqrt(den), (amp, c, beta_sq, abs_sn, abs_cn, dn, den)
 
 
-def _profile_and_slope(wp: WaveParams, x) -> tuple:
-    """Closed-form profile and its derivative at x, from one row of _profiles."""
-    xa = np.asarray(x, dtype=float)
-    phi, (c, beta_sq, v, abs_sn, abs_cn, dn, den) = _profiles([wp], xa.reshape(-1))
-    sn, cn = _with_signs(v, abs_sn, abs_cn)
-    dphi = (-math.sqrt(wp.alpha3) * c * sn * cn
-            * (wp.m * den + beta_sq * np.square(dn)) / den**1.5)
-    return phi.reshape(xa.shape), dphi.reshape(xa.shape)
+def _half_period(wps: list, x: np.ndarray) -> tuple:
+    """Profile rows of the waves wps and their closed-form slope at x in [0, L/2].
+
+    There the elliptic argument c x runs over [0, K], where sn and cn are
+    nonnegative, so the slope
+    phi' = -sqrt(alpha3) c sn cn (m den + beta_sq dn^2) / den^1.5 reads
+    _gauss_descent's magnitudes as they are, with no sign pass.
+    """
+    phi, (amp, c, beta_sq, abs_sn, abs_cn, dn, den) = _profiles(wps, x)
+    m = np.array([wp.m for wp in wps])[:, None]
+    return phi, -amp * c * abs_sn * abs_cn * (m * den + beta_sq * np.square(dn)) / den**1.5
 
 
 def profile_value(wp: WaveParams, x):
@@ -483,27 +496,32 @@ def check_grid_size(N) -> None:
 def build_wave(L: float, omega: float, N: int) -> tuple[WaveParams, Profile]:
     """Construct the period-L wave at frequency omega, sampled on N points.
 
-    Returns the algebraic parameter set and the grid profile (derivative by
-    spectral differentiation).  Construction invariants are enforced and a
-    violation raises ContractError.
+    Returns the algebraic parameter set and the grid profile, whose
+    derivative is the spectral derivative of its own samples.
+    Construction invariants are enforced and a violation raises
+    ContractError.
     """
-    (entry,), phi, dphi = _wave_rows(L, [omega], N)
+    (entry,), phi, _ = _wave_rows(L, [omega], N)
     if isinstance(entry, CqnlsError):
         raise entry
-    return entry, Profile(L=L, N=int(N), phi=phi[0], dphi=dphi[0])
+    return entry, Profile(L=L, N=int(N), phi=phi[0], dphi=spectral_derivative(phi[0], L))
 
 
 def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """build_wave at each frequency, every grid profile sampled in one pass.
+    """build_wave at each frequency, every grid profile and its slope in one pass.
 
     Returns (entries, phi, dphi): entries[i] is the WaveParams at omegas[i],
     or the CqnlsError its construction raised, and phi and dphi hold one
     row per WaveParams entry, in order.  A bad N raises ConfigError.  The
     period solve and parameter checks run per frequency, the parameters
-    from the solve's own level set; the profiles, their spectral
-    derivatives and their checks run on all rows at once.  Each profile
-    is sampled and checked on the half period 0 <= x <= L/2 and mirrored,
-    so every row is even bit for bit.
+    from the solve's own level set; the profiles, their slopes and their
+    checks run on all rows at once.  Each profile and its closed-form
+    slope (_half_period) are sampled on the half period 0 <= x <= L/2,
+    the profile is checked there, and both are mirrored: phi as an even
+    row, phi[N - j] == phi[j], and dphi as an odd one, dphi[N - j] ==
+    -dphi[j] for 0 < j < N/2, each bit for bit.  dphi is the closed form's
+    slope (at the trough a rounding of 0), free of the grid's truncation,
+    not the spectral derivative that build_wave's Profile carries.
     """
     check_grid_size(N)
     N = int(N)
@@ -517,11 +535,11 @@ def _wave_rows(L: float, omegas, N: int) -> tuple[list, np.ndarray, np.ndarray]:
     if not wps:
         # no grid: a period that no wave has need not be finite
         return entries, np.empty((0, N)), np.empty((0, N))
-    # phi is even: sample x_j = j L / N for j <= N/2, check, and mirror the rest
-    half = _profiles(wps, grid(L, N)[:N // 2 + 1])[0]
-    (half,) = _drop_failed(entries, _profile_errors(half, wps), half)
-    phi = np.concatenate((half, half[:, -2:0:-1]), axis=-1)
-    return entries, phi, spectral_derivative(phi, L)
+    # x_j = j L / N for j <= N/2; the rest of each row is the mirror image
+    half, slope = _half_period(wps, grid(L, N)[:N // 2 + 1])
+    half, slope = _drop_failed(entries, _profile_errors(half, wps), half, slope)
+    return (entries, np.concatenate((half, half[:, -2:0:-1]), axis=-1),
+            np.concatenate((slope, -slope[:, -2:0:-1]), axis=-1))
 
 
 def _live(entries: list) -> list:
@@ -546,30 +564,23 @@ def _drop_failed(entries: list, errors: list, *rows: np.ndarray) -> tuple:
 
 
 def _profile_errors(half: np.ndarray, wps: list) -> list:
-    """Positivity, extreme positions and trough value of each half-period row.
+    """The trough value of each half-period row, against alpha2.
 
     half[i] holds the samples x_j = j L / N, 0 <= j <= N/2, of the i-th
-    wave, whose other half is their mirror image.  Returns the
-    ContractError of each row's first failed check, or None.  The crest
-    value is not checked: at x = 0 the Jacobi pass gives sn = 0 and dn = 1
-    exactly, so phi(0) is sqrt(alpha3) bit for bit.  The trough value,
-    Jacobi at K, is a second route to alpha2 = (sqrt(3 q) - 2 alpha3 -
-    3)/4, bounded relative to the largest of alpha3 and the terms of alpha2.
+    wave, whose other half is their mirror image.  Returns each row's
+    ContractError, or None.  The trough value, Jacobi at K, is a second
+    route to alpha2 = (sqrt(3 q) - 2 alpha3 - 3)/4, bounded relative to
+    the largest of alpha3 and the terms of alpha2.  The row's shape holds
+    by construction on the half period, so nothing checks it: at x = 0 the
+    Jacobi pass gives sn = 0 and dn = 1 exactly, so phi(0) is sqrt(alpha3)
+    bit for bit; 0 < dn <= 1 <= den holds in floating point, so every
+    sample is positive and none exceeds phi(0); and phi decreases on the
+    half period, so an earlier sample can tie the trough only by rounding.
     """
-    last = half.shape[-1] - 1
-    stats = zip(np.all(half > 0.0, axis=-1).tolist(), np.argmax(half, axis=-1).tolist(),
-                np.argmin(half, axis=-1).tolist(), half[:, last].tolist())
-    errors = []
-    for wp, (positive, top, bottom, trough) in zip(wps, stats):
-        shape = ("samples must be positive" if not positive
-                 else "maximum must sit at x=0" if top != 0
-                 else "minimum must sit at x=L/2" if bottom != last else None)
-        # the terms of alpha2: sqrt(3 q)/4 = (alpha2 - alpha1)/2, alpha3/2, 3/4
-        errors.append(
-            (shape and ContractError("profile " + shape))
-            or _agree("profile trough phi(L/2)^2 - alpha2", trough**2 - wp.alpha2,
-                      (wp.alpha3, 0.5 * (wp.alpha2 - wp.alpha1), 0.75), 1e-10))
-    return errors
+    # the terms of alpha2: sqrt(3 q)/4 = (alpha2 - alpha1)/2, alpha3/2, 3/4
+    return [_agree("profile trough phi(L/2)^2 - alpha2", trough**2 - wp.alpha2,
+                   (wp.alpha3, 0.5 * (wp.alpha2 - wp.alpha1), 0.75), 1e-10)
+            for wp, trough in zip(wps, half[:, -1].tolist())]
 
 
 def quadrature_residual(prof: Profile, wp: WaveParams) -> tuple[float, float]:

@@ -324,10 +324,12 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
     """Former curve.curve_sample at one point, as a dict of its fields.
 
     The one-point chain before sweeps became rows: K from complete_K and
-    a second AGM for the Gauss descent of sn, cn, dn on a 1-D grid, one
-    1-D FFT derivative, and one even-block LU of L1 t = -phi for the
-    tangent, where the library now builds t in closed form.  The profile
-    is sampled on the half period and mirrored, like the library's.  The
+    a second AGM for the Gauss descent of sn, cn, dn on a 1-D grid, and
+    one even-block LU of L1 t = -phi for the tangent, where the library
+    now builds t in closed form.  The profile is sampled on the half
+    period and mirrored, like the library's.  The slope, read by dphi2
+    and ratio2 alone, is waves._wave_rows' closed-form slope, so a
+    comparison with the library compares only the tangent's route.  The
     construction and integral checks are left out.
     """
     wp = waves.params_from_alpha3(L, omega, waves.solve_alpha3(L, omega))
@@ -346,7 +348,7 @@ def curve_sample_by_point(L: float, omega: float, N: int = 256) -> dict:
     sn = np.copysign(np.abs(q) * (1.0 / np.sqrt(1.0 + q * q)), np.sin(v))
     phi_half = math.sqrt(wp.alpha3) * d / np.sqrt(1.0 + wp.beta_sq * np.square(sn))
     phi = np.concatenate([phi_half, phi_half[-2:0:-1]])
-    dphi = spectral_derivative(phi, L)
+    dphi = waves._wave_rows(L, [omega], N)[2][0]
 
     phi2 = phi**2
     pot = wp.omega - 3.0 * phi2 - 5.0 * phi2 * phi2

@@ -163,21 +163,28 @@ def test_wave_consumers_end_in_finite_values_or_typed_errors():
 def test_curve_samples_end_in_finite_values_or_typed_errors():
     # curve points on coarse grids and long periods, where the tangent's
     # check fails (e's denominator tends to 0 at the solitary limit): L on
-    # [1, 40], omega log-uniform on [0.05, 50], N in {64, 128}
+    # [1, 40], omega log-uniform on [0.05, 50], N in {64, 128}; and each L
+    # again at omega = omega_threshold(L), where a wave can still build and
+    # e's denominator can cancel to exactly 0
     rng = random.Random(44)
     outcomes = {}
     for _ in range(300):
         L, omega = rng.uniform(1.0, 40.0), 10.0 ** rng.uniform(-1.3, 1.7)
-        try:
-            sample = curve_sample(L, omega, rng.choice((64, 128)))
-        except CqnlsError as exc:
-            key = "tangent" if "tangent residual" in str(exc) else "other"
-        else:
-            assert _finite(sample), (L, omega, sample)
-            key = "ok"
-        outcomes[key] = outcomes.get(key, 0) + 1
-    # the census reaches built points and the tangent's own failure
-    assert outcomes.get("ok", 0) >= 30 and outcomes.get("tangent", 0) >= 10, outcomes
+        N = rng.choice((64, 128))
+        for w in (omega, waves.omega_threshold(L)):
+            try:
+                sample = curve_sample(L, w, N)
+            except CqnlsError as exc:
+                key = next((k for k in ("tangent residual", "existence threshold")
+                            if k in str(exc)), "other")
+            else:
+                assert _finite(sample), (L, w, sample)
+                key = "ok"
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # the census reaches built points, the tangent's own failure and its
+    # divergence at the threshold
+    assert (outcomes.get("ok", 0) >= 30 and outcomes.get("tangent residual", 0) >= 10
+            and outcomes.get("existence threshold", 0) >= 1), outcomes
 
 
 # census values, mixed into the CLI draws with working ones

@@ -511,11 +511,15 @@ def test_malformed_omega_exits_1(capsys):
 @pytest.mark.parametrize("argv", [
     ("curve", "--omega", "2:3:100000000000000000000"),
     ("curve", "--omega", "2:3:9223372036854775808"),
+    ("curve", "--omega", "2:3:2305843009213693952"),
+    ("curve", "--omega", "2:3:1000000000000"),
     ("construct", "--omega", "2", "--N", "9223372036854775808"),
-], ids=["count_1e20", "count_2_63", "N_2_63"])
+], ids=["count_1e20", "count_2_63", "count_2_61", "count_1e12", "N_2_63"])
 def test_count_or_grid_beyond_array_size_exits_1(capsys, argv):
     # each is rejected before anything is allocated; numpy itself would
-    # raise ValueError or IndexError, or build an empty grid for N = 2^63
+    # raise ValueError or IndexError, or build an empty grid for N = 2^63.
+    # 2^61 doubles overflow numpy's byte count ("array is too big"), and
+    # 1e12 doubles (8 TB) are a MemoryError: numpy refuses both up front
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1

@@ -13,6 +13,7 @@ from cqnls.errors import (
     ConfigError,
     ContractError,
     CqnlsError,
+    DegenerateError,
     DomainError,
     NoSolutionError,
     NumericError,
@@ -276,13 +277,45 @@ def test_solitary_end_reach(L):
             curve.curve_sample(L, 1.0)
 
 
-@pytest.mark.parametrize("N, inside, beyond", [(64, 2.0, 3.0), (128, 6.0, 8.0)])
+@pytest.mark.parametrize("N, inside, beyond", [(64, 2.0, 3.0), (128, 8.5, 9.0)])
 def test_coarse_grid_reach(N, inside, beyond):
-    # at L = 2 pi the check holds up to s = 2.11 at N = 64 and s = 6.74 at
-    # N = 128, where the grid stops resolving the tangent
+    # at L = 2 pi the check holds up to s = 2.53 at N = 64 and s = 8.87 at
+    # N = 128, where it reads the grid's aliasing of (3 phi^2 + 5 phi^4) t;
+    # with the spectral slope in the tangent it stopped at 2.11 and 6.74
     assert curve.curve_sample(TWO_PI, inside, N).d2_dd > 0.0
     with pytest.raises(ContractError, match="tangent residual"):
         curve.curve_sample(TWO_PI, beyond, N)
+
+
+def _tangent(L, omega, N):
+    entries, phi, dphi = waves._wave_rows(L, [omega], N)
+    return curve._tangent_rows(entries, phi, dphi, L)[0][0]
+
+
+def test_tangent_is_free_of_the_grid_truncation():
+    # at (2 pi, 4, N = 64) the tangent is within 7.3e-11 of the N = 4096
+    # one (1.5e-5 with the spectral slope); its check still fails there
+    t, ref = _tangent(TWO_PI, 4.0, 64), _tangent(TWO_PI, 4.0, 4096)[::64]
+    assert np.max(np.abs(t - ref)) <= 1e-9 * np.max(np.abs(ref))
+    with pytest.raises(ContractError, match="tangent residual"):
+        curve.curve_sample(TWO_PI, 4.0, 64)
+
+
+def test_tangent_at_the_existence_threshold_is_degenerate():
+    # min_period(omega*) rounds below L, so the wave builds (m = 4.5e-8),
+    # and e's denominator cancels to exactly 0: a DegenerateError, with no
+    # numpy warning (the suite turns warnings into errors)
+    L = 3.1471789888118327
+    threshold = waves.omega_threshold(L)
+    assert threshold == 1.3859803244356685
+    waves.build_wave(L, threshold, 64)
+    with pytest.raises(DegenerateError, match="existence threshold"):
+        curve.curve_sample(L, threshold, 64)
+    # in a sweep it fails its own row alone
+    rest = [threshold * (1.0 + f) for f in (1e-3, 1e-1, 0.5)]
+    first, *others = curve.sample_curve(L, [threshold] + rest, 64)
+    assert isinstance(first, DegenerateError)
+    assert [astuple(e) for e in others] == [astuple(e) for e in curve.sample_curve(L, rest, 64)]
 
 
 def test_sweep_memory_peak():

@@ -557,20 +557,33 @@ def test_theta_matches_sequential_loop(L, omega, steps):
 
 
 def test_theta_integrates_half_a_period(ref_wave, monkeypatch):
-    # the profile is read on the half-step points of [0, L/2] alone
+    # the profile and its slope are read once, from waves' half-period
+    # reader, on the half-step points of [0, L/2] alone
     wp, _ = ref_wave
-    points = []
-    exact = hill._profile_and_slope
+    calls = []
+    exact = hill._half_period
 
-    def counted(wave, x):
-        points.append(x)
-        return exact(wave, x)
+    def counted(wps, x):
+        calls.append((wps, x))
+        return exact(wps, x)
 
-    monkeypatch.setattr(hill, "_profile_and_slope", counted)
+    monkeypatch.setattr(hill, "_half_period", counted)
     hill.theta_constant(wp)
-    (x,) = points
-    assert x.size == hill._THETA_STEPS + 1
+    ((wps, x),) = calls
+    assert wps == [wp] and x.size == hill._THETA_STEPS + 1
     assert x[0] == 0.0 and x[-1] == pytest.approx(0.5 * wp.L, rel=1e-15)
+
+
+@pytest.mark.parametrize("L, omega, bits", [
+    (TWO_PI, 8.0, "-0x1.d1a8a990d9796p+16"),
+    (TWO_PI, 9.9, "-0x1.17b002335e62fp+19"),
+    (2.0 * TWO_PI, 2.0, "-0x1.e1637c8678226p+20"),
+])
+def test_theta_keeps_its_bits(L, omega, bits):
+    # theta reads the profile alone; the slope only enters the Wronskian
+    # check, so every bit is that of the former signed slope route
+    wp, _ = waves.build_wave(L, omega, 64)
+    assert hill.theta_constant(wp).hex() == bits
 
 
 def test_theta_wronskian_check_fires_on_nan(ref_wave):

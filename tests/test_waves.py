@@ -510,28 +510,27 @@ def test_profile_extremes_and_symmetry(ref_wave):
     # blocks read the half period alone
     mirror = (-np.arange(N)) % N
     assert np.array_equal(prof.phi, prof.phi[mirror])
-    entries, phi, _ = waves._wave_rows(TWO_PI, SWEEP, N)
+    entries, phi, dphi = waves._wave_rows(TWO_PI, SWEEP, N)
     assert all(isinstance(e, waves.WaveParams) for e in entries) and len(phi) == len(SWEEP)
     assert np.array_equal(phi, phi[:, mirror])
+    # the closed-form slope is mirrored as an odd row
+    assert np.array_equal(dphi[:, N // 2 + 1:], -dphi[:, N // 2 - 1:0:-1])
+    # the shape that _profile_errors leaves unchecked holds by construction:
+    # the crest is sqrt(alpha3) bit for bit, and no sample is above it or at 0
+    crest = np.array([math.sqrt(e.alpha3) for e in entries])
+    assert np.array_equal(phi[:, 0], crest)
+    assert np.all((phi > 0.0) & (phi <= crest[:, None]))
     assert waves._profile_errors(prof.phi[None, :N // 2 + 1], [wp]) == [None]
 
 
 def test_profile_checks_reject_tampering(ref_wave):
     # alpha2 off by 1e-6 relative moves the trough route by 2.6e-9 (1.4e-9
-    # of alpha3), which an absolute 1e-8 would pass; one tampered sample of
-    # the half period fails each shape check
+    # of alpha3), which an absolute 1e-8 would pass
     wp, prof = ref_wave
     half = prof.phi[:prof.N // 2 + 1]
     assert waves._profile_errors(half[None], [wp]) == [None]
     (error,) = waves._profile_errors(half[None], [replace(wp, alpha2=wp.alpha2 * (1 + 1e-6))])
     assert isinstance(error, ContractError) and "trough" in str(error)
-    for value, message in ((0.0, "samples must be positive"),
-                           (half[0] * (1 + 1e-6), "maximum must sit at x=0"),
-                           (half[-1] * (1 - 1e-6), "minimum must sit at x=L/2")):
-        tampered = half.copy()
-        tampered[5] = value
-        (error,) = waves._profile_errors(tampered[None], [wp])
-        assert isinstance(error, ContractError) and str(error) == "profile " + message
 
 
 @pytest.mark.parametrize("omega", [1e16, 1e50, 1e100, 1e150])
@@ -546,18 +545,26 @@ def test_large_frequency_builds_match_mpmath(omega, f):
 
 
 def test_profile_closed_form_derivative(ref_wave):
+    # on the half period the closed-form slope matches the spectral
+    # derivative that build_wave's Profile carries, and the full rows of
+    # _wave_rows match it too, mirrored as an odd function
     wp, prof = ref_wave
-    d_closed = waves._profile_and_slope(wp, waves.grid(prof.L, prof.N))[1]
-    assert np.max(np.abs(d_closed - prof.dphi)) <= 1e-9
+    half = prof.N // 2 + 1
+    phi, d_closed = waves._half_period([wp], waves.grid(prof.L, prof.N)[:half])
+    assert np.array_equal(phi[0], prof.phi[:half])
+    assert np.max(np.abs(d_closed[0] - prof.dphi[:half])) <= 1e-9
+    _, _, dphi = waves._wave_rows(wp.L, [wp.omega], prof.N)
+    assert np.max(np.abs(dphi[0] - prof.dphi)) <= 1e-9
     # derivative of the closed form against a plain difference of it
     for x0 in (0.37, 1.1, 2.9):
         ref = central_difference(lambda x: waves.profile_value(wp, x), x0, 1e-6)
-        assert waves._profile_and_slope(wp, x0)[1] == pytest.approx(ref, rel=1e-8)
+        assert waves._half_period([wp], np.array([x0]))[1][0, 0] == pytest.approx(ref, rel=1e-8)
 
 
 def test_profile_closed_forms_keep_frozen_bits():
     # profile and slope share one Jacobi pass; both keep every bit of the
-    # values frozen from their former separate evaluations.  The wave is
+    # values frozen from their former separate evaluations, the slope on
+    # the half period 0 <= x < L/2 that _half_period reads.  The wave is
     # assembled from the stored alpha3, so the bit comparison does not rest
     # on the last bit of the period solve, which need only land within 2 ulp.
     frozen = json.loads((Path(__file__).parent / "frozen_profiles.json").read_text())
@@ -566,10 +573,13 @@ def test_profile_closed_forms_keep_frozen_bits():
         assert abs(a3 - entry["alpha3"]) <= 2.0 * math.ulp(entry["alpha3"])
         wp = waves.params_from_alpha3(entry["L"], entry["omega"], entry["alpha3"])
         x = waves.grid(wp.L, entry["N"])
+        half = entry["N"] // 2
+        phi, dphi = waves._half_period([wp], x[:half])
         assert np.array_equal(waves.profile_value(wp, x), entry["phi"])
-        assert np.array_equal(waves._profile_and_slope(wp, x)[1], entry["dphi"])
+        assert np.array_equal(phi[0], entry["phi"][:half])
+        assert np.array_equal(dphi[0], entry["dphi"][:half])
         assert waves.profile_value(wp, x[5]) == entry["phi"][5]
-        assert waves._profile_and_slope(wp, x[5])[1] == entry["dphi"][5]
+        assert waves._half_period([wp], x[5:6])[1][0, 0] == entry["dphi"][5]
 
 
 def test_frozen_profiles_against_mpmath():
