@@ -44,6 +44,7 @@ N = 256); a larger count is a ConfigError.
 from __future__ import annotations
 
 import math
+import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -196,10 +197,13 @@ def perturbation_shape(kind: str, L: float, N: int, seed: int = 0) -> np.ndarray
     """Even, real perturbation with unit discrete H^1 norm.
 
     mode_cos1 is the lowest cosine mode; bump is a smooth even bump
-    centered on the wave crest; random_even draws uniform coefficients
-    for cosine modes 1..10 from a seeded generator.  ConfigError unless
-    N >= 1, L is positive and 2 pi L and the grid's top wavenumber pi N / L
-    squared are finite doubles (fourier.grid's check).
+    centered on the wave crest; random_even draws the coefficients of
+    cosine modes 1..10, uniform on [-1, 1), as 2 r - 1 from the first ten
+    r = random() of Python's random.Random(seed), a Mersenne Twister whose
+    random() stream Python keeps stable across versions.  ConfigError
+    unless N >= 1, L is positive and 2 pi L and the grid's top wavenumber
+    pi N / L squared are finite doubles (fourier.grid's check), and for
+    random_even unless the seed is a nonnegative int or numpy integer.
     """
     x = grid(L, N)
     if kind == "mode_cos1":
@@ -208,10 +212,10 @@ def perturbation_shape(kind: str, L: float, N: int, seed: int = 0) -> np.ndarray
         s = np.sin(math.pi * x / L)
         p = np.exp(-((s / 0.15) ** 2))
     elif kind == "random_even":
-        if seed < 0:
-            raise ConfigError(f"random_even seed must be nonnegative, got {seed}")
-        rng = np.random.default_rng(seed)
-        coeff = rng.uniform(-1.0, 1.0, size=10)
+        if not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"random_even seed must be an integer >= 0, got {seed!r}")
+        rng = random.Random(int(seed))
+        coeff = np.array([2.0 * rng.random() - 1.0 for _ in range(10)])
         modes = np.arange(1, 11)[:, None] * (2.0 * math.pi / L) * x[None, :]
         p = coeff @ np.cos(modes)
     else:

@@ -3,7 +3,9 @@
 import ast
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -594,6 +596,22 @@ _SMALL = {
                   "--dt", "1e-3", "--perturbation", "random_even"),
     "audit": ("--omega", "1.9:2.1:3", "--N", "64"),
 }
+
+
+def test_cli_runs_leave_numpy_random_unimported():
+    # a fresh interpreter, since this suite's own imports load numpy.random
+    argvs = [[subcommand, *args] for subcommand, args in _SMALL.items()]
+    script = ("import contextlib, io, sys\n"
+              "from cqnls.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(argv) for argv in {argvs!r}]\n"
+              "print(codes, 'numpy.random' in sys.modules)\n")
+    src = str(Path(cqnls.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.stdout == f"{[0] * len(argvs)} False\n", proc.stdout + proc.stderr
 
 
 def _json_table(subcommand, doc):

@@ -1,6 +1,7 @@
 """Split-step integrator: exact substeps, conservation, orbital tracking."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -311,8 +312,21 @@ def test_perturbation_shapes():
     c = evolve.perturbation_shape("random_even", L, N, seed=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    assert np.array_equal(a, evolve.perturbation_shape("random_even", L, N, seed=np.int64(4)))
     with pytest.raises(ConfigError):
         evolve.perturbation_shape("square", L, N)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**70])
+def test_random_even_draws_from_the_standard_library(seed):
+    # coefficients 2 r - 1 from the first ten random() of random.Random(seed)
+    L, N = TWO_PI, 256
+    rng = random.Random(seed)
+    x = np.arange(N) * (L / N)
+    ref = sum((2.0 * rng.random() - 1.0) * np.cos(k * x) for k in range(1, 11))
+    ref = ref / evolve.h1_norm(L, ref)
+    shape = evolve.perturbation_shape("random_even", L, N, seed=seed)
+    assert np.max(np.abs(shape - ref)) <= 1e-15
 
 
 def test_fidelity_run_structure():
@@ -416,9 +430,11 @@ def test_nonfinite_delta_is_a_config_error(delta):
                              t_end=0.01, dt=1e-3, N=64)
 
 
-def test_negative_seed_is_a_config_error():
+# a NaN seed would hash by identity, so its shape would change per process
+@pytest.mark.parametrize("seed", [-1, 3.5, 4.0, math.nan, "3", None], ids=repr)
+def test_bad_seed_is_a_config_error(seed):
     with pytest.raises(ConfigError, match="seed"):
-        evolve.perturbation_shape("random_even", TWO_PI, 64, seed=-1)
+        evolve.perturbation_shape("random_even", TWO_PI, 64, seed=seed)
 
 
 def test_unperturbed_orbit_stays_put():
